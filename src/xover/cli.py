@@ -40,11 +40,8 @@ from .metrics import (
     efficiency_lower_bound,
     el_ab,
     extreme_ml,
-    loss,
+    implemented_loss,
     max_loss,
-    theta_lower,
-    theta_lower_star,
-    mtr,
     uml,
 )
 from .simulate import DropoutModel, simulate
@@ -101,6 +98,11 @@ def _emit(report: dict[str, Any], fmt: str, out_path: str | None) -> None:
                 value = "true" if value else "false"
             lines.append(f"{key},{value}")
         text = "\n".join(lines) + "\n"
+    _write(text, out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Write report text to the -o path, or to stdout when none is given."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -220,12 +222,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             report.update(_spectrum_block(c_imp, design.t))
             plan = a_criterion(direct_info_complete(design), design.t)
             imp = a_criterion(c_imp, design.t)
-            if imp.connected:
-                report["loss"] = loss(plan.trace_mp, imp.trace_mp)
-                report["loss_disconnected"] = False
-            else:
-                report["loss"] = 1.0
-                report["loss_disconnected"] = True
+            report["loss"], report["loss_disconnected"] = implemented_loss(plan, imp)
         elif args.truncate is not None:
             m = args.truncate
             c_min = direct_info_complete(truncate(design, m))
@@ -315,8 +312,8 @@ def _table_grid(which: int) -> dict[str, Any]:
         rows = {
             "UML": [uml(t, m, star=False) for t in ts],
             "UML_star": [uml(t, m, star=True) for t in ts],
-            "EL": [(t - 1) * theta_lower(t, m) / mtr(t, m) for t in ts],
-            "EL_star": [(t - 1) * theta_lower_star(t, m) / mtr(t, m) for t in ts],
+            "EL": [efficiency_bounds(t, m)[0] for t in ts],
+            "EL_star": [efficiency_bounds(t, m)[1] for t in ts],
         }
         header = {"table": which, "m": m, "t": list(ts)}
     else:
@@ -358,12 +355,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
             lines.append(
                 f"{name}_rounded," + ",".join(f"{v:.2f}" for v in row["rounded"])
             )
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.output)
         return 0
     _emit(report, "json", args.output)
     return 0
@@ -389,6 +381,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(
             f"error: m={args.m} out of range 1..{design.p - 2}", file=sys.stderr
         )
+        return 2
+    if args.n < 1:
+        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return 2
     try:
         result = simulate(design, model, n=args.n, seed=args.seed)

@@ -62,7 +62,7 @@ def _square_grouping(s: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def williams_base_column(t: int) -> list[int]:
-    """The zigzag starting column 0, 1, t-1, 2, t-2, ... for even t."""
+    """The zigzag starting column 0, 1, t-1, 2, t-2, ..."""
     col = [0]
     lo, hi = 1, t - 1
     while len(col) < t:
@@ -97,15 +97,8 @@ def williams_pair(t: int) -> CrossoverDesign:
     """
     if t % 2 != 1 or t < 3:
         raise ValueError(f"williams_pair requires odd t >= 3, got t={t}")
-    base = [1, 0]
-    lo, hi = 2, t - 1
-    while len(base) < t:
-        base.append(lo)
-        lo += 1
-        if len(base) < t:
-            base.append(hi)
-            hi -= 1
-    first = (np.array(base)[:, None] + np.arange(t)[None, :]) % t
+    base = (1 - np.array(williams_base_column(t))) % t
+    first = (base[:, None] + np.arange(t)[None, :]) % t
     layout = np.hstack([first, first[::-1, :]])
     return CrossoverDesign(
         t=t, p=t, s=2 * t, layout=layout, grouping=_square_grouping(2 * t, t)

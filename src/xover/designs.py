@@ -288,6 +288,12 @@ def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
     report = validate_ubrmd(design)
     if not report.ok:
         raise ValueError("design is not uniform-balanced: " + "; ".join(report.failures))
+    return _type_wm(design, m)
+
+
+def _type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
+    """The block-uniformity and single-cycle tests of check_type_wm on a
+    design already known to be uniform-balanced, with 1 <= m <= p-2."""
     blocks = design.blocks()
     t = design.t
     failures: list[str] = []
@@ -392,13 +398,9 @@ def classify(design: CrossoverDesign) -> str:
 
     best = 0
     for m in range(1, design.p - 1):
-        try:
-            if check_type_wm(design, m).ok:
-                best = m
-            else:
-                break
-        except ValueError:
+        if not _type_wm(design, m).ok:
             break
+        best = m
     if best >= 1:
         return f"type-W{best}"
     return "UBRMD"

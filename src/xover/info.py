@@ -77,39 +77,6 @@ class MinimalClosedForm:
         return JointInfo(c11=self.c11, c12=self.c12, c22=self.c22)
 
 
-def _design_matrices(
-    design: CrossoverDesign, pattern: DropoutPattern | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Observation-level indicators: direct+carryover block [X_D X_C]
-    (n x 2t), subject labels (n,), and period indicators (n x p)."""
-    t, p, s = design.t, design.p, design.s
-    if pattern is None:
-        completion = [p] * s
-    else:
-        pattern.check_against(design)
-        completion = list(pattern.completion)
-    rows_t: list[np.ndarray] = []
-    subj: list[int] = []
-    periods: list[int] = []
-    for i in range(s):
-        k = completion[i]
-        for j in range(k):
-            row = np.zeros(2 * t)
-            row[design.layout[j, i]] = 1.0
-            if j >= 1:
-                row[t + design.layout[j - 1, i]] = 1.0
-            rows_t.append(row)
-            subj.append(i)
-            periods.append(j)
-    n = len(rows_t)
-    if n == 0:
-        raise ValueError("design has no observed cells")
-    tmat = np.array(rows_t)
-    xp = np.zeros((n, p))
-    xp[np.arange(n), periods] = 1.0
-    return tmat, np.array(subj), xp
-
-
 def joint_info_projection(
     design: CrossoverDesign, pattern: DropoutPattern | None = None
 ) -> JointInfo:
@@ -121,15 +88,28 @@ def joint_info_projection(
     also absorbs the intercept confounding between the two nuisance
     blocks without dropping columns.
     """
-    tmat, subj, xp = _design_matrices(design, pattern)
-    t = design.t
-    for i in np.unique(subj):
-        mask = subj == i
-        tmat[mask, :] -= tmat[mask, :].mean(axis=0)
-        xp[mask, :] -= xp[mask, :].mean(axis=0)
-    gram = tmat.T @ tmat
-    cross = tmat.T @ xp
-    c = gram - cross @ moore_penrose(xp.T @ xp) @ cross.T
+    t, p, s = design.t, design.p, design.s
+    if pattern is None:
+        completion = np.full(s, p)
+    else:
+        pattern.check_against(design)
+        completion = np.array(pattern.completion)
+    # observed cells, and one indicator row per cell over the columns
+    # [direct (t) | carryover (t) | period (p)]
+    periods, subj = np.nonzero(np.arange(p)[:, None] < completion[None, :])
+    rows = np.arange(periods.size)
+    x = np.zeros((periods.size, 2 * t + p))
+    x[rows, design.layout[periods, subj]] = 1.0
+    later = periods >= 1
+    x[rows[later], t + design.layout[periods[later] - 1, subj[later]]] = 1.0
+    x[rows, 2 * t + periods] = 1.0
+    sums = np.zeros((s, x.shape[1]))
+    np.add.at(sums, subj, x)
+    x -= (sums / completion[:, None])[subj]
+    gram = x.T @ x
+    k = 2 * t
+    cross = gram[:k, k:]
+    c = gram[:k, :k] - cross @ moore_penrose(gram[k:, k:]) @ cross.T
     c = symmetrize(c)
     return JointInfo(c11=c[:t, :t], c12=c[:t, t:], c22=c[t:, t:])
 

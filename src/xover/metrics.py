@@ -96,27 +96,35 @@ def loss(plan_trace_mp: float, imp_trace_mp: float) -> float:
     return 1.0 - plan_trace_mp / imp_trace_mp
 
 
+def implemented_loss(plan: ACriterion, imp: ACriterion) -> tuple[float, bool]:
+    """Loss of an implemented design against the plan, and whether the
+    implemented design is disconnected.
+
+    A disconnected design is reported as loss 1.0 with the flag set
+    rather than an error, so sweeping over many patterns or (t, m) never
+    aborts.  Losses below 1e-12 in magnitude are no-dropout roundoff and
+    snap to 0.0.
+    """
+    if not imp.connected:
+        return 1.0, True
+    val = loss(plan.trace_mp, imp.trace_mp)
+    return (0.0 if abs(val) < 1e-12 else val), False
+
+
 def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
     """Maximum loss of a design under m-tail dropout.
 
-    Compares the planned design with its truncation; a disconnected
-    truncation is reported as loss 1.0 with the flag set rather than an
-    error, so sweeping over many (t, m) never aborts.
+    Compares the planned design with its truncation through
+    implemented_loss.
     """
     plan = a_criterion(direct_info_complete(design), design.t)
     mini = a_criterion(direct_info_complete(truncate(design, m)), design.t)
-    if not mini.connected:
-        return MaxLoss(
-            value=1.0,
-            disconnected=True,
-            plan_trace_mp=plan.trace_mp,
-            min_trace_mp=None,
-        )
+    value, disconnected = implemented_loss(plan, mini)
     return MaxLoss(
-        value=loss(plan.trace_mp, mini.trace_mp),
-        disconnected=False,
+        value=value,
+        disconnected=disconnected,
         plan_trace_mp=plan.trace_mp,
-        min_trace_mp=mini.trace_mp,
+        min_trace_mp=None if disconnected else mini.trace_mp,
     )
 
 
@@ -127,6 +135,12 @@ def _check_t_m(t: int, m: int) -> None:
         raise ValueError(f"requires t >= 2m+2, got t={t}, m={m}")
 
 
+def _d(t: int, m: int) -> int:
+    """D = (t-m)^2 - (t+1) - m(m+1), shared by the spectral bounds and
+    the connectedness condition."""
+    return (t - m) ** 2 - (t + 1) - m * (m + 1)
+
+
 def theta_lower(t: int, m: int) -> float:
     """Spectral lower bound for the truncated design of any balanced layout.
 
@@ -134,8 +148,7 @@ def theta_lower(t: int, m: int) -> float:
     D = (t-m)^2 - (t+1) - m(m+1); requires t >= 2m+2.
     """
     _check_t_m(t, m)
-    d = (t - m) ** 2 - (t + 1) - m * (m + 1)
-    return (t / (t - m)) * ((t - 2 * m) - t * (m + 1) ** 2 / d)
+    return (t / (t - m)) * ((t - 2 * m) - t * (m + 1) ** 2 / _d(t, m))
 
 
 def theta_lower_star(t: int, m: int) -> float:
@@ -145,12 +158,11 @@ def theta_lower_star(t: int, m: int) -> float:
     cos(2 pi / t) available to a full-cycle permutation.
     """
     _check_t_m(t, m)
-    d = (t - m) ** 2 - (t + 1) - m * (m + 1)
     psi1 = math.cos(2 * math.pi / t)
     return (t / (t - m)) * (
         (t - 2 * m)
         + (m * (m - 1) / t) * (1 - psi1)
-        - t * (1 + 2 * psi1 * m + m * m) / d
+        - t * (1 + 2 * psi1 * m + m * m) / _d(t, m)
     )
 
 
@@ -174,8 +186,7 @@ def connect_condition(t: int, m: int) -> tuple[float, bool]:
     """
     if m < 1:
         raise ValueError(f"requires m >= 1, got m={m}")
-    d = (t - m) ** 2 - (t + 1) - m * (m + 1)
-    value = (t - 2 * m) * d - t * (m + 1) ** 2
+    value = (t - 2 * m) * _d(t, m) - t * (m + 1) ** 2
     return float(value), value > 0
 
 

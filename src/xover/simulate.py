@@ -21,7 +21,7 @@ import numpy as np
 from .designs import CrossoverDesign, DropoutPattern, truncate, validate_ubrmd
 from .info import direct_info_complete, direct_info_pattern
 from .linalg import is_psd
-from .metrics import a_criterion, loss
+from .metrics import a_criterion, implemented_loss
 
 ORDER_TOL = 1e-9
 
@@ -108,20 +108,13 @@ class _PatternCache:
         ordering_ok = is_psd(self.c_plan - c_imp, ORDER_TOL) and is_psd(
             c_imp - self.c_min, ORDER_TOL
         )
-        if imp.connected:
-            val = loss(self.plan.trace_mp, imp.trace_mp)
-            if abs(val) < 1e-12:  # snap the no-dropout roundoff to zero
-                val = 0.0
-            out = _PatternEval(loss=val, disconnected=False, ordering_ok=ordering_ok)
-        else:
-            out = _PatternEval(loss=1.0, disconnected=True, ordering_ok=ordering_ok)
+        val, disconnected = implemented_loss(self.plan, imp)
+        out = _PatternEval(loss=val, disconnected=disconnected, ordering_ok=ordering_ok)
         self.cache[completion] = out
         return out
 
     def ml(self) -> tuple[float, bool]:
-        if self.mini.connected:
-            return loss(self.plan.trace_mp, self.mini.trace_mp), False
-        return 1.0, True
+        return implemented_loss(self.plan, self.mini)
 
 
 def _sample_completion(

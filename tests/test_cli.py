@@ -311,6 +311,13 @@ def test_simulate_bad_hazards(tmp_path, capsys):
     assert "out of range 1..3" in capsys.readouterr().err
 
 
+def test_simulate_rejects_nonpositive_n(tmp_path, capsys):
+    f = _write(tmp_path, "d.txt", williams_pair(5))
+    for n in ("0", "-3"):
+        assert main(["simulate", f, "--hazards", "0.3", "--n", n]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_simulate_missing_design(tmp_path, capsys):
     missing = str(tmp_path / "absent.txt")
     assert main(["simulate", missing, "--hazards", "0.5"]) == 1

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xover.construct import extreme_design, fixture, union, williams_pair, williams_square
+from xover.construct import (
+    extreme_design,
+    fixture,
+    replicate,
+    union,
+    williams_pair,
+    williams_square,
+)
 from xover.designs import CrossoverDesign, DropoutPattern, truncate
 from xover.info import (
     direct_info,
@@ -74,6 +81,48 @@ def test_orthogonal_matches_projection_on_all_fixtures():
         a = joint_info_orthogonal(d).c
         b = joint_info_projection(d).c
         assert np.max(np.abs(a - b)) <= 1e-10, name
+
+
+def _dense_model_info(design, completion):
+    """T'T - T'N pinv(N'N) N'T from one row per observed cell, with
+    T = [direct | carryover] and N = [subject dummies | period dummies]."""
+    t, p, s = design.t, design.p, design.s
+    tmat, nmat = [], []
+    for i in range(s):
+        for j in range(completion[i]):
+            trow = np.zeros(2 * t)
+            trow[design.layout[j, i]] = 1.0
+            if j >= 1:
+                trow[t + design.layout[j - 1, i]] = 1.0
+            nrow = np.zeros(s + p)
+            nrow[i] = 1.0
+            nrow[s + j] = 1.0
+            tmat.append(trow)
+            nmat.append(nrow)
+    tmat, nmat = np.array(tmat), np.array(nmat)
+    cross = tmat.T @ nmat
+    return tmat.T @ tmat - cross @ np.linalg.pinv(nmat.T @ nmat) @ cross.T
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        fixture("d1plan"),
+        fixture("d2plan"),
+        fixture("d3plan"),
+        fixture("ex13sq1"),
+        williams_pair(5),
+        replicate(williams_square(6), 2),
+    ],
+    ids=["d1plan", "d2plan", "d3plan", "ex13sq1", "pair5", "williams6x2"],
+)
+def test_projection_matches_dense_model_on_ragged_patterns(design):
+    rng = np.random.default_rng(20071006)
+    for _ in range(20):
+        completion = tuple(int(k) for k in rng.integers(1, design.p + 1, design.s))
+        got = joint_info_projection(design, DropoutPattern(completion)).c
+        want = _dense_model_info(design, completion)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_orthogonal_d3plan_complete_symmetric():
