@@ -44,7 +44,7 @@ from .metrics import (
     max_loss,
     uml,
 )
-from .simulate import DropoutModel, simulate
+from .simulate import DropoutModel, check_seed, simulate
 
 TABLE1_T = (5, 6, 7, 8, 9, 10)
 TABLE2_T = (8, 9, 10, 11, 12, 16)
@@ -374,6 +374,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     try:
         model = DropoutModel(m=args.m, hazards=hazards)
+        check_seed(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -318,6 +318,31 @@ def test_simulate_rejects_nonpositive_n(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_seed_range(tmp_path, capsys):
+    f = _write(tmp_path, "p5.txt", williams_pair(5))
+    base = ["simulate", f, "--hazards", "0.3", "--n", "5"]
+    for seed in ("-1", str(2**64)):
+        assert main(base + ["--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must lie in 0..18446744073709551615, got {seed}\n"
+    assert main(base + ["--seed", str(2**64 - 1)]) == 0
+    assert _json_out(capsys)["seed"] == 2**64 - 1
+
+
+def test_simulate_readme_example(tmp_path, capsys):
+    # the numbers quoted under "Simulate random dropout" in README.md
+    f = _write(tmp_path, "p5.txt", williams_pair(5))
+    assert main(["simulate", f, "--hazards", "0.3", "--n", "2000"]) == 0
+    report = _json_out(capsys)
+    assert report["seed"] == 0
+    assert report["mean_loss"] == 0.118443
+    assert report["max_loss"] == 0.314089
+    assert report["quantiles"] == {"p50": 0.116082, "p90": 0.192507, "p99": 0.27313}
+    assert report["p_disconnect"] == 0.0
+    assert report["ordering_violations"] == 0
+    assert report["ml"] == 0.351855
+
+
 def test_simulate_missing_design(tmp_path, capsys):
     missing = str(tmp_path / "absent.txt")
     assert main(["simulate", missing, "--hazards", "0.5"]) == 1

@@ -1,10 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
 from xover.construct import fixture, replicate, williams_pair, williams_square
-from xover.designs import CrossoverDesign
-from xover.metrics import max_loss
+from xover.designs import CrossoverDesign, truncate
+from xover.info import direct_info_complete, direct_info_pattern
+from xover.metrics import a_criterion, implemented_loss, max_loss
 from xover.simulate import DropoutModel, DropoutPattern, enumerate_exact, simulate
+
+# the package re-exports the function simulate under the submodule's name
+sim_module = sys.modules["xover.simulate"]
 
 
 def test_model_validation():
@@ -102,6 +108,86 @@ def test_simulate_argument_errors():
     broken = CrossoverDesign(t=3, p=3, s=3, layout=np.zeros((3, 3), dtype=int))
     with pytest.raises(ValueError, match="not uniform-balanced"):
         simulate(broken, DropoutModel(1, (0.5,)), 10)
+
+
+def test_seed_range():
+    d = williams_pair(5)
+    model = DropoutModel(1, (0.3,))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError) as info:
+            simulate(d, model, 5, seed=seed)
+        assert str(info.value) == (
+            f"seed must lie in 0..18446744073709551615, got {seed}"
+        )
+    top = simulate(d, model, 5, seed=2**64 - 1, keep_losses=True)
+    assert top.losses == _oracle_losses(d, model, 5, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("k", [1, 7, 10, 60])
+def test_philox_stream_matches_numpy(seed, k):
+    # 1092 and 6553 replicates fill one chunk of 2**16 uniforms at k = 60
+    # and k = 10, so these rows sit on both sides of simulate's chunk edge
+    rs = np.array(
+        [0, 1, 2, 3, 17, 1091, 1092, 1093, 2048, 4999, 6552, 6553, 6554],
+        dtype=np.uint64,
+    )
+    u = sim_module._philox_uniforms(seed, rs, k)
+    assert u.shape == (rs.size, k)
+    for row, r in zip(u, rs):
+        key = np.array([seed, r], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key)).random(k)
+        np.testing.assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+
+def _oracle_losses(design, model, n, seed):
+    """Losses by the per-replicate route: one Generator per replicate."""
+    p, s, m = design.p, design.s, model.m
+    plan = a_criterion(direct_info_complete(design), design.t)
+    by_pattern = {}
+    losses = []
+    for r in range(n):
+        key = np.array([seed, r], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random((s, m))
+        completion = []
+        for i in range(s):
+            fired = [j for j in range(m) if u[i, j] < model.hazards[j]]
+            completion.append(p - m + fired[0] if fired else p)
+        completion = tuple(completion)
+        if completion not in by_pattern:
+            if completion == (p - m,) * s:
+                c_imp = direct_info_complete(truncate(design, m))
+            else:
+                c_imp = direct_info_pattern(design, DropoutPattern(completion))
+            by_pattern[completion] = implemented_loss(
+                plan, a_criterion(c_imp, design.t)
+            )[0]
+        losses.append(by_pattern[completion])
+    return tuple(losses)
+
+
+@pytest.mark.parametrize(
+    "design, model, n, seed",
+    [
+        (fixture("d3plan"), DropoutModel(1, (0.05,)), 7000, 0),
+        (williams_pair(5), DropoutModel(1, (0.3,)), 300, 3),
+        (williams_pair(7), DropoutModel(2, (0.3, 0.6)), 120, 11),
+        (williams_pair(5), DropoutModel(1, (0.0,)), 40, 2**64 - 1),
+        (williams_pair(5), DropoutModel(1, (1.0,)), 40, 2**63 + 5),
+    ],
+    ids=["d3plan", "pair5", "pair7-m2", "hazard0", "hazard1"],
+)
+def test_batched_pipeline_matches_per_replicate_route(
+    design, model, n, seed, monkeypatch
+):
+    # d3plan with n=7000 spans two default chunks of 6553 replicates
+    expected = _oracle_losses(design, model, n, seed)
+    result = simulate(design, model, n, seed=seed, keep_losses=True)
+    assert result.losses == expected
+    assert result.mean_loss == float(np.mean(expected))
+    # chunks of a few replicates give the same result
+    monkeypatch.setattr(sim_module, "_CHUNK_UNIFORMS", 50)
+    assert simulate(design, model, n, seed=seed, keep_losses=True) == result
 
 
 def test_enumerate_exact_d2plan():
