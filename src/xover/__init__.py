@@ -29,6 +29,7 @@ from .designs import (
     parse_pattern,
     period_slice,
     truncate,
+    truncation,
     validate_ubrmd,
     write_design,
 )
@@ -119,6 +120,7 @@ __all__ = [
     "theta_lower",
     "theta_lower_star",
     "truncate",
+    "truncation",
     "uml",
     "union",
     "validate_ubrmd",

@@ -22,16 +22,18 @@ import numpy as np
 from . import construct as con
 from .designs import (
     CrossoverDesign,
-    check_type_wm,
-    classify,
+    _classify,
+    _type_wm,
+    check_tail,
     parse_design,
     parse_pattern,
-    truncate,
+    truncation,
     validate_ubrmd,
     write_design,
 )
-from .info import direct_info_complete, direct_info_pattern
+from .info import direct_info_pattern
 from .metrics import (
+    ACriterion,
     a_criterion,
     bounds_report,
     class_ab_ml,
@@ -41,7 +43,6 @@ from .metrics import (
     el_ab,
     extreme_ml,
     implemented_loss,
-    max_loss,
     uml,
 )
 from .simulate import DropoutModel, check_seed, simulate
@@ -167,7 +168,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     for failure in report.failures:
         summary_lines.append(f"  {failure}")
     if report.ok:
-        summary_lines.append(f"classification: {classify(design)}")
+        summary_lines.append(f"classification: {_classify(design)}")
     summary = "\n".join(summary_lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -179,8 +180,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spectrum_block(c_d: np.ndarray, t: int) -> dict[str, Any]:
-    crit = a_criterion(c_d, t)
+def _spectrum_block(crit: ACriterion) -> dict[str, Any]:
     return {
         "rank": crit.rank,
         "connected": crit.connected,
@@ -211,42 +211,39 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "s": design.s,
         "g": design.g,
         "ubrmd": validation.ok,
-        "classification": classify(design),
+        "classification": _classify(design) if validation.ok else "not-UBRMD",
     }
     try:
+        plan = a_criterion(direct_info_pattern(design), design.t)
         if args.pattern is not None:
             with open(args.pattern) as fh:
                 pattern = parse_pattern(fh.read())
-            pattern.check_against(design)
-            c_imp = direct_info_pattern(design, pattern)
-            report.update(_spectrum_block(c_imp, design.t))
-            plan = a_criterion(direct_info_complete(design), design.t)
-            imp = a_criterion(c_imp, design.t)
+            imp = a_criterion(direct_info_pattern(design, pattern), design.t)
+            report.update(_spectrum_block(imp))
             report["loss"], report["loss_disconnected"] = implemented_loss(plan, imp)
         elif args.truncate is not None:
             m = args.truncate
-            c_min = direct_info_complete(truncate(design, m))
+            mini = a_criterion(
+                direct_info_pattern(design, truncation(design, m)), design.t
+            )
             report["m"] = m
-            report.update(_spectrum_block(c_min, design.t))
-            ml = max_loss(design, m)
-            report["ml"] = ml.value
-            report["ml_disconnected"] = ml.disconnected
+            report.update(_spectrum_block(mini))
+            report["ml"], report["ml_disconnected"] = implemented_loss(plan, mini)
             applicable = validation.ok and design.t >= 2 * m + 2
             report["bounds_applicable"] = applicable
             if applicable:
-                type_w = check_type_wm(design, m).ok
+                report["type_w"] = _type_wm(design, m).ok
                 el, el_star = efficiency_bounds(design.t, m)
-                report["type_w"] = type_w
                 report["uml"] = uml(design.t, m, star=False)
                 report["uml_star"] = uml(design.t, m, star=True)
                 report["el"] = el
                 report["el_star"] = el_star
-                if ml.min_trace_mp is not None and design.g is not None:
+                if not report["ml_disconnected"] and design.g is not None:
                     report["eff_lower_bound"] = efficiency_lower_bound(
-                        ml.min_trace_mp, design.t, m, design.g
+                        mini.trace_mp, design.t, m, design.g
                     )
         else:
-            report.update(_spectrum_block(direct_info_complete(design), design.t))
+            report.update(_spectrum_block(plan))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -375,13 +372,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         model = DropoutModel(m=args.m, hazards=hazards)
         check_seed(args.seed)
+        check_tail(design, args.m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not 1 <= args.m < design.p - 1:
-        print(
-            f"error: m={args.m} out of range 1..{design.p - 2}", file=sys.stderr
-        )
         return 2
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)

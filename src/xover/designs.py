@@ -167,6 +167,13 @@ def validate_ubrmd(design: CrossoverDesign) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
+def require_ubrmd(design: CrossoverDesign) -> None:
+    """Raise ValueError listing the failures of a design that is not a UBRMD."""
+    report = validate_ubrmd(design)
+    if not report.ok:
+        raise ValueError("design is not uniform-balanced: " + "; ".join(report.failures))
+
+
 def period_slice(design: CrossoverDesign, j: int) -> np.ndarray:
     """The t x s indicator matrix of period j (1-based): entry (h, i) is
     1 iff subject i receives treatment h in period j.
@@ -245,10 +252,21 @@ def incidences(
     )
 
 
-def truncate(design: CrossoverDesign, m: int) -> CrossoverDesign:
-    """The minimal design: drop the last m periods, keeping rows 1..p-m."""
+def check_tail(design: CrossoverDesign, m: int) -> None:
+    """Reject a tail length m outside 1..p-2."""
     if not 1 <= m < design.p - 1:
         raise ValueError(f"m={m} out of range 1..{design.p - 2}")
+
+
+def truncation(design: CrossoverDesign, m: int) -> DropoutPattern:
+    """The minimal design's dropout pattern: everyone completes p-m periods."""
+    check_tail(design, m)
+    return DropoutPattern((design.p - m,) * design.s)
+
+
+def truncate(design: CrossoverDesign, m: int) -> CrossoverDesign:
+    """The minimal design: drop the last m periods, keeping rows 1..p-m."""
+    check_tail(design, m)
     return CrossoverDesign(
         t=design.t,
         p=design.p - m,
@@ -283,11 +301,8 @@ def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
     the block's period (t-j) to period (t-k) treatment map is a single
     cycle of length t.
     """
-    if not 1 <= m <= design.p - 2:
-        raise ValueError(f"m={m} out of range 1..{design.p - 2}")
-    report = validate_ubrmd(design)
-    if not report.ok:
-        raise ValueError("design is not uniform-balanced: " + "; ".join(report.failures))
+    check_tail(design, m)
+    require_ubrmd(design)
     return _type_wm(design, m)
 
 
@@ -356,6 +371,11 @@ def classify(design: CrossoverDesign) -> str:
     """
     if not validate_ubrmd(design).ok:
         return "not-UBRMD"
+    return _classify(design)
+
+
+def _classify(design: CrossoverDesign) -> str:
+    """classify for a design already known to be uniform-balanced."""
     t = design.t
     blocks = design.blocks()
     g = len(blocks)

@@ -7,13 +7,17 @@ effect), and the treatment administered in the previous period
 joint information matrix of the direct and carryover effects after
 sweeping out subjects and periods:
 
-* a projection route working cell by cell, valid for any staircase
-  pattern of observed periods (subjects may stop early), and
-* closed-form incidence expressions, valid for complete rectangular
-  layouts.
+* the projection route, valid for any staircase pattern of observed
+  periods (subjects may stop early).  The library computes with it
+  alone: the plan is direct_info_pattern(design), the truncated design
+  is the pattern truncation(design, m), and dropout is any other
+  pattern;
+* the count route, closed-form incidence expressions valid for
+  complete rectangular layouts.  No library computation calls it; it
+  is the independent cross-check.
 
 On complete layouts the two agree to near machine precision, which the
-test suite uses as a cross-check.  On top of these sit the closed forms
+test suite checks.  On top of these sit the closed forms
 for the truncated (worst-case dropout) design and for its carryover
 information when a single period is lost.
 """
@@ -29,7 +33,7 @@ from .designs import (
     DropoutPattern,
     coincidence,
     incidences,
-    validate_ubrmd,
+    require_ubrmd,
 )
 from .linalg import moore_penrose, symmetrize
 
@@ -182,11 +186,7 @@ def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
     exactly when t >= 2m+2; its inverse is then certified as a
     generalized inverse of c22 before being returned.
     """
-    report = validate_ubrmd(design)
-    if not report.ok:
-        raise ValueError(
-            "design is not uniform-balanced: " + "; ".join(report.failures)
-        )
+    require_ubrmd(design)
     t = design.t
     if not 1 <= m < t - 1:
         raise ValueError(f"m={m} out of range 1..{t - 2}")
@@ -256,11 +256,7 @@ def residual_info_minimal_m1(design: CrossoverDesign) -> np.ndarray:
     a completely symmetric lead term, a correction along U + U', a U'U
     term, and a constant shift.
     """
-    report = validate_ubrmd(design)
-    if not report.ok:
-        raise ValueError(
-            "design is not uniform-balanced: " + "; ".join(report.failures)
-        )
+    require_ubrmd(design)
     t = design.t
     if t < 3:
         raise ValueError(f"requires t >= 3, got t={t}")

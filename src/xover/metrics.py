@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, truncate
-from .info import direct_info_complete
+from .designs import CrossoverDesign, truncation
+from .info import direct_info_pattern
 from .linalg import SpectralSummary, eigensym
 
 
@@ -114,11 +114,11 @@ def implemented_loss(plan: ACriterion, imp: ACriterion) -> tuple[float, bool]:
 def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
     """Maximum loss of a design under m-tail dropout.
 
-    Compares the planned design with its truncation through
+    Compares the planned design with its truncation pattern through
     implemented_loss.
     """
-    plan = a_criterion(direct_info_complete(design), design.t)
-    mini = a_criterion(direct_info_complete(truncate(design, m)), design.t)
+    plan = a_criterion(direct_info_pattern(design), design.t)
+    mini = a_criterion(direct_info_pattern(design, truncation(design, m)), design.t)
     value, disconnected = implemented_loss(plan, mini)
     return MaxLoss(
         value=value,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, DropoutPattern, truncate, validate_ubrmd
-from .info import direct_info_complete, direct_info_pattern
+from .designs import CrossoverDesign, DropoutPattern, require_ubrmd, truncation
+from .info import direct_info_pattern
 from .linalg import is_psd
 from .metrics import a_criterion, implemented_loss
 
@@ -98,14 +98,15 @@ class _PatternCache:
     """Per-pattern loss and ordering checks, computed once per pattern.
 
     The number of distinct completion patterns is finite, so replicated
-    sampling reduces to dictionary lookups after the first hit.
+    sampling reduces to dictionary lookups after the first hit.  The plan
+    and truncated criteria come from the same calls as in max_loss, so
+    the two give the same maximum loss bit for bit.
     """
 
     def __init__(self, design: CrossoverDesign, m: int):
         self.design = design
-        self.m = m
-        self.c_plan = direct_info_complete(design)
-        self.c_min = direct_info_complete(truncate(design, m))
+        self.c_plan = direct_info_pattern(design)
+        self.c_min = direct_info_pattern(design, truncation(design, m))
         self.plan = a_criterion(self.c_plan, design.t)
         self.mini = a_criterion(self.c_min, design.t)
         self.cache: dict[tuple[int, ...], _PatternEval] = {}
@@ -114,14 +115,8 @@ class _PatternCache:
         hit = self.cache.get(completion)
         if hit is not None:
             return hit
-        p = self.design.p
-        if completion == (p - self.m,) * self.design.s:
-            # full truncation is the minimal design itself
-            c_imp = self.c_min
-            imp = self.mini
-        else:
-            c_imp = direct_info_pattern(self.design, DropoutPattern(completion))
-            imp = a_criterion(c_imp, self.design.t)
+        c_imp = direct_info_pattern(self.design, DropoutPattern(completion))
+        imp = a_criterion(c_imp, self.design.t)
         ordering_ok = is_psd(self.c_plan - c_imp, ORDER_TOL) and is_psd(
             c_imp - self.c_min, ORDER_TOL
         )
@@ -129,9 +124,6 @@ class _PatternCache:
         out = _PatternEval(loss=val, disconnected=disconnected, ordering_ok=ordering_ok)
         self.cache[completion] = out
         return out
-
-    def ml(self) -> tuple[float, bool]:
-        return implemented_loss(self.plan, self.mini)
 
 
 def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,17 +204,11 @@ def simulate(
     differences at tolerance 1e-9); a violation would falsify the
     worst-case analysis, so it is surfaced prominently.
     """
-    report = validate_ubrmd(design)
-    if not report.ok:
-        raise ValueError(
-            "design is not uniform-balanced: " + "; ".join(report.failures)
-        )
+    require_ubrmd(design)
     if n < 1:
         raise ValueError(f"requires n >= 1, got n={n}")
-    if not 1 <= model.m < design.p - 1:
-        raise ValueError(f"m={model.m} out of range 1..{design.p - 2}")
-    check_seed(seed)
     cache = _PatternCache(design, model.m)
+    check_seed(seed)
     s, p, m = design.s, design.p, model.m
     hazards = np.array(model.hazards)
     losses = np.empty(n)
@@ -239,7 +225,7 @@ def simulate(
             disconnected[start:stop],
             ordering_ok[start:stop],
         ) = _evaluate_rows(cache, completions)
-    ml_value, ml_flag = cache.ml()
+    ml_value, ml_flag = implemented_loss(cache.plan, cache.mini)
     qs = (0.5, 0.9, 0.99)
     quantiles = tuple((q, float(np.quantile(losses, q))) for q in qs)
     return SimulationResult(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from xover.construct import fixture, replicate, williams_pair, williams_square
-from xover.designs import CrossoverDesign, truncate
-from xover.info import direct_info_complete, direct_info_pattern
+from xover.designs import CrossoverDesign
+from xover.info import direct_info_pattern
 from xover.metrics import a_criterion, implemented_loss, max_loss
 from xover.simulate import DropoutModel, DropoutPattern, enumerate_exact, simulate
 
@@ -143,7 +143,7 @@ def test_philox_stream_matches_numpy(seed, k):
 def _oracle_losses(design, model, n, seed):
     """Losses by the per-replicate route: one Generator per replicate."""
     p, s, m = design.p, design.s, model.m
-    plan = a_criterion(direct_info_complete(design), design.t)
+    plan = a_criterion(direct_info_pattern(design), design.t)
     by_pattern = {}
     losses = []
     for r in range(n):
@@ -155,10 +155,7 @@ def _oracle_losses(design, model, n, seed):
             completion.append(p - m + fired[0] if fired else p)
         completion = tuple(completion)
         if completion not in by_pattern:
-            if completion == (p - m,) * s:
-                c_imp = direct_info_complete(truncate(design, m))
-            else:
-                c_imp = direct_info_pattern(design, DropoutPattern(completion))
+            c_imp = direct_info_pattern(design, DropoutPattern(completion))
             by_pattern[completion] = implemented_loss(
                 plan, a_criterion(c_imp, design.t)
             )[0]
