@@ -40,6 +40,7 @@ from .info import (
     direct_info_complete,
     direct_info_minimal,
     direct_info_pattern,
+    direct_info_patterns,
     estimable,
     joint_info_orthogonal,
     joint_info_projection,
@@ -49,6 +50,7 @@ from .info import (
 )
 from .linalg import cycle_type, eigensym, is_psd, moore_penrose
 from .metrics import (
+    a_criteria,
     a_criterion,
     bounds_report,
     class_ab_ml,
@@ -77,6 +79,7 @@ __all__ = [
     "JointInfo",
     "MinimalClosedForm",
     "SimulationResult",
+    "a_criteria",
     "a_criterion",
     "bounds_report",
     "check_type_wm",
@@ -90,6 +93,7 @@ __all__ = [
     "direct_info_complete",
     "direct_info_minimal",
     "direct_info_pattern",
+    "direct_info_patterns",
     "efficiency_bounds",
     "efficiency_lower_bound",
     "eigensym",

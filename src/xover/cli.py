@@ -181,10 +181,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _spectrum_block(crit: ACriterion) -> dict[str, Any]:
+    # eigenvalues within the rank threshold are structural zeros; their
+    # roundoff digits would change with every change of arithmetic order
+    spectrum = crit.spectrum
     return {
         "rank": crit.rank,
         "connected": crit.connected,
-        "eigenvalues": [_f(v) for v in crit.spectrum.eigenvalues],
+        "eigenvalues": [
+            0.0 if abs(v) <= spectrum.threshold else _f(v) for v in spectrum.eigenvalues
+        ],
         "h": crit.h,
         "trace_mp": crit.trace_mp,
     }

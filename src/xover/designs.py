@@ -405,7 +405,8 @@ def _classify(design: CrossoverDesign) -> str:
             copies_identical
             and _is_latin_square_block(design, blocks[0])
             and _is_latin_square_block(design, blocks[1])
-            and validate_ubrmd(_as_standalone(design, pair_cols)).ok
+            # with g = 2 the pair is the whole design, already validated
+            and (g == 2 or validate_ubrmd(_as_standalone(design, pair_cols)).ok)
         ):
             pi1 = _tail_permutation(design, blocks[0], 0, 1)
             pi2 = _tail_permutation(design, blocks[1], 0, 1)

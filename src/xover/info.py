@@ -9,9 +9,18 @@ sweeping out subjects and periods:
 
 * the projection route, valid for any staircase pattern of observed
   periods (subjects may stop early).  The library computes with it
-  alone: the plan is direct_info_pattern(design), the truncated design
-  is the pattern truncation(design, m), and dropout is any other
-  pattern;
+  alone: the plan is the complete pattern, the truncated design is the
+  pattern truncation(design, m), and dropout is any other pattern.  It
+  is one batched engine, direct_info_patterns, which takes a (B, s)
+  array of completion periods and returns the (B, t, t) direct-effect
+  information matrices.  Each pattern's Gram matrix of subject-centred
+  cell indicators is formed from exact integer counts,
+  G = X'X - sum_k M_k / k (X'X over the observed cells, M_k the sum of
+  a_i a_i' over the subjects completing k periods, a_i their column
+  sums); the period and carryover blocks are then swept out as stacked
+  Schur complements (stacked matmul and eigh).  direct_info_pattern and
+  joint_info_projection are its B = 1 calls, and every row of a batch
+  equals its B = 1 call bit for bit;
 * the count route, closed-form incidence expressions valid for
   complete rectangular layouts.  No library computation calls it; it
   is the independent cross-check.
@@ -35,7 +44,13 @@ from .designs import (
     incidences,
     require_ubrmd,
 )
-from .linalg import moore_penrose, symmetrize
+from .linalg import moore_penrose, schur_complement, symmetrize
+
+# Byte budget of each per-chunk temporary of direct_info_patterns: a batch
+# is evaluated in chunks of rows whose (rows, s, d) and (rows, d, d) float
+# arrays fit in it, at least one row per chunk.  64 KiB keeps a call's
+# working set near that of one pattern at a time.
+_CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,95 @@ class MinimalClosedForm:
         return JointInfo(c11=self.c11, c12=self.c12, c22=self.c22)
 
 
+def _completion_rows(design: CrossoverDesign, completions) -> np.ndarray:
+    """Validated (B, s) integer array of completion periods."""
+    ks = np.asarray(completions)
+    if ks.ndim != 2 or ks.shape[1] != design.s:
+        raise ValueError(
+            f"expected rows of s={design.s} completion periods, got shape {ks.shape}"
+        )
+    if not np.issubdtype(ks.dtype, np.integer):
+        raise ValueError(f"completion periods must be integers, got {ks.dtype}")
+    if ks.size and ks.min() < 1:
+        raise ValueError("every subject must complete at least period 1")
+    if ks.size and ks.max() > design.p:
+        raise ValueError(f"completion period exceeds p={design.p}")
+    return ks.astype(np.intp, copy=False)
+
+
+def _one_row(design: CrossoverDesign, pattern: DropoutPattern | None) -> np.ndarray:
+    """The (1, s) completion row of a pattern, the complete design for None."""
+    if pattern is None:
+        return np.full((1, design.s), design.p)
+    pattern.check_against(design)
+    return np.array([pattern.completion])
+
+
+def _cells(design: CrossoverDesign) -> np.ndarray:
+    """Indicator rows of every cell over the columns [direct (t) |
+    carryover (t) | period (p)], as a (p, s, 2t+p) array."""
+    t, p, s = design.t, design.p, design.s
+    x = np.zeros((p, s, 2 * t + p))
+    rows = x.reshape(p * s, -1)  # cell (j, i) is row j*s + i
+    cells = np.arange(p * s)
+    rows[cells, design.layout.ravel()] = 1.0
+    rows[cells[s:], t + design.layout[:-1].ravel()] = 1.0
+    rows[cells, 2 * t + cells // s] = 1.0
+    return x
+
+
+def _joint_stack(x: np.ndarray, ks: np.ndarray, t: int) -> np.ndarray:
+    """(B, 2t, 2t) joint information of the completion rows ks.
+
+    The Gram matrix of the subject-centred cell rows is
+    X'X - sum_k M_k / k, with X'X over the observed cells and M_k the
+    sum of a_i a_i' over subjects completing k periods (a_i the subject's
+    column sums).  Both are integer counts, exact in float64 whatever
+    the BLAS blocking; the only roundings are the divisions and
+    subtractions, in ascending k.  A k absent from a row subtracts an
+    all-zero M_k, which leaves its bits unchanged, so every row comes
+    out the same in any batch.  The period block is then swept out.
+    """
+    b, (p, s, d) = len(ks), x.shape
+    k0 = int(ks.min())
+    head = x[:k0]  # the periods every row observes
+    flat = head.reshape(-1, d)
+    gram = np.repeat((flat.T @ flat)[None], b, axis=0)
+    a = np.repeat(head.sum(axis=0)[None], b, axis=0)
+    for j in range(k0, p):
+        w = x[j] * (j < ks)[..., None]
+        gram += np.swapaxes(w, 1, 2) @ w
+        a += w
+    for k in np.unique(ks):
+        ak = a * (ks == k)[..., None]
+        m_k = np.swapaxes(ak, 1, 2) @ ak
+        m_k /= k
+        gram -= m_k
+    return schur_complement(gram, 2 * t)
+
+
+def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
+    """Direct-effect information of many dropout patterns at once.
+
+    completions is a (B, s) integer array, row b holding each subject's
+    completion period; the result is (B, t, t).  Each pattern's joint
+    information comes from the exact-count Gram matrix of _joint_stack,
+    and the carryover block is swept out as a stacked Schur complement.
+    Rows are evaluated in chunks whose per-chunk temporaries stay within
+    _CHUNK_BYTES, and every row equals its own B = 1 call bit for bit.
+    """
+    ks = _completion_rows(design, completions)
+    t = design.t
+    x = _cells(design)
+    d = x.shape[2]
+    step = max(1, _CHUNK_BYTES // (8 * d * max(design.s, d)))
+    out = np.empty((len(ks), t, t))
+    for start in range(0, len(ks), step):
+        chunk = ks[start : start + step]
+        out[start : start + step] = schur_complement(_joint_stack(x, chunk, t), t)
+    return out
+
+
 def joint_info_projection(
     design: CrossoverDesign, pattern: DropoutPattern | None = None
 ) -> JointInfo:
@@ -90,31 +194,11 @@ def joint_info_projection(
     periods.  Subject effects are removed by within-subject centering;
     the period block is then swept out with a Moore-Penrose solve, which
     also absorbs the intercept confounding between the two nuisance
-    blocks without dropping columns.
+    blocks without dropping columns.  This is the B = 1 call of the
+    stage that direct_info_patterns runs on whole batches.
     """
-    t, p, s = design.t, design.p, design.s
-    if pattern is None:
-        completion = np.full(s, p)
-    else:
-        pattern.check_against(design)
-        completion = np.array(pattern.completion)
-    # observed cells, and one indicator row per cell over the columns
-    # [direct (t) | carryover (t) | period (p)]
-    periods, subj = np.nonzero(np.arange(p)[:, None] < completion[None, :])
-    rows = np.arange(periods.size)
-    x = np.zeros((periods.size, 2 * t + p))
-    x[rows, design.layout[periods, subj]] = 1.0
-    later = periods >= 1
-    x[rows[later], t + design.layout[periods[later] - 1, subj[later]]] = 1.0
-    x[rows, 2 * t + periods] = 1.0
-    sums = np.zeros((s, x.shape[1]))
-    np.add.at(sums, subj, x)
-    x -= (sums / completion[:, None])[subj]
-    gram = x.T @ x
-    k = 2 * t
-    cross = gram[:k, k:]
-    c = gram[:k, :k] - cross @ moore_penrose(gram[k:, k:]) @ cross.T
-    c = symmetrize(c)
+    t = design.t
+    c = _joint_stack(_cells(design), _one_row(design, pattern), t)[0]
     return JointInfo(c11=c[:t, :t], c12=c[:t, t:], c22=c[t:, t:])
 
 
@@ -167,14 +251,13 @@ def direct_info(joint: JointInfo) -> np.ndarray:
     on which generalized inverse is used, and is symmetric positive
     semidefinite with zero row sums.
     """
-    cd = joint.c11 - joint.c12 @ moore_penrose(joint.c22) @ joint.c12.T
-    return symmetrize(cd)
+    return schur_complement(joint.c, joint.c11.shape[0])
 
 
 def residual_info(joint: JointInfo) -> np.ndarray:
     """Information for carryover effects: c22 minus the c11 sweep."""
-    cr = joint.c22 - joint.c12.T @ moore_penrose(joint.c11) @ joint.c12
-    return symmetrize(cr)
+    swapped = np.block([[joint.c22, joint.c12.T], [joint.c12, joint.c11]])
+    return schur_complement(swapped, joint.c22.shape[0])
 
 
 def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
@@ -304,5 +387,6 @@ def direct_info_complete(design: CrossoverDesign) -> np.ndarray:
 def direct_info_pattern(
     design: CrossoverDesign, pattern: DropoutPattern | None = None
 ) -> np.ndarray:
-    """Direct-effect information of an implemented design via projection."""
-    return direct_info(joint_info_projection(design, pattern))
+    """Direct-effect information of an implemented design via projection:
+    the B = 1 call of direct_info_patterns."""
+    return direct_info_patterns(design, _one_row(design, pattern))[0]

@@ -1,9 +1,13 @@
 """Dense symmetric linear algebra helpers.
 
 Everything here operates on small dense matrices (order a few dozen at
-most): spectral decomposition, Moore-Penrose inverses computed through
-the spectrum, positive-semidefiniteness tests, and cycle analysis of
-permutation matrices.
+most), singly or as stacks of shape (..., n, n): spectral
+decomposition, Moore-Penrose inverses computed through the spectrum,
+Schur complements, positive-semidefiniteness tests, and cycle analysis
+of permutation matrices.  A stacked call treats each matrix exactly as
+a call on that matrix alone would, bit for bit, because numpy's stacked
+eigh, eigvalsh and matmul run one LAPACK or BLAS call per matrix and
+every other step is elementwise or a reduction along one matrix.
 """
 
 from __future__ import annotations
@@ -22,20 +26,41 @@ RANK_FLOOR = 1e-12
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric average of ``m``.
+    """Return the symmetric average of ``m``, a matrix or a stack of them.
 
-    Raises ValueError if the asymmetry exceeds SYM_TOL relative to the
-    largest entry, so genuinely non-symmetric input is rejected rather
-    than silently averaged away.
+    Raises ValueError if the asymmetry of any matrix exceeds SYM_TOL
+    relative to its largest entry, so genuinely non-symmetric input is
+    rejected rather than silently averaged away.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    gap = float(np.max(np.abs(m - m.T)))
-    if gap > SYM_TOL * scale:
-        raise ValueError(f"matrix is not symmetric: max asymmetry {gap:.3e}")
-    return (m + m.T) / 2.0
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1), initial=0.0))
+    out = m - mt
+    gap = np.max(np.abs(out, out=out), axis=(-2, -1), initial=0.0)
+    if np.any(gap > SYM_TOL * scale):
+        raise ValueError(f"matrix is not symmetric: max asymmetry {np.max(gap):.3e}")
+    np.add(m, mt, out=out)
+    out /= 2.0
+    return out
+
+
+def spectral_cut(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank threshold, nonzero mask and pseudo-reciprocals of spectra.
+
+    vals holds eigenvalues along its last axis, one spectrum per leading
+    index.  The threshold is n * |lambda|_max * 1e-10 with an absolute
+    floor of 1e-12, which separates structural zeros (row-sum null
+    vectors) from genuinely small eigenvalues near disconnection; the
+    pseudo-reciprocal is 1/lambda above it and 0 below.
+    """
+    n = vals.shape[-1]
+    lam_max = np.max(np.abs(vals), axis=-1, initial=0.0)
+    threshold = np.maximum(n * lam_max * RANK_RTOL, RANK_FLOOR)
+    keep = np.abs(vals) > threshold[..., None]
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+    return threshold, keep, inv
 
 
 @dataclass(frozen=True)
@@ -43,13 +68,14 @@ class SpectralSummary:
     """Eigendecomposition of a symmetric matrix with rank bookkeeping.
 
     eigenvalues are ascending; eigenvectors are the matching orthonormal
-    columns.  rank counts eigenvalues whose magnitude clears the
+    columns, or None where only the eigenvalues were computed (the
+    A-criterion).  rank counts eigenvalues whose magnitude clears the
     threshold, and trace_mp is the trace of the Moore-Penrose inverse
     (sum of reciprocals over that nonzero spectrum).
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     rank: int
     trace_mp: float
     threshold: float
@@ -60,45 +86,58 @@ class SpectralSummary:
 
 
 def eigensym(m: np.ndarray) -> SpectralSummary:
-    """Spectral decomposition of a symmetric matrix.
+    """Spectral decomposition of one symmetric matrix.
 
-    The rank threshold is n * |lambda|_max * 1e-10 with an absolute
-    floor of 1e-12, which separates structural zeros (row-sum null
-    vectors) from genuinely small eigenvalues near disconnection.
+    Rank and trace_mp follow the threshold of spectral_cut.
     """
     m = symmetrize(m)
-    n = m.shape[0]
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on finite input
         raise ArithmeticError(f"eigendecomposition failed to converge: {exc}") from exc
-    lam_max = float(np.max(np.abs(vals))) if n else 0.0
-    threshold = max(n * lam_max * RANK_RTOL, RANK_FLOOR)
-    keep = np.abs(vals) > threshold
-    rank = int(np.count_nonzero(keep))
-    trace_mp = float(np.sum(1.0 / vals[keep])) if rank else 0.0
+    threshold, keep, inv = spectral_cut(vals)
     return SpectralSummary(
         eigenvalues=vals,
         eigenvectors=vecs,
-        rank=rank,
-        trace_mp=trace_mp,
-        threshold=threshold,
+        rank=int(np.count_nonzero(keep)),
+        trace_mp=float(inv.sum()),
+        threshold=float(threshold),
     )
 
 
 def moore_penrose(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via spectral inversion."""
-    s = eigensym(m)
-    keep = np.abs(s.eigenvalues) > s.threshold
-    inv = np.zeros_like(s.eigenvalues)
-    inv[keep] = 1.0 / s.eigenvalues[keep]
-    return symmetrize((s.eigenvectors * inv) @ s.eigenvectors.T)
+    """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
+    stack, via spectral inversion."""
+    vals, vecs = np.linalg.eigh(symmetrize(m))
+    inv = spectral_cut(vals)[2]
+    return symmetrize((vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff the smallest eigenvalue of symmetric ``m`` is >= -tol."""
-    vals = np.linalg.eigvalsh(symmetrize(m))
-    return bool(vals[0] >= -tol)
+def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
+    """m11 - m12 m22^+ m21 for a symmetric matrix, or a stack of them,
+    split after row and column k.
+
+    m22^+ is the Moore-Penrose inverse through the spectrum V diag(lambda) V'
+    of m22, cut by spectral_cut, so the product is formed as
+    (m12 V) diag(1/lambda) (m12 V)'.  The input is taken as symmetric
+    (eigh reads one triangle of m22); the result is checked for symmetry
+    and averaged once for the whole stack.
+    """
+    vals, vecs = np.linalg.eigh(m[..., k:, k:])
+    inv = spectral_cut(vals)[2]
+    w = m[..., :k, k:] @ vecs
+    return symmetrize(m[..., :k, :k] - (w * inv[..., None, :]) @ np.swapaxes(w, -1, -2))
+
+
+def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
+    """True iff the smallest eigenvalue of symmetric ``m`` is >= -tol.
+
+    For a stack of matrices, one verdict per matrix as a boolean array.
+    """
+    ok = np.linalg.eigvalsh(symmetrize(m))[..., 0] >= -tol
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def cycle_type(perm_matrix: np.ndarray) -> list[int]:

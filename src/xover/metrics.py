@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, truncation
-from .info import direct_info_pattern
-from .linalg import SpectralSummary, eigensym
+from .info import direct_info_patterns
+from .linalg import SpectralSummary, spectral_cut, symmetrize
 
 
 @dataclass(frozen=True)
@@ -69,46 +69,117 @@ class MaxLoss:
     min_trace_mp: float | None
 
 
-def a_criterion(c_d: np.ndarray, t: int) -> ACriterion:
-    """A-criterion of a direct-effect information matrix.
+@dataclass(frozen=True)
+class ACriteria:
+    """A-criteria of a stack of direct-effect information matrices.
 
-    The design is connected (all treatment contrasts estimable) exactly
-    when the rank is t-1; the harmonic criterion is then
-    (t-1)/trace_mp, and 0.0 with a disconnected flag otherwise.
+    Entry b of each array belongs to matrix b; indexing gives that
+    matrix's ACriterion.
     """
-    s = eigensym(c_d)
-    connected = s.rank == t - 1
-    h = (t - 1) / s.trace_mp if connected and s.trace_mp > 0 else 0.0
-    return ACriterion(
-        h=h, trace_mp=s.trace_mp, connected=connected, rank=s.rank, spectrum=s
+
+    h: np.ndarray
+    trace_mp: np.ndarray
+    connected: np.ndarray
+    rank: np.ndarray
+    eigenvalues: np.ndarray
+    threshold: np.ndarray
+
+    def __getitem__(self, b: int) -> ACriterion:
+        rank, trace_mp = int(self.rank[b]), float(self.trace_mp[b])
+        spectrum = SpectralSummary(
+            eigenvalues=self.eigenvalues[b],
+            eigenvectors=None,
+            rank=rank,
+            trace_mp=trace_mp,
+            threshold=float(self.threshold[b]),
+        )
+        return ACriterion(
+            h=float(self.h[b]),
+            trace_mp=trace_mp,
+            connected=bool(self.connected[b]),
+            rank=rank,
+            spectrum=spectrum,
+        )
+
+
+def a_criteria(c_d: np.ndarray, t: int) -> ACriteria:
+    """A-criteria of a (B, t, t) stack of direct-effect information matrices.
+
+    Each matrix is connected (all treatment contrasts estimable) exactly
+    when its rank is t-1; the harmonic criterion is then
+    (t-1)/trace_mp, and 0.0 with a disconnected flag otherwise.  Rank
+    and trace_mp follow the threshold of linalg.spectral_cut, on one
+    stacked eigvalsh.
+    """
+    vals = np.linalg.eigvalsh(symmetrize(c_d))
+    threshold, keep, inv = spectral_cut(vals)
+    trace_mp = inv.sum(axis=-1)
+    rank = np.count_nonzero(keep, axis=-1)
+    connected = rank == t - 1
+    h = np.divide(
+        t - 1, trace_mp, out=np.zeros_like(trace_mp), where=connected & (trace_mp > 0)
+    )
+    return ACriteria(
+        h=h,
+        trace_mp=trace_mp,
+        connected=connected,
+        rank=rank,
+        eigenvalues=vals,
+        threshold=threshold,
     )
 
 
-def loss(plan_trace_mp: float, imp_trace_mp: float) -> float:
+def a_criterion(c_d: np.ndarray, t: int) -> ACriterion:
+    """A-criterion of one direct-effect information matrix: the B = 1
+    call of a_criteria.  Its spectrum carries eigenvalues only."""
+    return a_criteria(np.asarray(c_d, dtype=float)[None], t)[0]
+
+
+def loss(plan_trace_mp: float, imp_trace_mp: float | np.ndarray) -> float | np.ndarray:
     """Precision loss of an implemented design against the plan.
 
     One minus the ratio of planned to implemented Moore-Penrose traces;
     zero when nothing is lost, approaching one as the implemented
-    design degrades.  Both traces must be positive.
+    design degrades.  Both traces must be positive; imp_trace_mp may be
+    an array of implemented traces.
     """
-    if plan_trace_mp <= 0 or imp_trace_mp <= 0:
+    if plan_trace_mp <= 0 or np.any(np.asarray(imp_trace_mp) <= 0):
         raise ValueError("traces must be positive")
     return 1.0 - plan_trace_mp / imp_trace_mp
 
 
-def implemented_loss(plan: ACriterion, imp: ACriterion) -> tuple[float, bool]:
-    """Loss of an implemented design against the plan, and whether the
-    implemented design is disconnected.
+def implemented_losses(
+    plan_trace_mp: float, trace_mp: np.ndarray, connected: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loss of each implemented design of a stack against the plan, and
+    whether it is disconnected.
 
     A disconnected design is reported as loss 1.0 with the flag set
     rather than an error, so sweeping over many patterns or (t, m) never
     aborts.  Losses below 1e-12 in magnitude are no-dropout roundoff and
     snap to 0.0.
     """
-    if not imp.connected:
-        return 1.0, True
-    val = loss(plan.trace_mp, imp.trace_mp)
-    return (0.0 if abs(val) < 1e-12 else val), False
+    val = np.ones(trace_mp.shape)
+    if connected.any():
+        val[connected] = loss(plan_trace_mp, trace_mp[connected])
+    val[np.abs(val) < 1e-12] = 0.0
+    return val, ~connected
+
+
+def implemented_loss(plan: ACriterion, imp: ACriterion) -> tuple[float, bool]:
+    """implemented_losses for one implemented design."""
+    val, disconnected = implemented_losses(
+        plan.trace_mp, np.array([imp.trace_mp]), np.array([imp.connected])
+    )
+    return float(val[0]), bool(disconnected[0])
+
+
+def plan_and_minimal(design: CrossoverDesign, m: int) -> tuple[np.ndarray, ACriteria]:
+    """Information and A-criteria of the plan (row 0) and of its m-period
+    truncation (row 1), evaluated as one stack."""
+    full = (design.p,) * design.s
+    c = direct_info_patterns(design, [full, truncation(design, m).completion])
+    return c, a_criteria(c, design.t)
 
 
 def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
@@ -117,8 +188,8 @@ def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
     Compares the planned design with its truncation pattern through
     implemented_loss.
     """
-    plan = a_criterion(direct_info_pattern(design), design.t)
-    mini = a_criterion(direct_info_pattern(design, truncation(design, m)), design.t)
+    crit = plan_and_minimal(design, m)[1]
+    plan, mini = crit[0], crit[1]
     value, disconnected = implemented_loss(plan, mini)
     return MaxLoss(
         value=value,

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, DropoutPattern, require_ubrmd, truncation
-from .info import direct_info_pattern
+from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
+from .info import direct_info_patterns
 from .linalg import is_psd
-from .metrics import a_criterion, implemented_loss
+from .metrics import a_criteria, implemented_loss, implemented_losses, plan_and_minimal
 
 ORDER_TOL = 1e-9
 # Uniforms drawn per vectorized chunk: 2**16 keeps every uint64 temporary
@@ -87,45 +87,6 @@ class ExactDistribution:
     p_disconnect: float
 
 
-@dataclass(frozen=True)
-class _PatternEval:
-    loss: float
-    disconnected: bool
-    ordering_ok: bool
-
-
-class _PatternCache:
-    """Per-pattern loss and ordering checks, computed once per pattern.
-
-    The number of distinct completion patterns is finite, so replicated
-    sampling reduces to dictionary lookups after the first hit.  The plan
-    and truncated criteria come from the same calls as in max_loss, so
-    the two give the same maximum loss bit for bit.
-    """
-
-    def __init__(self, design: CrossoverDesign, m: int):
-        self.design = design
-        self.c_plan = direct_info_pattern(design)
-        self.c_min = direct_info_pattern(design, truncation(design, m))
-        self.plan = a_criterion(self.c_plan, design.t)
-        self.mini = a_criterion(self.c_min, design.t)
-        self.cache: dict[tuple[int, ...], _PatternEval] = {}
-
-    def evaluate(self, completion: tuple[int, ...]) -> _PatternEval:
-        hit = self.cache.get(completion)
-        if hit is not None:
-            return hit
-        c_imp = direct_info_pattern(self.design, DropoutPattern(completion))
-        imp = a_criterion(c_imp, self.design.t)
-        ordering_ok = is_psd(self.c_plan - c_imp, ORDER_TOL) and is_psd(
-            c_imp - self.c_min, ORDER_TOL
-        )
-        val, disconnected = implemented_loss(self.plan, imp)
-        out = _PatternEval(loss=val, disconnected=disconnected, ordering_ok=ordering_ok)
-        self.cache[completion] = out
-        return out
-
-
 def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products a*x, by 32-bit halves."""
     a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
@@ -160,12 +121,16 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
 
 
 def _evaluate_rows(
-    cache: _PatternCache, completions: np.ndarray
+    design: CrossoverDesign,
+    ends: np.ndarray,
+    plan_trace_mp: float,
+    completions: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Loss, disconnected and ordering-ok per completion row.
 
-    Each distinct row goes through the cache once; the verdicts are
-    scattered back to every row through the inverse index.
+    ends holds the plan and truncated information (plan_and_minimal).
+    The distinct rows go through the batched engine as one stack; the
+    verdicts are scattered back to every row through the inverse index.
     """
     rows = np.ascontiguousarray(completions)
     # one void scalar per row: np.unique(axis=0) sorts a structured dtype
@@ -173,12 +138,13 @@ def _evaluate_rows(
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
     distinct = distinct.view(rows.dtype).reshape(-1, rows.shape[1])
-    evs = [cache.evaluate(tuple(row)) for row in distinct.tolist()]
-    return (
-        np.array([ev.loss for ev in evs])[inverse],
-        np.array([ev.disconnected for ev in evs])[inverse],
-        np.array([ev.ordering_ok for ev in evs])[inverse],
+    c = direct_info_patterns(design, distinct)
+    crit = a_criteria(c, design.t)
+    losses, disconnected = implemented_losses(
+        plan_trace_mp, crit.trace_mp, crit.connected
     )
+    ordering_ok = is_psd(ends[0] - c, ORDER_TOL) & is_psd(c - ends[1], ORDER_TOL)
+    return losses[inverse], disconnected[inverse], ordering_ok[inverse]
 
 
 def check_seed(seed: int) -> None:
@@ -207,7 +173,8 @@ def simulate(
     require_ubrmd(design)
     if n < 1:
         raise ValueError(f"requires n >= 1, got n={n}")
-    cache = _PatternCache(design, model.m)
+    ends, crit = plan_and_minimal(design, model.m)
+    plan, mini = crit[0], crit[1]
     check_seed(seed)
     s, p, m = design.s, design.p, model.m
     hazards = np.array(model.hazards)
@@ -224,8 +191,8 @@ def simulate(
             losses[start:stop],
             disconnected[start:stop],
             ordering_ok[start:stop],
-        ) = _evaluate_rows(cache, completions)
-    ml_value, ml_flag = implemented_loss(cache.plan, cache.mini)
+        ) = _evaluate_rows(design, ends, plan.trace_mp, completions)
+    ml_value, ml_flag = implemented_loss(plan, mini)
     qs = (0.5, 0.9, 0.99)
     quantiles = tuple((q, float(np.quantile(losses, q))) for q in qs)
     return SimulationResult(
@@ -258,14 +225,24 @@ def enumerate_exact(
     if not 0.0 <= hazard <= 1.0:
         raise ValueError(f"hazard must lie in [0, 1], got {hazard}")
     s, p = design.s, design.p
-    # int32 halves the (2^s, s) temporaries against numpy's default int64
-    masks = np.arange(2**s, dtype=np.int32)
-    bits = (masks[:, None] >> np.arange(s, dtype=np.int32)) & 1
-    losses, disconnected, _ = _evaluate_rows(_PatternCache(design, 1), p - bits)
+    ends, crit = plan_and_minimal(design, 1)
     by_drops = np.array(
         [hazard**k * (1.0 - hazard) ** (s - k) for k in range(s + 1)]
     )
-    probs = by_drops[bits.sum(axis=1)]
+    losses = np.empty(2**s)
+    disconnected = np.empty(2**s, dtype=bool)
+    probs = np.empty(2**s)
+    # masks in chunks, so no (2^s, s) temporary exists; int32 halves the
+    # chunk's temporaries against numpy's default int64
+    step = max(1, _CHUNK_UNIFORMS // s)
+    for start in range(0, 2**s, step):
+        stop = min(2**s, start + step)
+        masks = np.arange(start, stop, dtype=np.int32)
+        bits = (masks[:, None] >> np.arange(s, dtype=np.int32)) & 1
+        losses[start:stop], disconnected[start:stop], _ = _evaluate_rows(
+            design, ends, crit[0].trace_mp, p - bits
+        )
+        probs[start:stop] = by_drops[bits.sum(axis=1)]
     return ExactDistribution(
         losses=losses,
         probabilities=probs,

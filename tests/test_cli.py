@@ -177,6 +177,37 @@ def test_evaluate_pattern_mismatch(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        ("1" + "0" * 22, "error: completion period exceeds p=5"),
+        ("0", "error: every subject must complete at least period 1"),
+    ],
+    ids=["23-digit", "zero"],
+)
+def test_evaluate_pattern_bad_completion(tmp_path, capsys, first, message):
+    f = _write(tmp_path, "d.txt", fixture("d3plan"))
+    pat = tmp_path / "pattern.txt"
+    pat.write_text(" ".join([first] + ["5"] * 9) + "\n")
+    assert main(["evaluate", f, "--pattern", str(pat)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "design", [fixture("d3plan"), williams_pair(7)], ids=["d3plan", "pair7"]
+)
+def test_evaluate_prints_structural_zero_eigenvalues_as_zero(tmp_path, capsys, design):
+    f = _write(tmp_path, "d.txt", design)
+    assert main(["evaluate", f]) == 0
+    report = _json_out(capsys)
+    assert report["rank"] == design.t - 1
+    zeros = [v for v in report["eigenvalues"] if v == 0.0]
+    assert len(zeros) == design.t - report["rank"]
+    assert all(abs(v) > 1e-6 for v in report["eigenvalues"] if v != 0.0)
+
+
 def test_evaluate_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a design\n")

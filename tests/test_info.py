@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from xover.info import (
     direct_info_complete,
     direct_info_minimal,
     direct_info_pattern,
+    direct_info_patterns,
     estimable,
     joint_info_orthogonal,
     joint_info_projection,
@@ -25,6 +28,9 @@ from xover.info import (
     residual_info_minimal_m1,
 )
 from xover.linalg import eigensym, is_psd, moore_penrose
+from xover.metrics import a_criteria, a_criterion
+
+info_module = sys.modules["xover.info"]
 
 
 def _complete_symmetric_plan(t, g):
@@ -123,6 +129,47 @@ def test_projection_matches_dense_model_on_ragged_patterns(design):
         got = joint_info_projection(design, DropoutPattern(completion)).c
         want = _dense_model_info(design, completion)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "design, low",
+    [
+        (fixture("d3plan"), 1),
+        (williams_pair(7), 1),
+        (williams_pair(15), 13),
+        (extreme_design(4), 1),
+    ],
+    ids=["d3plan", "pair7", "pair15-m2", "extreme4"],
+)
+def test_batch_rows_equal_their_single_calls(design, low, monkeypatch):
+    # completions in low..p; the plan and the all-low pattern lead the batch
+    rng = np.random.default_rng(20071018)
+    ks = rng.integers(low, design.p + 1, (50, design.s))
+    ks[0], ks[1] = design.p, low
+    singles = [direct_info_pattern(design, DropoutPattern(tuple(row))) for row in ks]
+    batch = direct_info_patterns(design, ks)
+    crit = a_criteria(batch, design.t)
+    for b, single in enumerate(singles):
+        assert np.array_equal(batch[b], single), b
+        one = a_criterion(single, design.t)
+        assert crit.trace_mp[b] == one.trace_mp, b
+        assert np.array_equal(crit.eigenvalues[b], one.spectrum.eigenvalues), b
+    # one row per chunk gives the same bits
+    monkeypatch.setattr(info_module, "_CHUNK_BYTES", 1)
+    assert np.array_equal(direct_info_patterns(design, ks), batch)
+
+
+def test_batched_engine_rejects_bad_rows():
+    d = fixture("d2plan")
+    with pytest.raises(ValueError, match="rows of s=4"):
+        direct_info_patterns(d, [[4, 4, 4]])
+    with pytest.raises(ValueError, match="at least period 1"):
+        direct_info_patterns(d, [[4, 0, 4, 4]])
+    with pytest.raises(ValueError, match="exceeds p=4"):
+        direct_info_patterns(d, [[4, 5, 4, 4]])
+    with pytest.raises(ValueError, match="must be integers"):
+        direct_info_patterns(d, [[4.0, 4.0, 4.0, 4.0]])
+    assert direct_info_patterns(d, np.zeros((0, 4), dtype=int)).shape == (0, 4, 4)
 
 
 def test_orthogonal_d3plan_complete_symmetric():

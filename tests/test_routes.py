@@ -150,3 +150,23 @@ def test_evaluate_computes_each_matrix_and_check_once(monkeypatch, tmp_path, cap
             "a_criterion": matrices,
         }, argv
     capsys.readouterr()
+
+
+def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys):
+    # with g = 2 the standalone pair that classify checks is the whole
+    # design, which evaluate has already validated
+    cli, designs = sys.modules["xover.cli"], sys.modules["xover.designs"]
+    calls = []
+    validate = designs.validate_ubrmd
+
+    def counting(design):
+        calls.append(design.s)
+        return validate(design)
+
+    monkeypatch.setattr(designs, "validate_ubrmd", counting)
+    monkeypatch.setattr(cli, "validate_ubrmd", counting)
+    for argv in _evaluate_argvs(tmp_path, fixture("d3plan")):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [10], argv
+    assert "ClassB-W1" in capsys.readouterr().out
