@@ -31,10 +31,9 @@ from .designs import (
     validate_ubrmd,
     write_design,
 )
-from .info import direct_info_pattern
 from .metrics import (
-    ACriterion,
-    a_criterion,
+    ACriteria,
+    against_plan,
     bounds_report,
     class_ab_ml,
     class_ab_spectrum,
@@ -42,7 +41,6 @@ from .metrics import (
     efficiency_lower_bound,
     el_ab,
     extreme_ml,
-    implemented_loss,
     uml,
 )
 from .simulate import DropoutModel, check_seed, simulate
@@ -180,18 +178,17 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spectrum_block(crit: ACriterion) -> dict[str, Any]:
+def _spectrum_block(crit: ACriteria, b: int) -> dict[str, Any]:
     # eigenvalues within the rank threshold are structural zeros; their
     # roundoff digits would change with every change of arithmetic order
-    spectrum = crit.spectrum
     return {
-        "rank": crit.rank,
-        "connected": crit.connected,
+        "rank": crit.rank[b],
+        "connected": crit.connected[b],
         "eigenvalues": [
-            0.0 if abs(v) <= spectrum.threshold else _f(v) for v in spectrum.eigenvalues
+            0.0 if abs(v) <= crit.threshold[b] else _f(v) for v in crit.eigenvalues[b]
         ],
-        "h": crit.h,
-        "trace_mp": crit.trace_mp,
+        "h": crit.h[b],
+        "trace_mp": crit.trace_mp[b],
     }
 
 
@@ -219,21 +216,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "classification": _classify(design) if validation.ok else "not-UBRMD",
     }
     try:
-        plan = a_criterion(direct_info_pattern(design), design.t)
+        rows: list[tuple[int, ...]] = []
         if args.pattern is not None:
             with open(args.pattern) as fh:
                 pattern = parse_pattern(fh.read())
-            imp = a_criterion(direct_info_pattern(design, pattern), design.t)
-            report.update(_spectrum_block(imp))
-            report["loss"], report["loss_disconnected"] = implemented_loss(plan, imp)
+            pattern.check_against(design)
+            rows.append(pattern.completion)
         elif args.truncate is not None:
             m = args.truncate
-            mini = a_criterion(
-                direct_info_pattern(design, truncation(design, m)), design.t
-            )
+            rows.append(truncation(design, m).completion)
             report["m"] = m
-            report.update(_spectrum_block(mini))
-            report["ml"], report["ml_disconnected"] = implemented_loss(plan, mini)
+        _, crit, losses, disconnected = against_plan(design, rows)
+        report.update(_spectrum_block(crit, len(rows)))
+        if args.pattern is not None:
+            report["loss"], report["loss_disconnected"] = losses[1], disconnected[1]
+        elif args.truncate is not None:
+            report["ml"], report["ml_disconnected"] = losses[1], disconnected[1]
             applicable = validation.ok and design.t >= 2 * m + 2
             report["bounds_applicable"] = applicable
             if applicable:
@@ -243,12 +241,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 report["uml_star"] = uml(design.t, m, star=True)
                 report["el"] = el
                 report["el_star"] = el_star
-                if not report["ml_disconnected"] and design.g is not None:
+                if not disconnected[1] and design.g is not None:
                     report["eff_lower_bound"] = efficiency_lower_bound(
-                        mini.trace_mp, design.t, m, design.g
+                        crit.trace_mp[1], design.t, m, design.g
                     )
-        else:
-            report.update(_spectrum_block(plan))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -457,6 +457,8 @@ def parse_design(text: str) -> CrossoverDesign:
         key, _, val = tok.partition("=")
         if key not in ("t", "p", "s"):
             raise ValueError(f"line 2, token {col + 1}: unknown key {key!r}")
+        if key in dims:
+            raise ValueError(f"line 2, token {col + 1}: duplicate key {key!r}")
         try:
             dims[key] = int(val)
         except ValueError:
@@ -467,14 +469,19 @@ def parse_design(text: str) -> CrossoverDesign:
     if missing:
         raise ValueError(f"line 2: missing {', '.join(missing)}")
     t, p, s = dims["t"], dims["p"], dims["s"]
+    # more treatments than cells cannot all be used, and evaluation builds
+    # arrays of side 2t+p: reject before any array is sized by t
+    if t > p * s:
+        raise ValueError(f"line 2: t={t} exceeds the p*s={p * s} cells of the layout")
     body = [ln for ln in lines[2:] if ln.strip() != ""]
     if len(body) != p:
         raise ValueError(f"expected {p} layout lines, found {len(body)}")
-    layout = np.zeros((p, s), dtype=int)
+    layout: list[list[int]] = []
     for j, ln in enumerate(body):
         toks = ln.split()
         if len(toks) != s:
             raise ValueError(f"line {j + 3}: expected {s} entries, found {len(toks)}")
+        layout.append([])
         for i, tok in enumerate(toks):
             try:
                 v = int(tok)
@@ -486,8 +493,8 @@ def parse_design(text: str) -> CrossoverDesign:
                 raise ValueError(
                     f"line {j + 3}, column {i + 1}: treatment {v} out of range 0..{t - 1}"
                 )
-            layout[j, i] = v
-    return CrossoverDesign(t=t, p=p, s=s, layout=layout)
+            layout[j].append(v)
+    return CrossoverDesign(t=t, p=p, s=s, layout=np.array(layout))
 
 
 def parse_pattern(text: str) -> DropoutPattern:

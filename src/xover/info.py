@@ -18,9 +18,12 @@ sweeping out subjects and periods:
   G = X'X - sum_k M_k / k (X'X over the observed cells, M_k the sum of
   a_i a_i' over the subjects completing k periods, a_i their column
   sums); the period and carryover blocks are then swept out as stacked
-  Schur complements (stacked matmul and eigh).  direct_info_pattern and
-  joint_info_projection are its B = 1 calls, and every row of a batch
-  equals its B = 1 call bit for bit;
+  Schur complements (stacked matmul and eigh).  Every verdict of the
+  library reaches it through metrics.against_plan, which stacks the plan
+  in front of the patterns it judges.  direct_info_pattern and
+  joint_info_projection are its B = 1 calls, the public single-matrix
+  API and the test oracles, and every row of a batch equals its B = 1
+  call bit for bit;
 * the count route, closed-form incidence expressions valid for
   complete rectangular layouts.  No library computation calls it; it
   is the independent cross-check.

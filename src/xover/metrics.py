@@ -174,28 +174,35 @@ def implemented_loss(plan: ACriterion, imp: ACriterion) -> tuple[float, bool]:
     return float(val[0]), bool(disconnected[0])
 
 
-def plan_and_minimal(design: CrossoverDesign, m: int) -> tuple[np.ndarray, ACriteria]:
-    """Information and A-criteria of the plan (row 0) and of its m-period
-    truncation (row 1), evaluated as one stack."""
-    full = (design.p,) * design.s
-    c = direct_info_patterns(design, [full, truncation(design, m).completion])
-    return c, a_criteria(c, design.t)
+def against_plan(
+    design: CrossoverDesign, completions
+) -> tuple[np.ndarray, ACriteria, np.ndarray, np.ndarray]:
+    """Every verdict of a design's dropout patterns against its plan.
+
+    Stacks the complete pattern (row 0) in front of the (B, s)
+    completion rows and evaluates them as one batch: returns the
+    (B+1, t, t) information, its A-criteria, and each row's loss and
+    disconnected flag against row 0 (implemented_losses).
+    """
+    c = direct_info_patterns(design, np.array([(design.p,) * design.s, *completions]))
+    crit = a_criteria(c, design.t)
+    losses, disconnected = implemented_losses(
+        crit.trace_mp[0], crit.trace_mp, crit.connected
+    )
+    return c, crit, losses, disconnected
 
 
 def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
-    """Maximum loss of a design under m-tail dropout.
-
-    Compares the planned design with its truncation pattern through
-    implemented_loss.
-    """
-    crit = plan_and_minimal(design, m)[1]
-    plan, mini = crit[0], crit[1]
-    value, disconnected = implemented_loss(plan, mini)
+    """Maximum loss of a design under m-tail dropout: the loss of its
+    truncation pattern against the plan."""
+    _, crit, losses, disconnected = against_plan(
+        design, [truncation(design, m).completion]
+    )
     return MaxLoss(
-        value=value,
-        disconnected=disconnected,
-        plan_trace_mp=plan.trace_mp,
-        min_trace_mp=None if disconnected else mini.trace_mp,
+        value=float(losses[1]),
+        disconnected=bool(disconnected[1]),
+        plan_trace_mp=float(crit.trace_mp[0]),
+        min_trace_mp=None if disconnected[1] else float(crit.trace_mp[1]),
     )
 
 

@@ -15,9 +15,10 @@ top 53 bits of a word times 2**-53, exactly as
 replicate's s*m uniforms are read as an s x m array in row-major order,
 and subject i stops before period p-m+j+1 at the first j whose uniform
 falls below h_{j+1}.  The seed must lie in 0..2**64-1.  Replicates are
-drawn in vectorized chunks, and each distinct completion pattern is
-evaluated once per call, so results are bit-identical for a fixed seed
-regardless of chunking or evaluation order.
+drawn in vectorized chunks.  Each chunk's distinct completion patterns
+go through metrics.against_plan in one stack behind the plan and the
+truncation, so results are bit-identical for a fixed seed regardless of
+chunking or evaluation order.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
-from .info import direct_info_patterns
+from .designs import check_tail, truncation
 from .linalg import is_psd
-from .metrics import a_criteria, implemented_loss, implemented_losses, plan_and_minimal
+from .metrics import against_plan
 
 ORDER_TOL = 1e-9
 # Uniforms drawn per vectorized chunk: 2**16 keeps every uint64 temporary
@@ -120,33 +121,6 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
     return (words[:, :k] >> 11).astype(np.float64) * 2.0**-53
 
 
-def _evaluate_rows(
-    design: CrossoverDesign,
-    ends: np.ndarray,
-    plan_trace_mp: float,
-    completions: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Loss, disconnected and ordering-ok per completion row.
-
-    ends holds the plan and truncated information (plan_and_minimal).
-    The distinct rows go through the batched engine as one stack; the
-    verdicts are scattered back to every row through the inverse index.
-    """
-    rows = np.ascontiguousarray(completions)
-    # one void scalar per row: np.unique(axis=0) sorts a structured dtype
-    # field by field, about ten times slower on a 2000 x 10 chunk
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    distinct = distinct.view(rows.dtype).reshape(-1, rows.shape[1])
-    c = direct_info_patterns(design, distinct)
-    crit = a_criteria(c, design.t)
-    losses, disconnected = implemented_losses(
-        plan_trace_mp, crit.trace_mp, crit.connected
-    )
-    ordering_ok = is_psd(ends[0] - c, ORDER_TOL) & is_psd(c - ends[1], ORDER_TOL)
-    return losses[inverse], disconnected[inverse], ordering_ok[inverse]
-
-
 def check_seed(seed: int) -> None:
     """Reject seeds that are not a 64-bit Philox key word."""
     if not 0 <= seed < _U64:
@@ -173,8 +147,7 @@ def simulate(
     require_ubrmd(design)
     if n < 1:
         raise ValueError(f"requires n >= 1, got n={n}")
-    ends, crit = plan_and_minimal(design, model.m)
-    plan, mini = crit[0], crit[1]
+    tail = truncation(design, model.m).completion
     check_seed(seed)
     s, p, m = design.s, design.p, model.m
     hazards = np.array(model.hazards)
@@ -186,13 +159,18 @@ def simulate(
         stop = min(n, start + step)
         rs = np.arange(start, stop, dtype=np.uint64)
         fired = _philox_uniforms(seed, rs, s * m).reshape(-1, s, m) < hazards
-        completions = np.where(fired.any(axis=2), p - m + fired.argmax(axis=2), p)
-        (
-            losses[start:stop],
-            disconnected[start:stop],
-            ordering_ok[start:stop],
-        ) = _evaluate_rows(design, ends, plan.trace_mp, completions)
-    ml_value, ml_flag = implemented_loss(plan, mini)
+        rows = np.where(fired.any(axis=2), p - m + fired.argmax(axis=2), p)
+        # one void scalar per row: np.unique(axis=0) sorts a structured
+        # dtype field by field, about ten times slower on a 2000 x 10 chunk
+        keys = rows.view(np.dtype((np.void, rows.itemsize * s))).ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        c, _, chunk_losses, chunk_disconnected = against_plan(
+            design, [tail, *distinct.view(rows.dtype).reshape(-1, s)]
+        )
+        ok = is_psd(c[0] - c[2:], ORDER_TOL) & is_psd(c[2:] - c[1], ORDER_TOL)
+        losses[start:stop] = chunk_losses[2:][inverse]
+        disconnected[start:stop] = chunk_disconnected[2:][inverse]
+        ordering_ok[start:stop] = ok[inverse]
     qs = (0.5, 0.9, 0.99)
     quantiles = tuple((q, float(np.quantile(losses, q))) for q in qs)
     return SimulationResult(
@@ -202,8 +180,8 @@ def simulate(
         quantiles=quantiles,
         p_disconnect=int(disconnected.sum()) / n,
         ordering_violations=int(n - ordering_ok.sum()),
-        ml=ml_value,
-        ml_disconnected=ml_flag,
+        ml=float(chunk_losses[1]),
+        ml_disconnected=bool(chunk_disconnected[1]),
         losses=tuple(float(x) for x in losses) if keep_losses else None,
     )
 
@@ -224,8 +202,8 @@ def enumerate_exact(
         raise ValueError(f"requires s <= 20, got s={design.s}")
     if not 0.0 <= hazard <= 1.0:
         raise ValueError(f"hazard must lie in [0, 1], got {hazard}")
+    check_tail(design, 1)
     s, p = design.s, design.p
-    ends, crit = plan_and_minimal(design, 1)
     by_drops = np.array(
         [hazard**k * (1.0 - hazard) ** (s - k) for k in range(s + 1)]
     )
@@ -239,9 +217,9 @@ def enumerate_exact(
         stop = min(2**s, start + step)
         masks = np.arange(start, stop, dtype=np.int32)
         bits = (masks[:, None] >> np.arange(s, dtype=np.int32)) & 1
-        losses[start:stop], disconnected[start:stop], _ = _evaluate_rows(
-            design, ends, crit[0].trace_mp, p - bits
-        )
+        _, _, chunk_losses, chunk_disconnected = against_plan(design, p - bits)
+        losses[start:stop] = chunk_losses[1:]
+        disconnected[start:stop] = chunk_disconnected[1:]
         probs[start:stop] = by_drops[bits.sum(axis=1)]
     return ExactDistribution(
         losses=losses,

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xover.cli import main
 from xover.construct import fixture, union, williams_pair, williams_square
@@ -215,6 +219,15 @@ def test_evaluate_parse_failure(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_duplicate_dimension_key(tmp_path, capsys):
+    bad = tmp_path / "dup.txt"
+    bad.write_text(f"{TEXT_FORMAT_HEADER}\nt=3 p=3 s=3 s=4\n0 1 2\n1 2 0\n2 0 1\n")
+    assert main(["evaluate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: line 2, token 4: duplicate key 's'\n"
+    assert captured.out == ""
+
+
 def test_evaluate_csv_format(tmp_path, capsys):
     f = _write(tmp_path, "d.txt", williams_pair(5))
     assert main(["evaluate", f, "--format", "csv"]) == 0
@@ -378,3 +391,87 @@ def test_simulate_missing_design(tmp_path, capsys):
     missing = str(tmp_path / "absent.txt")
     assert main(["simulate", missing, "--hazards", "0.5"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+# input hardening: arbitrary file text must end in a report (exit 0) or
+# one error line (exit 1), never in a traceback
+_WORD = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-(10**25), 10**25).map(str),
+    st.text(max_size=4),
+)
+
+
+def _mutate(text, line, word, value):
+    """text with one space-separated word of one line replaced by value."""
+    lines = text.split("\n")
+    words = lines[line % len(lines)].split(" ")
+    words[word % len(words)] = value
+    lines[line % len(lines)] = " ".join(words)
+    return "\n".join(lines)
+
+
+_DESIGN_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        "{}\n{}\n{}\n".format,
+        st.just(TEXT_FORMAT_HEADER),
+        st.lists(
+            st.tuples(st.sampled_from("tpsq"), _WORD).map("=".join), max_size=5
+        ).map(" ".join),
+        st.lists(st.lists(_WORD, max_size=6).map(" ".join), max_size=6).map("\n".join),
+    ),
+    st.builds(
+        _mutate,
+        st.sampled_from(
+            [write_design(fixture("d2plan")), write_design(williams_square(4))]
+        ),
+        st.integers(0, 10),
+        st.integers(0, 10),
+        _WORD,
+    ),
+)
+_PATTERN_TEXT = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(st.integers(3, 5).map(str), _WORD), min_size=8, max_size=12
+    ).map(" ".join),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # hypothesis rejects function-scoped fixtures such as tmp_path
+    directory = tmp_path_factory.mktemp("fuzz")
+    _write(directory, "d3plan.txt", fixture("d3plan"))
+    return directory
+
+
+def _run_on_text(path, text, argv):
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), (code, err)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        assert json.loads(out)["command"] == "evaluate"
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=_PATTERN_TEXT)
+def test_evaluate_survives_any_pattern_file(fuzz_dir, text):
+    pattern = fuzz_dir / "pattern.txt"
+    argv = ["evaluate", str(fuzz_dir / "d3plan.txt"), "--pattern", str(pattern)]
+    _run_on_text(pattern, text, argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=_DESIGN_TEXT)
+def test_evaluate_survives_any_design_file(fuzz_dir, text):
+    design = fuzz_dir / "design.txt"
+    _run_on_text(design, text, ["evaluate", str(design)])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from xover.construct import extreme_design, fixture, relabel, union, williams_pair
 from xover.designs import (
+    TEXT_FORMAT_HEADER,
     CrossoverDesign,
     DropoutPattern,
     check_type_wm,
@@ -282,6 +283,20 @@ def test_parse_design_errors_name_position():
     text = "# xover-design v1\nt=2 p=2 s=2\n0 1\n1 7\n"
     with pytest.raises(ValueError, match="out of range"):
         parse_design(text)
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ("t=3 p=3 s=3 s=4", "line 2, token 4: duplicate key 's'"),
+        ("t=2 t=2 p=2 s=2", "line 2, token 2: duplicate key 't'"),
+        ("t=5 p=2 s=2", "line 2: t=5 exceeds the p*s=4 cells of the layout"),
+    ],
+)
+def test_parse_design_rejects_bad_dimension_line(dims, message):
+    with pytest.raises(ValueError) as info:
+        parse_design(f"{TEXT_FORMAT_HEADER}\n{dims}\n0 1\n1 0\n")
+    assert str(info.value) == message
 
 
 def test_parse_pattern():

@@ -1,12 +1,14 @@
 """The library computes with the projection route; the count route checks it.
 
-Plan, truncated and dropout information all come from
-direct_info_pattern.  The incidence-count route (incidences,
+Plan, truncated and dropout information all come from one stacked call,
+metrics.against_plan.  The incidence-count route (incidences,
 joint_info_orthogonal, direct_info_complete) is kept only as an
 independent reference, and these tests use it as one.
 """
 
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ from xover.metrics import a_criterion, implemented_loss, max_loss
 from xover.simulate import DropoutModel, enumerate_exact, simulate
 
 COUNT_ROUTE = ("incidences", "joint_info_orthogonal", "direct_info_complete")
+SINGLE_MATRIX_API = (
+    "direct_info_pattern",
+    "joint_info_projection",
+    "a_criterion",
+    "implemented_loss",
+)
 
 # p = t = 2: uniform-balanced, but no tail length 1 <= m <= p-2 exists
 P2 = CrossoverDesign(t=2, p=2, s=2, layout=[[0, 1], [1, 0]])
@@ -98,6 +106,27 @@ def test_production_never_calls_the_count_route(monkeypatch, tmp_path, capsys):
         direct_info_complete(d)
 
 
+def test_production_never_calls_the_single_matrix_api(monkeypatch, tmp_path, capsys):
+    # the B = 1 functions are public API and test oracles; every library
+    # verdict goes through metrics.against_plan
+    def _single(*args, **kwargs):
+        raise AssertionError("a B = 1 function was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "xover" or name.startswith("xover."):
+            for attr in SINGLE_MATRIX_API:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, _single)
+    d = fixture("d3plan")
+    assert not max_loss(d, 1).disconnected
+    assert simulate(d, DropoutModel(1, (0.3,)), 50, seed=1).ordering_violations == 0
+    assert enumerate_exact(fixture("d2plan"), 0.5).losses.shape == (16,)
+    for argv in _evaluate_argvs(tmp_path, d):
+        assert main(argv) == 0, capsys.readouterr().err
+    with pytest.raises(AssertionError, match="B = 1"):
+        sys.modules["xover.metrics"].a_criterion(direct_info_complete(d), d.t)
+
+
 @pytest.mark.parametrize(
     "design",
     [
@@ -121,34 +150,34 @@ def test_max_loss_matches_count_route(design):
 
 
 def test_evaluate_computes_each_matrix_and_check_once(monkeypatch, tmp_path, capsys):
-    cli, designs = sys.modules["xover.cli"], sys.modules["xover.designs"]
-    counts = {}
+    designs, metrics = sys.modules["xover.designs"], sys.modules["xover.metrics"]
+    calls = []
 
-    def counting(module, attr):
+    def counting(module, attr, size=lambda *args: None):
         fn = getattr(module, attr)
 
         def wrapper(*args, **kwargs):
-            counts[attr] = counts.get(attr, 0) + 1
+            calls.append((attr, size(*args)))
             return fn(*args, **kwargs)
 
+        monkeypatch.setattr(module, attr, wrapper)
         return wrapper
 
     validate = counting(designs, "validate_ubrmd")
-    monkeypatch.setattr(designs, "validate_ubrmd", validate)
-    monkeypatch.setattr(cli, "validate_ubrmd", validate)
-    monkeypatch.setattr(cli, "direct_info_pattern", counting(cli, "direct_info_pattern"))
-    monkeypatch.setattr(cli, "a_criterion", counting(cli, "a_criterion"))
+    monkeypatch.setattr(sys.modules["xover.cli"], "validate_ubrmd", validate)
+    counting(metrics, "direct_info_patterns", lambda d, rows: len(rows))
+    counting(metrics, "a_criteria", lambda c, t: len(c))
     # classify also validates the sub-squares of replicated layouts; the
     # all-sequences design has none, so every count here is of one design
     plain, truncated, pattern = _evaluate_argvs(tmp_path, extreme_design(4))
-    for argv, matrices in ((plain, 1), (truncated, 2), (pattern, 2)):
-        counts.clear()
+    for argv, rows in ((plain, 1), (truncated, 2), (pattern, 2)):
+        calls.clear()
         assert main(argv) == 0
-        assert counts == {
-            "validate_ubrmd": 1,
-            "direct_info_pattern": matrices,
-            "a_criterion": matrices,
-        }, argv
+        assert sorted(calls) == [
+            ("a_criteria", rows),
+            ("direct_info_patterns", rows),
+            ("validate_ubrmd", None),
+        ], argv
     capsys.readouterr()
 
 
@@ -170,3 +199,14 @@ def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys)
         assert main(argv) == 0
         assert calls == [10], argv
     assert "ClassB-W1" in capsys.readouterr().out
+
+
+def test_readme_python_api_runs():
+    # the README's API examples share one namespace, as a reader runs them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

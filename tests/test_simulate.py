@@ -199,6 +199,29 @@ def test_enumerate_exact_d2plan():
     assert ex.mean_loss == pytest.approx(float(ex.losses @ ex.probabilities))
 
 
+@pytest.mark.parametrize(
+    "design",
+    [williams_pair(5), replicate(williams_square(6), 2)],
+    ids=["pair5", "square6x2"],
+)
+def test_enumerate_exact_ends_are_plan_and_worst_case(design):
+    losses = enumerate_exact(design, 0.3).losses
+    assert losses[0] == 0.0  # nobody drops
+    assert losses[-1] == max_loss(design, 1).value  # everyone drops, bit for bit
+
+
+def test_enumerate_exact_makes_no_ordering_check(monkeypatch):
+    # every mask is a distinct pattern, and no verdict of enumeration
+    # reads the information ordering
+    def _no_check(*args, **kwargs):
+        raise AssertionError("is_psd was called")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "xover" or name.startswith("xover.")) and hasattr(module, "is_psd"):
+            monkeypatch.setattr(module, "is_psd", _no_check)
+    assert enumerate_exact(williams_pair(5), 0.3).losses.shape == (1024,)
+
+
 def test_enumerate_exact_skewed_hazard():
     ex = enumerate_exact(fixture("d2plan"), 0.25)
     assert ex.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
