@@ -167,14 +167,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         summary_lines.append(f"  {failure}")
     if report.ok:
         summary_lines.append(f"classification: {_classify(design)}")
-    summary = "\n".join(summary_lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(text)
-        sys.stderr.write(summary)
+    # the summary goes wherever the design text does not
+    _write(text, args.output)
+    (sys.stdout if args.output else sys.stderr).write("\n".join(summary_lines) + "\n")
     return 0
 
 

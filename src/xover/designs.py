@@ -6,11 +6,17 @@ arrays.  This module validates the uniform-balance property, slices the
 layout into period incidence matrices, builds the coincidence matrices
 between tail periods, counts all treatment/subject/period/carryover
 incidences (optionally under subject dropout), and classifies designs
-by the cycle structure of their tail permutations.
+by the cycle structure of their tail permutations.  Every balance,
+coincidence and classification verdict counts treatments through one
+of two bincount helpers: _counts (per row of any stack of rows) and
+_pairs (per pair of rows).  Designs are read from and written to a
+versioned text format, and dropout patterns are read from one line of
+completion periods.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,8 +133,6 @@ class IncidenceSet:
 class TypeWReport:
     ok: bool
     failures: tuple[str, ...]
-    # cycle lengths per (group, j, k), recorded for diagnostics
-    cycles: tuple[tuple[int, int, int, tuple[int, ...]], ...]
 
 
 def validate_ubrmd(design: CrossoverDesign) -> ValidationReport:
@@ -145,26 +149,42 @@ def validate_ubrmd(design: CrossoverDesign) -> ValidationReport:
         return ValidationReport(False, tuple(failures))
     g = s // t
     layout = design.layout
-    for i in range(s):
-        counts = np.bincount(layout[:, i], minlength=t)
-        if p == t and not (counts == 1).all():
-            failures.append(f"non-uniform column {i}: treatment counts {counts.tolist()}")
-    for j in range(p):
-        counts = np.bincount(layout[j, :], minlength=t)
-        if not (counts == g).all():
-            failures.append(f"non-uniform row {j + 1}: treatment counts {counts.tolist()}")
-    prec = np.zeros((t, t), dtype=int)
-    for j in range(1, p):
-        np.add.at(prec, (layout[j, :], layout[j - 1, :]), 1)
-    for a in range(t):
-        if prec[a, a] != 0:
+    if p == t:
+        columns = _counts(layout.T, t)
+        for i in np.flatnonzero((columns != 1).any(axis=1)):
+            failures.append(
+                f"non-uniform column {i}: treatment counts {columns[i].tolist()}"
+            )
+    rows = _counts(layout, t)
+    for j in np.flatnonzero((rows != g).any(axis=1)):
+        failures.append(f"non-uniform row {j + 1}: treatment counts {rows[j].tolist()}")
+    # prec[a, b] counts a given right after b; each treatment's
+    # self-precedence is reported before its pairs
+    prec = _pairs(layout[1:].ravel(), layout[:-1].ravel(), t)
+    wrong = zip(*np.nonzero(prec != g * (1 - np.eye(t, dtype=int))))
+    for a, b in sorted(wrong, key=lambda ab: (ab[0], ab[0] != ab[1])):
+        if a == b:
             failures.append(f"self-precedence for treatment {a}: count {prec[a, a]}")
-        for b in range(t):
-            if a != b and prec[a, b] != g:
-                failures.append(
-                    f"precedence count != g for pair ({a} after {b}): {prec[a, b]}"
-                )
+        else:
+            failures.append(
+                f"precedence count != g for pair ({a} after {b}): {prec[a, b]}"
+            )
     return ValidationReport(not failures, tuple(failures))
+
+
+def _counts(rows: np.ndarray, t: int) -> np.ndarray:
+    """Treatment counts along the last axis of a stack of rows:
+    out[..., a] counts the entries equal to a in each row."""
+    lead = rows.shape[:-1]
+    n = int(np.prod(lead))
+    keys = rows.reshape(n, -1) + t * np.arange(n)[:, None]
+    return np.bincount(keys.ravel(), minlength=n * t).reshape(*lead, t)
+
+
+def _pairs(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+    """Counts of treatment pairs along the last axis: out[..., x, y]
+    counts the positions where a holds x and b holds y."""
+    return _counts(a * t + b, t * t).reshape(*a.shape[:-1], t, t)
 
 
 def require_ubrmd(design: CrossoverDesign) -> None:
@@ -198,15 +218,13 @@ def coincidence(design: CrossoverDesign, j: int, k: int) -> np.ndarray:
             raise ValueError(f"tail index {idx} out of range 0..{design.p - 1}")
     if design.g is None:
         raise ValueError(f"s={design.s} is not a multiple of t={design.t}")
-    pj = period_slice(design, design.p - j)
-    pk = period_slice(design, design.p - k)
-    for idx, mat in ((j, pj), (k, pk)):
-        if not (mat.sum(axis=1) == design.g).all():
+    rows = design.layout[[design.p - 1 - j, design.p - 1 - k]]
+    for idx, counts in zip((j, k), _counts(rows, design.t)):
+        if not (counts == design.g).all():
             raise ValueError(
-                f"period {design.p - idx} is not uniform: row sums "
-                f"{mat.sum(axis=1).tolist()}"
+                f"period {design.p - idx} is not uniform: row sums {counts.tolist()}"
             )
-    return pj @ pk.T
+    return _pairs(rows[0], rows[1], design.t)
 
 
 def incidences(
@@ -276,21 +294,6 @@ def truncate(design: CrossoverDesign, m: int) -> CrossoverDesign:
     )
 
 
-def _tail_permutation(
-    design: CrossoverDesign, block: tuple[int, ...], j: int, k: int
-) -> np.ndarray:
-    """Restriction of the coincidence matrix between periods p-j and p-k
-    to one block of subjects."""
-    sub = design.layout[:, list(block)]
-    t = design.t
-    pj = np.zeros((t, t), dtype=int)
-    pk = np.zeros((t, t), dtype=int)
-    cols = np.arange(len(block))
-    pj[sub[design.p - 1 - j, :], cols] = 1
-    pk[sub[design.p - 1 - k, :], cols] = 1
-    return pj @ pk.T
-
-
 def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
     """Test whether the grouped design has single-cycle tail permutations.
 
@@ -309,54 +312,37 @@ def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
 def _type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
     """The block-uniformity and single-cycle tests of check_type_wm on a
     design already known to be uniform-balanced, with 1 <= m <= p-2."""
-    blocks = design.blocks()
-    t = design.t
-    failures: list[str] = []
-    cycles: list[tuple[int, int, int, tuple[int, ...]]] = []
-    for l, block in enumerate(blocks):
-        sub = design.layout[:, list(block)]
-        for j in range(m + 1):
-            counts = np.bincount(sub[design.p - 1 - j, :], minlength=t)
-            if not (counts == 1).all():
-                failures.append(
-                    f"block {l} is not uniform in period {design.p - j}: "
-                    f"treatment counts {counts.tolist()}"
-                )
+    t, p = design.t, design.p
+    # tail[j, l] is block l in period p-j, for j = 0..m
+    tail = design.layout[p - 1 - np.arange(m + 1)][:, np.array(design.blocks())]
+    counts = _counts(tail, t)
+    failures = [
+        f"block {l} is not uniform in period {p - j}: "
+        f"treatment counts {counts[j, l].tolist()}"
+        for l, j in np.argwhere((counts != 1).any(axis=-1).T)
+    ]
     if failures:
-        return TypeWReport(False, tuple(failures), ())
-    for l, block in enumerate(blocks):
-        for j in range(m + 1):
-            for k in range(m + 1):
-                if j == k:
-                    continue
-                ct = tuple(cycle_type(_tail_permutation(design, block, j, k)))
-                cycles.append((l, j, k, ct))
-                if ct != (t,):
-                    failures.append(
-                        f"block {l}, periods {design.p - j}->{design.p - k}: "
-                        f"cycle type {list(ct)} is not a single {t}-cycle"
-                    )
-    return TypeWReport(not failures, tuple(failures), tuple(cycles))
-
-
-def _is_latin_square_block(design: CrossoverDesign, block: tuple[int, ...]) -> bool:
-    sub = design.layout[:, list(block)]
-    t = design.t
-    if sub.shape != (t, t):
-        return False
-    for j in range(t):
-        if not (np.bincount(sub[j, :], minlength=t) == 1).all():
-            return False
-    for i in range(t):
-        if not (np.bincount(sub[:, i], minlength=t) == 1).all():
-            return False
-    return True
-
-
-def _as_standalone(design: CrossoverDesign, cols: tuple[int, ...]) -> CrossoverDesign:
-    return CrossoverDesign(
-        t=design.t, p=design.p, s=len(cols), layout=design.layout[:, list(cols)]
-    )
+        return TypeWReport(False, tuple(failures))
+    # maps[j, k, l, a]: the period p-k treatment of the block-l subject
+    # that receives a in period p-j
+    periods = np.arange(m + 1)[:, None, None]
+    blocks = np.arange(tail.shape[1])[:, None]
+    maps = tail[periods, blocks, np.argsort(tail)[:, None]]
+    # a map is a single t-cycle iff the orbit of treatment 0 first returns
+    # to 0 after t steps
+    single = np.ones(maps.shape[:-1], dtype=bool)
+    orbit = np.zeros(maps.shape[:-1], dtype=int)
+    for _ in range(t - 1):
+        orbit = np.take_along_axis(maps, orbit[..., None], axis=-1)[..., 0]
+        single &= orbit != 0
+    single |= np.eye(m + 1, dtype=bool)[..., None]  # j = k maps are not tested
+    for l, j, k in np.argwhere(~single.transpose(2, 0, 1)):
+        ct = cycle_type(_pairs(tail[j, l], tail[k, l], t))
+        failures.append(
+            f"block {l}, periods {p - j}->{p - k}: "
+            f"cycle type {ct} is not a single {t}-cycle"
+        )
+    return TypeWReport(not failures, tuple(failures))
 
 
 def classify(design: CrossoverDesign) -> str:
@@ -375,47 +361,31 @@ def classify(design: CrossoverDesign) -> str:
 
 
 def _classify(design: CrossoverDesign) -> str:
-    """classify for a design already known to be uniform-balanced."""
-    t = design.t
-    blocks = design.blocks()
-    g = len(blocks)
+    """classify for a design already known to be uniform-balanced.
 
-    sub0 = design.layout[:, list(blocks[0])]
-    all_identical = all(
-        np.array_equal(design.layout[:, list(b)], sub0) for b in blocks
-    )
-    if all_identical and _is_latin_square_block(design, blocks[0]):
-        square = _as_standalone(design, blocks[0])
-        if validate_ubrmd(square).ok:
-            pi = _tail_permutation(design, blocks[0], 0, 1)
-            if cycle_type(pi) == [t]:
-                return "ClassA-W1"
+    Uniform balance makes the copied square of ClassA, or the copied pair
+    of ClassB, balanced itself: the design's precedence and period counts
+    are the copy's times the number of copies.
+    """
+    t, p = design.t, design.p
+    squares = design.layout[:, np.array(design.blocks())]  # (p, g, t)
+    g = squares.shape[1]
+    # the maps from period p to period p-1 of the first two blocks
+    tails = _pairs(squares[p - 1, :2], squares[p - 2, :2], t)
+
+    if (squares == squares[:, :1]).all() and cycle_type(tails[0]) == [t]:
+        return "ClassA-W1"
 
     if g % 2 == 0:
-        pair_cols = tuple(blocks[0]) + tuple(blocks[1])
-        pair0 = design.layout[:, list(pair_cols)]
-        copies_identical = all(
-            np.array_equal(
-                design.layout[:, list(tuple(blocks[2 * i]) + tuple(blocks[2 * i + 1]))],
-                pair0,
-            )
-            for i in range(g // 2)
-        )
+        pairs = squares.reshape(p, g // 2, 2 * t)
+        # the inverse of a single cycle is one too
         if (
-            copies_identical
-            and _is_latin_square_block(design, blocks[0])
-            and _is_latin_square_block(design, blocks[1])
-            # with g = 2 the pair is the whole design, already validated
-            and (g == 2 or validate_ubrmd(_as_standalone(design, pair_cols)).ok)
+            (pairs == pairs[:, :1]).all()
+            and (_counts(squares[:, :2], t) == 1).all()
+            and cycle_type(tails[0]) == [t]
+            and np.array_equal(tails[1], tails[0].T)
         ):
-            pi1 = _tail_permutation(design, blocks[0], 0, 1)
-            pi2 = _tail_permutation(design, blocks[1], 0, 1)
-            if (
-                cycle_type(pi1) == [t]
-                and cycle_type(pi2) == [t]
-                and np.array_equal(pi2, pi1.T)
-            ):
-                return "ClassB-W1"
+            return "ClassB-W1"
 
     best = 0
     for m in range(1, design.p - 1):
@@ -429,6 +399,32 @@ def _classify(design: CrossoverDesign) -> str:
 
 # ---------------------------------------------------------------------------
 # text format
+
+
+# No count, period or treatment of these formats has more digits, and
+# int() refuses more than 4300 of them.
+_MAX_DIGITS = 18
+_DIGITS = re.compile(r"([+-]?)0*(\d+)")
+
+
+def _int_token(tok: str, where: str, *at: object) -> int:
+    """The integer a text token spells.
+
+    The error message starts with where.format(*at), built only on error.
+    An integer of more than _MAX_DIGITS digits reads as +-10**_MAX_DIGITS:
+    every range check fails on it as on its true value, and a message that
+    names it stays one short line.
+    """
+    match = len(tok) > _MAX_DIGITS and _DIGITS.fullmatch(tok)
+    if match:
+        sign, digits = match.groups()
+        if len(digits) > _MAX_DIGITS:
+            return -(10**_MAX_DIGITS) if sign == "-" else 10**_MAX_DIGITS
+        tok = sign + digits
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{where.format(*at)}{tok!r} is not an integer") from None
 
 
 def write_design(design: CrossoverDesign) -> str:
@@ -459,12 +455,7 @@ def parse_design(text: str) -> CrossoverDesign:
             raise ValueError(f"line 2, token {col + 1}: unknown key {key!r}")
         if key in dims:
             raise ValueError(f"line 2, token {col + 1}: duplicate key {key!r}")
-        try:
-            dims[key] = int(val)
-        except ValueError:
-            raise ValueError(
-                f"line 2, token {col + 1}: {key}={val!r} is not an integer"
-            ) from None
+        dims[key] = _int_token(val, "line 2, token {}: {}=", col + 1, key)
     missing = [k for k in ("t", "p", "s") if k not in dims]
     if missing:
         raise ValueError(f"line 2: missing {', '.join(missing)}")
@@ -483,12 +474,7 @@ def parse_design(text: str) -> CrossoverDesign:
             raise ValueError(f"line {j + 3}: expected {s} entries, found {len(toks)}")
         layout.append([])
         for i, tok in enumerate(toks):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(
-                    f"line {j + 3}, column {i + 1}: {tok!r} is not an integer"
-                ) from None
+            v = _int_token(tok, "line {}, column {}: ", j + 3, i + 1)
             if not 0 <= v < t:
                 raise ValueError(
                     f"line {j + 3}, column {i + 1}: treatment {v} out of range 0..{t - 1}"
@@ -502,12 +488,9 @@ def parse_pattern(text: str) -> DropoutPattern:
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) != 1:
         raise ValueError(f"expected one line of completion periods, found {len(lines)}")
-    ks: list[int] = []
-    for i, tok in enumerate(lines[0].split()):
-        try:
-            ks.append(int(tok))
-        except ValueError:
-            raise ValueError(
-                f"line 1, column {i + 1}: {tok!r} is not an integer"
-            ) from None
-    return DropoutPattern(tuple(ks))
+    return DropoutPattern(
+        tuple(
+            _int_token(tok, "line 1, column {}: ", i + 1)
+            for i, tok in enumerate(lines[0].split())
+        )
+    )

@@ -2,13 +2,26 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xover.cli import main
-from xover.construct import fixture, union, williams_pair, williams_square
-from xover.designs import TEXT_FORMAT_HEADER, parse_design, write_design
+from xover.construct import (
+    extreme_design,
+    fixture,
+    replicate,
+    union,
+    williams_pair,
+    williams_square,
+)
+from xover.designs import (
+    TEXT_FORMAT_HEADER,
+    CrossoverDesign,
+    parse_design,
+    write_design,
+)
 
 
 def _write(tmp_path, name, design):
@@ -185,9 +198,11 @@ def test_evaluate_pattern_mismatch(tmp_path, capsys):
     "first, message",
     [
         ("1" + "0" * 22, "error: completion period exceeds p=5"),
+        ("1" + "0" * 4999, "error: completion period exceeds p=5"),
         ("0", "error: every subject must complete at least period 1"),
+        ("-" + "9" * 5000, "error: every subject must complete at least period 1"),
     ],
-    ids=["23-digit", "zero"],
+    ids=["23-digit", "5000-digit", "zero", "negative-5000-digit"],
 )
 def test_evaluate_pattern_bad_completion(tmp_path, capsys, first, message):
     f = _write(tmp_path, "d.txt", fixture("d3plan"))
@@ -226,6 +241,23 @@ def test_evaluate_rejects_duplicate_dimension_key(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {bad}: line 2, token 4: duplicate key 's'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "line, old, new",
+    [(1, "t=4", "t=1"), (1, "p=4", "p=1"), (1, "s=4", "s=1"), (3, "0", "1")],
+    ids=["t", "p", "s", "layout-entry"],
+)
+def test_evaluate_short_error_for_5000_digit_integer(tmp_path, capsys, line, old, new):
+    lines = write_design(fixture("d2plan")).split("\n")
+    lines[line] = lines[line].replace(old, new + "0" * 4999, 1)
+    bad = tmp_path / "long.txt"
+    bad.write_text("\n".join(lines))
+    assert main(["evaluate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
 
 
 def test_evaluate_csv_format(tmp_path, capsys):
@@ -447,17 +479,24 @@ def fuzz_dir(tmp_path_factory):
     return directory
 
 
-def _run_on_text(path, text, argv):
-    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of one call, checking the failure contract:
+    a nonzero exit prints one error: line and nothing on stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1), (code, err)
     if code:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
-    else:
+    return code, out, err
+
+
+def _run_on_text(path, text, argv):
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1), (code, err)
+    if code == 0:
         assert err == ""
         assert json.loads(out)["command"] == "evaluate"
 
@@ -475,3 +514,67 @@ def test_evaluate_survives_any_pattern_file(fuzz_dir, text):
 def test_evaluate_survives_any_design_file(fuzz_dir, text):
     design = fuzz_dir / "design.txt"
     _run_on_text(design, text, ["evaluate", str(design)])
+
+
+_HAZARD = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.sampled_from(["0", "1", "1e-3", "-0.1", "1.5", "nan", "inf", ""]),
+    st.text(max_size=4),
+)
+# (--hazards text, --m): arbitrary text, or m hazard words for m in 1..4
+_HAZARDS_AND_M = st.one_of(
+    st.tuples(st.text(), st.integers(-1, 4)),
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(_HAZARD, min_size=m, max_size=m).map(",".join), st.just(m)
+        )
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hazards_and_m=_HAZARDS_AND_M)
+def test_simulate_survives_any_hazards(fuzz_dir, hazards_and_m):
+    text, m = hazards_and_m
+    argv = ["simulate", str(fuzz_dir / "d3plan.txt"), f"--hazards={text}"]
+    code, out, err = _run_in_process(argv + ["--m", str(m), "--n", "20"])
+    if code == 0:
+        assert err == ""
+        assert json.loads(out)["command"] == "simulate"
+
+
+@st.composite
+def _square_columns_text(draw):
+    """A well-formed design whose columns are each a permutation."""
+    t = draw(st.integers(1, 5))
+    s = t * draw(st.integers(1, 3))
+    columns = draw(st.lists(st.permutations(range(t)), min_size=s, max_size=s))
+    layout = np.array(columns).T
+    return write_design(CrossoverDesign(t=t, p=t, s=s, layout=layout))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    text=st.one_of(
+        _DESIGN_TEXT,
+        _square_columns_text(),
+        st.sampled_from(
+            [
+                write_design(williams_pair(5)),
+                write_design(replicate(williams_square(4), 2)),
+                write_design(extreme_design(3)),
+            ]
+        ),
+    ),
+    copies=st.integers(1, 2),
+)
+def test_construct_survives_any_union_file(fuzz_dir, text, copies):
+    design = fuzz_dir / "union.txt"
+    design.write_bytes(text.encode("utf-8", "surrogatepass"))
+    out_path = fuzz_dir / "union-out.txt"
+    argv = ["construct", "--union"] + [str(design)] * copies + ["-o", str(out_path)]
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1), (code, err)
+    if code == 0:
+        assert err == ""
+        assert out.splitlines()[1] in ("uniform-balanced: yes", "uniform-balanced: no")

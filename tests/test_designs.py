@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xover.construct import extreme_design, fixture, relabel, union, williams_pair
+from xover.construct import (
+    extreme_design,
+    fixture,
+    relabel,
+    union,
+    williams_pair,
+    williams_square,
+)
 from xover.designs import (
     TEXT_FORMAT_HEADER,
     CrossoverDesign,
     DropoutPattern,
+    ValidationReport,
     check_type_wm,
     classify,
     coincidence,
@@ -47,6 +55,101 @@ def test_validate_names_row_and_column_failures():
     assert any("non-uniform column" in f for f in report.failures)
     assert any("non-uniform row" in f for f in report.failures)
     assert any("self-precedence" in f for f in report.failures)
+
+
+def _changed(design, cells=(), periods=None, grouping=None):
+    """design with cells (period index, subject, treatment) set, two
+    periods swapped, or a new grouping."""
+    layout = design.layout.copy()
+    for j, i, v in cells:
+        layout[j, i] = v
+    if periods is not None:
+        layout[list(periods)] = layout[list(periods[::-1])]
+    return CrossoverDesign(
+        t=design.t,
+        p=design.p,
+        s=design.s,
+        layout=layout,
+        grouping=grouping or design.grouping,
+    )
+
+
+def _precedence(*pairs):
+    return tuple(
+        f"precedence count != g for pair ({a} after {b}): {n}" for a, b, n in pairs
+    )
+
+
+# failure tuples pinned word for word: (design, validate_ubrmd failures)
+BROKEN = {
+    "zeros3x3": (
+        CrossoverDesign(t=3, p=3, s=3, layout=np.zeros((3, 3), dtype=int)),
+        tuple(f"non-uniform column {i}: treatment counts [3, 0, 0]" for i in range(3))
+        + tuple(f"non-uniform row {j}: treatment counts [3, 0, 0]" for j in (1, 2, 3))
+        + ("self-precedence for treatment 0: count 6",)
+        + _precedence(
+            (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 2, 0), (2, 0, 0), (2, 1, 0)
+        ),
+    ),
+    "d3plan-cell": (
+        _changed(fixture("d3plan"), cells=[(2, 3, 1)]),
+        (
+            "non-uniform column 3: treatment counts [0, 2, 1, 1, 1]",
+            "non-uniform row 3: treatment counts [1, 3, 2, 2, 2]",
+        )
+        + _precedence((0, 3, 1), (1, 3, 3), (2, 0, 1), (2, 1, 3)),
+    ),
+    "square6-periods": (
+        _changed(williams_square(6), periods=(4, 5)),
+        _precedence(
+            (0, 1, 0), (0, 4, 0), (0, 5, 3), (1, 0, 3), (1, 2, 0), (1, 5, 0),
+            (2, 0, 0), (2, 1, 3), (2, 3, 0), (3, 1, 0), (3, 2, 3), (3, 4, 0),
+            (4, 2, 0), (4, 3, 3), (4, 5, 0), (5, 0, 0), (5, 3, 0), (5, 4, 3),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_validate_failures_are_exact(name):
+    design, failures = BROKEN[name]
+    assert validate_ubrmd(design) == ValidationReport(False, failures)
+    with pytest.raises(ValueError) as info:
+        check_type_wm(design, 1)
+    assert str(info.value) == "design is not uniform-balanced: " + "; ".join(failures)
+
+
+def _cycle(periods, cycles):
+    return f"block 0, periods {periods}: cycle type {cycles} is not a single 4-cycle"
+
+
+def _block(l, j, counts):
+    return f"block {l} is not uniform in period {j}: treatment counts {counts}"
+
+
+@pytest.mark.parametrize(
+    "design, m, failures",
+    [
+        (fixture("d2plan"), 2, (_cycle("3->2", [2, 2]), _cycle("2->3", [2, 2]))),
+        (
+            _changed(fixture("d3plan"), grouping=((0, 1, 2, 3, 5), (4, 6, 7, 8, 9))),
+            2,
+            (
+                _block(0, 5, [1, 2, 0, 1, 1]),
+                _block(0, 4, [2, 1, 1, 0, 1]),
+                _block(0, 3, [1, 0, 2, 1, 1]),
+                _block(1, 5, [1, 0, 2, 1, 1]),
+                _block(1, 4, [0, 1, 1, 2, 1]),
+                _block(1, 3, [1, 2, 0, 1, 1]),
+            ),
+        ),
+    ],
+    ids=["d2plan-m2-cycles", "d3plan-mixed-blocks"],
+)
+def test_type_wm_failures_are_exact(design, m, failures):
+    assert validate_ubrmd(design) == ValidationReport(True, ())
+    report = check_type_wm(design, m)
+    assert (report.ok, report.failures) == (False, failures)
 
 
 def test_layout_dimension_mismatch_rejected():

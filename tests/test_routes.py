@@ -167,8 +167,8 @@ def test_evaluate_computes_each_matrix_and_check_once(monkeypatch, tmp_path, cap
     monkeypatch.setattr(sys.modules["xover.cli"], "validate_ubrmd", validate)
     counting(metrics, "direct_info_patterns", lambda d, rows: len(rows))
     counting(metrics, "a_criteria", lambda c, t: len(c))
-    # classify also validates the sub-squares of replicated layouts; the
-    # all-sequences design has none, so every count here is of one design
+    # classify validates nothing itself; see the test below for layouts
+    # of copied squares and pairs
     plain, truncated, pattern = _evaluate_argvs(tmp_path, extreme_design(4))
     for argv, rows in ((plain, 1), (truncated, 2), (pattern, 2)):
         calls.clear()
@@ -182,8 +182,8 @@ def test_evaluate_computes_each_matrix_and_check_once(monkeypatch, tmp_path, cap
 
 
 def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys):
-    # with g = 2 the standalone pair that classify checks is the whole
-    # design, which evaluate has already validated
+    # classify reads the balance of a copied square (ClassA) or pair of
+    # squares (ClassB) off the design's own, which evaluate has validated
     cli, designs = sys.modules["xover.cli"], sys.modules["xover.designs"]
     calls = []
     validate = designs.validate_ubrmd
@@ -194,11 +194,16 @@ def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys)
 
     monkeypatch.setattr(designs, "validate_ubrmd", counting)
     monkeypatch.setattr(cli, "validate_ubrmd", counting)
-    for argv in _evaluate_argvs(tmp_path, fixture("d3plan")):
-        calls.clear()
-        assert main(argv) == 0
-        assert calls == [10], argv
-    assert "ClassB-W1" in capsys.readouterr().out
+    for design, klass in (
+        (fixture("d3plan"), "ClassB-W1"),
+        (replicate(williams_square(6), 2), "ClassA-W1"),
+        (replicate(williams_pair(5), 2), "ClassB-W1"),
+    ):
+        for argv in _evaluate_argvs(tmp_path, design):
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [design.s], argv
+            assert f'"classification": "{klass}"' in capsys.readouterr().out
 
 
 def test_readme_python_api_runs():
