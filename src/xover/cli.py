@@ -6,15 +6,22 @@ matrix, connectedness, and loss metrics for a design file), bounds
 grids), and simulate (Monte Carlo dropout).  Reports are JSON (default)
 or CSV with floats at 6 significant digits.
 
-Exit codes: 0 success, 1 runtime or parse failure, 2 argument error,
-3 diagnostic violation from simulate.
+Subcommands raise; main alone reports a failure: exactly one line on
+stderr, "error:" and the message, and nothing on stdout.  The one
+exception is argparse's own usage errors (usage text, exit code 2).
+Exit codes: 0 success, 1 runtime, parse or file failure, 2 argument
+error, 3 diagnostic violation from simulate (a result: its warning line
+follows the report).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -102,11 +109,14 @@ def _emit(report: dict[str, Any], fmt: str, out_path: str | None) -> None:
 
 def _write(text: str, out_path: str | None) -> None:
     """Write report text to the -o path, or to stdout when none is given."""
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _load_design(path: str) -> CrossoverDesign:
@@ -119,9 +129,23 @@ def _load_design(path: str) -> CrossoverDesign:
         raise RuntimeError(f"{path}: {exc}") from exc
 
 
+class _ArgumentError(Exception):
+    """A bad command-line argument; main reports it with exit code 2."""
+
+
+@contextlib.contextmanager
+def _arguments(message: str | None = None) -> Iterator[None]:
+    """Mark a command's argument checks: a ValueError or OverflowError
+    raised inside becomes an _ArgumentError, worded as message if given."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise _ArgumentError(message or str(exc)) from exc
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     sources: list[CrossoverDesign] = []
-    try:
+    with _arguments():
         if args.williams is not None:
             sources.append(con.williams_square(args.williams))
         if args.pair is not None:
@@ -130,33 +154,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
             sources.append(con.extreme_design(args.extreme))
         for name in args.fixture or []:
             sources.append(con.fixture(name))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        for path in args.union or []:
-            sources.append(_load_design(path))
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sources.extend(_load_design(path) for path in args.union or [])
     if not sources:
-        print("error: no construction source given", file=sys.stderr)
-        return 2
+        raise _ArgumentError("no construction source given")
     if len(sources) > 1 and args.union is None:
-        print(
-            "error: multiple sources need --union to combine them", file=sys.stderr
-        )
-        return 2
-    try:
-        design = con.union(sources) if len(sources) > 1 else sources[0]
-        if args.reps is not None:
-            if args.reps < 1:
-                print("error: --reps must be >= 1", file=sys.stderr)
-                return 2
+        raise _ArgumentError("multiple sources need --union to combine them")
+    design = con.union(sources) if len(sources) > 1 else sources[0]
+    if args.reps is not None:
+        with _arguments():
             design = con.replicate(design, args.reps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     text = write_design(design)
     report = validate_ubrmd(design)
     summary_lines = [
@@ -188,17 +194,10 @@ def _spectrum_block(crit: ACriteria, b: int) -> dict[str, Any]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        design = _load_design(args.design)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.truncate is not None and not 1 <= args.truncate < design.p - 1:
-        print(
-            f"error: --truncate {args.truncate} out of range 1..{design.p - 2}",
-            file=sys.stderr,
-        )
-        return 2
+    design = _load_design(args.design)
+    if args.truncate is not None:
+        with _arguments():
+            check_tail(design, args.truncate)
     validation = validate_ubrmd(design)
     report: dict[str, Any] = {
         "command": "evaluate",
@@ -210,78 +209,51 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "ubrmd": validation.ok,
         "classification": _classify(design) if validation.ok else "not-UBRMD",
     }
-    try:
-        rows: list[tuple[int, ...]] = []
-        if args.pattern is not None:
-            with open(args.pattern) as fh:
-                pattern = parse_pattern(fh.read())
-            pattern.check_against(design)
-            rows.append(pattern.completion)
-        elif args.truncate is not None:
-            m = args.truncate
-            rows.append(truncation(design, m).completion)
-            report["m"] = m
-        _, crit, losses, disconnected = against_plan(design, rows)
-        report.update(_spectrum_block(crit, len(rows)))
-        if args.pattern is not None:
-            report["loss"], report["loss_disconnected"] = losses[1], disconnected[1]
-        elif args.truncate is not None:
-            report["ml"], report["ml_disconnected"] = losses[1], disconnected[1]
-            applicable = validation.ok and design.t >= 2 * m + 2
-            report["bounds_applicable"] = applicable
-            if applicable:
-                report["type_w"] = _type_wm(design, m).ok
-                el, el_star = efficiency_bounds(design.t, m)
-                report["uml"] = uml(design.t, m, star=False)
-                report["uml_star"] = uml(design.t, m, star=True)
-                report["el"] = el
-                report["el_star"] = el_star
-                if not disconnected[1] and design.g is not None:
-                    report["eff_lower_bound"] = efficiency_lower_bound(
-                        crit.trace_mp[1], design.t, m, design.g
-                    )
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows: list[tuple[int, ...]] = []
+    if args.pattern is not None:
+        with open(args.pattern) as fh:
+            pattern = parse_pattern(fh.read())
+        pattern.check_against(design)
+        rows.append(pattern.completion)
+    elif args.truncate is not None:
+        m = args.truncate
+        rows.append(truncation(design, m).completion)
+        report["m"] = m
+    _, crit, losses, disconnected = against_plan(design, rows)
+    report.update(_spectrum_block(crit, len(rows)))
+    if args.pattern is not None:
+        report["loss"], report["loss_disconnected"] = losses[1], disconnected[1]
+    elif args.truncate is not None:
+        report["ml"], report["ml_disconnected"] = losses[1], disconnected[1]
+        applicable = validation.ok and design.t >= 2 * m + 2
+        report["bounds_applicable"] = applicable
+        if applicable:
+            report["type_w"] = _type_wm(design, m).ok
+            el, el_star = efficiency_bounds(design.t, m)
+            report["uml"] = uml(design.t, m, star=False)
+            report["uml_star"] = uml(design.t, m, star=True)
+            report["el"] = el
+            report["el_star"] = el_star
+            if not disconnected[1] and design.g is not None:
+                report["eff_lower_bound"] = efficiency_lower_bound(
+                    crit.trace_mp[1], design.t, m, design.g
+                )
     _emit(report, args.format, args.output)
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     t, m = args.t, args.m
-    if m < 1:
-        print(f"error: requires m >= 1, got m={m}", file=sys.stderr)
-        return 2
-    if t < 2 * m + 2:
-        print(
-            f"error: bounds require t >= 2m+2, got t={t} with m={m}",
-            file=sys.stderr,
-        )
-        return 2
-    b = bounds_report(t, m)
-    report: dict[str, Any] = {
-        "command": "bounds",
-        "t": t,
-        "m": m,
-        "theta_l": b.theta_l,
-        "theta_l_star": b.theta_l_star,
-        "uml": b.uml,
-        "uml_star": b.uml_star,
-        "mtr": b.mtr,
-        "el": b.el,
-        "el_star": b.el_star,
-        "condition_value": b.condition_value,
-        "condition_satisfied": b.condition_satisfied,
-        "t_star": b.t_star,
-        "binding": "starred" if args.type_w else "plain",
-    }
+    # the report's keys are BoundsReport's fields, in their order
+    with _arguments():
+        report: dict[str, Any] = {
+            "command": "bounds",
+            **dataclasses.asdict(bounds_report(t, m)),
+            "binding": "starred" if args.type_w else "plain",
+        }
     if args.klass is not None:
         if m != 1:
-            print(
-                "error: --class applies to one-period dropout (m=1)",
-                file=sys.stderr,
-            )
-            return 2
+            raise _ArgumentError("--class applies to one-period dropout (m=1)")
         report["class"] = args.klass
         report["spectrum"] = class_ab_spectrum(t, args.klass)
         if t >= 5:
@@ -355,31 +327,16 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        design = _load_design(args.design)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+    design = _load_design(args.design)
+    with _arguments(f"cannot parse hazards {args.hazards!r}"):
         hazards = tuple(float(tok) for tok in args.hazards.split(","))
-    except ValueError:
-        print(f"error: cannot parse hazards {args.hazards!r}", file=sys.stderr)
-        return 2
-    try:
+    with _arguments():
         model = DropoutModel(m=args.m, hazards=hazards)
         check_seed(args.seed)
         check_tail(design, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return 2
-    try:
-        result = simulate(design, model, n=args.n, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _ArgumentError(f"--n must be >= 1, got {args.n}")
+    result = simulate(design, model, n=args.n, seed=args.seed)
     report: dict[str, Any] = {
         "command": "simulate",
         "design": args.design,
@@ -468,12 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place a failure becomes output."""
+    args = build_parser().parse_args(argv)
     try:
         return int(args.func(args))
     except BrokenPipeError:  # pragma: no cover - piping to head etc.
         return 0
+    except _ArgumentError as exc:
+        message, code = str(exc), 2
+    except (ValueError, RuntimeError, OSError) as exc:
+        message, code = str(exc), 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

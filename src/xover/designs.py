@@ -413,7 +413,8 @@ def _int_token(tok: str, where: str, *at: object) -> int:
     The error message starts with where.format(*at), built only on error.
     An integer of more than _MAX_DIGITS digits reads as +-10**_MAX_DIGITS:
     every range check fails on it as on its true value, and a message that
-    names it stays one short line.
+    names it stays one short line.  A longer non-integer token is echoed
+    as its first _MAX_DIGITS characters and its length.
     """
     match = len(tok) > _MAX_DIGITS and _DIGITS.fullmatch(tok)
     if match:
@@ -424,7 +425,10 @@ def _int_token(tok: str, where: str, *at: object) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ValueError(f"{where.format(*at)}{tok!r} is not an integer") from None
+        shown = repr(tok)
+        if len(tok) > _MAX_DIGITS:
+            shown = f"{tok[:_MAX_DIGITS]!r}... ({len(tok)} characters)"
+        raise ValueError(f"{where.format(*at)}{shown} is not an integer") from None
 
 
 def write_design(design: CrossoverDesign) -> str:

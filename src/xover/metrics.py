@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, truncation
-from .info import direct_info_patterns
+from .info import _completion_rows, direct_info_patterns
 from .linalg import SpectralSummary, spectral_cut, symmetrize
 
 
@@ -179,12 +179,14 @@ def against_plan(
 ) -> tuple[np.ndarray, ACriteria, np.ndarray, np.ndarray]:
     """Every verdict of a design's dropout patterns against its plan.
 
-    Stacks the complete pattern (row 0) in front of the (B, s)
-    completion rows and evaluates them as one batch: returns the
+    Validates the (B, s) completion rows, stacks the complete pattern
+    (row 0) in front of them and evaluates them as one batch: returns the
     (B+1, t, t) information, its A-criteria, and each row's loss and
     disconnected flag against row 0 (implemented_losses).
     """
-    c = direct_info_patterns(design, np.array([(design.p,) * design.s, *completions]))
+    plan = np.full((1, design.s), design.p)
+    rows = _completion_rows(design, completions) if len(completions) else plan[:0]
+    c = direct_info_patterns(design, np.concatenate([plan, rows]))
     crit = a_criteria(c, design.t)
     losses, disconnected = implemented_losses(
         crit.trace_mp[0], crit.trace_mp, crit.connected
@@ -269,15 +271,18 @@ def connect_condition(t: int, m: int) -> tuple[float, bool]:
 
 
 def t_star(m: int) -> int:
-    """Smallest t >= 2m+2 whose truncated design is guaranteed connected."""
+    """Smallest t >= 2m+2 whose truncated design is guaranteed connected:
+    3m + 2, so t >= 5 for one-period dropout.
+
+    With t = 2m+2+x, connect_condition's value is the cubic
+    f(x) = x^3 + (2m+5)x^2 + (6+3m-m^2)x - 2m(m+1)(m+2), convex for
+    x >= 0 (f'' = 6x + 4m + 10).  f(0) = -2m(m+1)(m+2) < 0 and
+    f(m-1) = -2(m+1)(2m+1) < 0, so by convexity f < 0 on 0..m-1;
+    f(m) = 2m(m+1) > f(m-1), so convexity keeps f increasing past m.
+    """
     if m < 1:
         raise ValueError(f"requires m >= 1, got m={m}")
-    t = 2 * m + 2
-    while True:
-        _, ok = connect_condition(t, m)
-        if ok:
-            return t
-        t += 1
+    return 3 * m + 2
 
 
 def mtr(t: int, m: int) -> float:

@@ -245,15 +245,29 @@ def test_evaluate_rejects_duplicate_dimension_key(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line, old, new",
-    [(1, "t=4", "t=1"), (1, "p=4", "p=1"), (1, "s=4", "s=1"), (3, "0", "1")],
-    ids=["t", "p", "s", "layout-entry"],
+    [
+        (1, "t=4", "t=1" + "0" * 4999),
+        (1, "p=4", "p=1" + "0" * 4999),
+        (1, "s=4", "s=1" + "0" * 4999),
+        (3, "0", "1" + "0" * 4999),
+        (3, "0", "1" * 5000 + "x"),
+        (None, None, "1" * 5000 + "x"),
+    ],
+    ids=["t", "p", "s", "layout-entry", "layout-junk", "pattern-junk"],
 )
 def test_evaluate_short_error_for_5000_digit_integer(tmp_path, capsys, line, old, new):
     lines = write_design(fixture("d2plan")).split("\n")
-    lines[line] = lines[line].replace(old, new + "0" * 4999, 1)
     bad = tmp_path / "long.txt"
+    argv = ["evaluate", str(bad)]
+    if line is None:
+        # a sound design; the long token is the first completion of the pattern
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text(" ".join([new, "4", "4", "4"]) + "\n")
+        argv += ["--pattern", str(pattern)]
+    else:
+        lines[line] = lines[line].replace(old, new, 1)
     bad.write_text("\n".join(lines))
-    assert main(["evaluate", str(bad)]) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -293,6 +307,19 @@ def test_bounds_range_error(capsys):
     assert "t >= 2m+2" in capsys.readouterr().err
     assert main(["bounds", "--t", "6", "--m", "0"]) == 2
     capsys.readouterr()
+
+
+def test_bounds_t_star_for_large_m(capsys):
+    assert main(["bounds", "--t", "3000000002", "--m", "1000000000"]) == 0
+    assert _json_out(capsys)["t_star"] == 3000000002
+
+
+def test_bounds_overflow_is_an_argument_error(capsys):
+    # t = 10**200 fits no float: one error line, not a traceback
+    assert main(["bounds", "--t", "1" + "0" * 200]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_bounds_class(capsys):
@@ -423,6 +450,28 @@ def test_simulate_missing_design(tmp_path, capsys):
     missing = str(tmp_path / "absent.txt")
     assert main(["simulate", missing, "--hazards", "0.5"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--williams", "4"],
+        ["evaluate", "DESIGN"],
+        ["bounds", "--t", "6"],
+        ["tables", "--table", "1"],
+        ["simulate", "DESIGN", "--hazards", "0.3", "--n", "10"],
+    ],
+    ids=["construct", "evaluate", "bounds", "tables", "simulate"],
+)
+def test_output_into_missing_directory(tmp_path, capsys, argv):
+    design = _write(tmp_path, "d.txt", williams_pair(5))
+    out = str(tmp_path / "absent" / "out.txt")
+    argv = [design if a == "DESIGN" else a for a in argv]
+    assert main(argv + ["-o", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 # input hardening: arbitrary file text must end in a report (exit 0) or
@@ -578,3 +627,28 @@ def test_construct_survives_any_union_file(fuzz_dir, text, copies):
     if code == 0:
         assert err == ""
         assert out.splitlines()[1] in ("uniform-balanced: yes", "uniform-balanced: no")
+
+
+_BOUND_INT = st.one_of(st.integers(-3, 40), st.integers(-(10**400), 10**400))
+# (t, m): any two integers, or t >= 2m+2 with both up to 160 digits long
+_T_AND_M = st.one_of(
+    st.tuples(_BOUND_INT, _BOUND_INT),
+    st.builds(
+        lambda m, x: (2 * m + 2 + x, m),
+        st.integers(1, 10**160),
+        st.integers(0, 10**160),
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(t_and_m=_T_AND_M, fmt=st.sampled_from(["json", "csv"]))
+def test_bounds_survives_any_integers(t_and_m, fmt):
+    # --class is left out: its report lists t-1 values by design
+    t, m = t_and_m
+    argv = ["bounds", f"--t={t}", f"--m={m}", "--format", fmt]
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 2), (code, err)
+    if code == 0:
+        assert err == ""
+        assert out.startswith('{\n  "command": "bounds"' if fmt == "json" else "key,value\n")

@@ -6,6 +6,7 @@ from xover.designs import truncate
 from xover.info import direct_info_complete
 from xover.metrics import (
     a_criterion,
+    against_plan,
     bounds_report,
     class_ab_ml,
     class_ab_spectrum,
@@ -151,6 +152,29 @@ def test_t_star():
     assert t_star(1) == 5
     assert t_star(2) == 8
     assert t_star(3) == 11
+
+
+def _t_star_by_search(m):
+    """The smallest t >= 2m+2 that satisfies connect_condition, by search."""
+    t = 2 * m + 2
+    while not connect_condition(t, m)[1]:
+        t += 1
+    return t
+
+
+def test_t_star_closed_form_matches_search():
+    assert [t_star(m) for m in range(1, 301)] == [
+        _t_star_by_search(m) for m in range(1, 301)
+    ]
+
+
+def test_against_plan_validates_rows_before_stacking():
+    design = williams_pair(5)
+    with pytest.raises(ValueError, match=r"^expected rows of s=10 completion periods"):
+        against_plan(design, [[4] * 3])
+    c, crit, losses, disconnected = against_plan(design, [])
+    assert c.shape == (1, 5, 5)
+    assert crit.rank[0] == 4 and losses[0] == 0.0 and not disconnected[0]
 
 
 def test_mtr_values():
