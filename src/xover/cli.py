@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from collections.abc import Iterator
@@ -30,7 +31,7 @@ from . import construct as con
 from .designs import (
     CrossoverDesign,
     _classify,
-    _type_wm,
+    _is_type_wm,
     check_tail,
     parse_design,
     parse_pattern,
@@ -119,12 +120,19 @@ def _write(text: str, out_path: str | None) -> None:
         raise RuntimeError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _load_design(path: str) -> CrossoverDesign:
+def _read(path: str) -> str:
+    """The text of an input file; a file that cannot be opened or read
+    fails as "cannot read PATH: ..."."""
     try:
         with open(path) as fh:
-            return parse_design(fh.read())
+            return fh.read()
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_design(path: str) -> CrossoverDesign:
+    try:
+        return parse_design(_read(path))
     except ValueError as exc:
         raise RuntimeError(f"{path}: {exc}") from exc
 
@@ -211,8 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     rows: list[tuple[int, ...]] = []
     if args.pattern is not None:
-        with open(args.pattern) as fh:
-            pattern = parse_pattern(fh.read())
+        pattern = parse_pattern(_read(args.pattern))
         pattern.check_against(design)
         rows.append(pattern.completion)
     elif args.truncate is not None:
@@ -228,7 +235,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         applicable = validation.ok and design.t >= 2 * m + 2
         report["bounds_applicable"] = applicable
         if applicable:
-            report["type_w"] = _type_wm(design, m).ok
+            report["type_w"] = _is_type_wm(design, m)
             el, el_star = efficiency_bounds(design.t, m)
             report["uml"] = uml(design.t, m, star=False)
             report["uml_star"] = uml(design.t, m, star=True)
@@ -386,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_con.add_argument("--reps", type=int, metavar="K")
     p_con.add_argument("-o", "--output", metavar="PATH")
-    p_con.set_defaults(func=cmd_construct)
 
     p_eval = sub.add_parser("evaluate", help="information metrics for a design file")
     p_eval.add_argument("design", metavar="FILE")
@@ -395,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pattern", metavar="FILE")
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.add_argument("-o", "--output", metavar="PATH")
-    p_eval.set_defaults(func=cmd_evaluate)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds for one (t, m)")
     p_bounds.add_argument("--t", type=int, required=True)
@@ -404,13 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--class", dest="klass", choices=("A", "B"))
     p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
     p_bounds.add_argument("-o", "--output", metavar="PATH")
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_tab = sub.add_parser("tables", help="regenerate the bound tables")
     p_tab.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
     p_tab.add_argument("--format", choices=("json", "csv"), default="json")
     p_tab.add_argument("-o", "--output", metavar="PATH")
-    p_tab.set_defaults(func=cmd_tables)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo dropout simulation")
     p_sim.add_argument("design", metavar="FILE")
@@ -420,15 +423,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     p_sim.add_argument("-o", "--output", metavar="PATH")
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call of the process.
+    Parsing leaves it unchanged, so every main call can reuse it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the only place a failure becomes output."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; the only place a failure becomes output.
+
+    The argument parser is built once per process and reused.  The
+    subcommand's cmd_<name> function is looked up in this module when
+    main runs, so a replacement installed on the module (a tracing
+    wrapper, say) runs in its place.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return int(args.func(args))
+        return int(globals()[f"cmd_{args.command}"](args))
     except BrokenPipeError:  # pragma: no cover - piping to head etc.
         return 0
     except _ArgumentError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -302,27 +303,50 @@ def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
     each of the last m+1 periods.  The design passes when, for every
     block and every ordered pair of distinct tail indices j, k in 0..m,
     the block's period (t-j) to period (t-k) treatment map is a single
-    cycle of length t.
+    cycle of length t.  This is the one place that words the failures.
     """
     check_tail(design, m)
     require_ubrmd(design)
-    return _type_wm(design, m)
-
-
-def _type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
-    """The block-uniformity and single-cycle tests of check_type_wm on a
-    design already known to be uniform-balanced, with 1 <= m <= p-2."""
     t, p = design.t, design.p
-    # tail[j, l] is block l in period p-j, for j = 0..m
+    tail, counts, single = _tail_cycles(design, m)
+    if single is None:
+        failures = [
+            f"block {l} is not uniform in period {p - j}: "
+            f"treatment counts {counts[j, l].tolist()}"
+            for l, j in np.argwhere((counts != 1).any(axis=-1).T)
+        ]
+        return TypeWReport(False, tuple(failures))
+    failures = [
+        f"block {l}, periods {p - j}->{p - k}: cycle type "
+        f"{cycle_type(_pairs(tail[j, l], tail[k, l], t))} is not a single {t}-cycle"
+        for l, j, k in np.argwhere(~single.transpose(2, 0, 1))
+    ]
+    return TypeWReport(not failures, tuple(failures))
+
+
+def _is_type_wm(design: CrossoverDesign, m: int) -> bool:
+    """check_type_wm(design, m).ok, without wording any failure, for a
+    design already known to be uniform-balanced, with 1 <= m <= p-2."""
+    single = _tail_cycles(design, m)[2]
+    return single is not None and bool(single.all())
+
+
+def _tail_cycles(
+    design: CrossoverDesign, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The masks behind check_type_wm: (tail, counts, single).
+
+    tail[j, l] is block l in period p-j, for j = 0..m, and counts[j, l]
+    its treatment counts.  single[j, k, l] tells whether block l's map
+    from period p-j to period p-k is a single t-cycle (true for j = k,
+    which is not tested); it is None when some block is not uniform in
+    some tail period, since the maps then are not permutations.
+    """
+    t, p = design.t, design.p
     tail = design.layout[p - 1 - np.arange(m + 1)][:, np.array(design.blocks())]
     counts = _counts(tail, t)
-    failures = [
-        f"block {l} is not uniform in period {p - j}: "
-        f"treatment counts {counts[j, l].tolist()}"
-        for l, j in np.argwhere((counts != 1).any(axis=-1).T)
-    ]
-    if failures:
-        return TypeWReport(False, tuple(failures))
+    if (counts != 1).any():
+        return tail, counts, None
     # maps[j, k, l, a]: the period p-k treatment of the block-l subject
     # that receives a in period p-j
     periods = np.arange(m + 1)[:, None, None]
@@ -335,14 +359,8 @@ def _type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
     for _ in range(t - 1):
         orbit = np.take_along_axis(maps, orbit[..., None], axis=-1)[..., 0]
         single &= orbit != 0
-    single |= np.eye(m + 1, dtype=bool)[..., None]  # j = k maps are not tested
-    for l, j, k in np.argwhere(~single.transpose(2, 0, 1)):
-        ct = cycle_type(_pairs(tail[j, l], tail[k, l], t))
-        failures.append(
-            f"block {l}, periods {p - j}->{p - k}: "
-            f"cycle type {ct} is not a single {t}-cycle"
-        )
-    return TypeWReport(not failures, tuple(failures))
+    single |= np.eye(m + 1, dtype=bool)[..., None]
+    return tail, counts, single
 
 
 def classify(design: CrossoverDesign) -> str:
@@ -389,7 +407,7 @@ def _classify(design: CrossoverDesign) -> str:
 
     best = 0
     for m in range(1, design.p - 1):
-        if not _type_wm(design, m).ok:
+        if not _is_type_wm(design, m):
             break
         best = m
     if best >= 1:
@@ -405,6 +423,12 @@ def _classify(design: CrossoverDesign) -> str:
 # int() refuses more than 4300 of them.
 _MAX_DIGITS = 18
 _DIGITS = re.compile(r"([+-]?)0*(\d+)")
+# A line whose tokens all read as numpy reads them: 1 to _MAX_DIGITS ASCII
+# digits each, joined by single spaces.  Every repetition starts with the
+# one space, so a match never backtracks more than _MAX_DIGITS characters.
+_PLAIN_LINE = re.compile(
+    rf"[0-9]{{1,{_MAX_DIGITS}}}(?: [0-9]{{1,{_MAX_DIGITS}}})*", re.ASCII
+)
 
 
 def _int_token(tok: str, where: str, *at: object) -> int:
@@ -438,13 +462,20 @@ def write_design(design: CrossoverDesign) -> str:
         TEXT_FORMAT_HEADER,
         f"t={design.t} p={design.p} s={design.s}",
     ]
-    for j in range(design.p):
-        lines.append(" ".join(str(int(v)) for v in design.layout[j, :]))
+    lines.extend(" ".join(map(str, row)) for row in design.layout.tolist())
     return "\n".join(lines) + "\n"
 
 
 def parse_design(text: str) -> CrossoverDesign:
-    """Parse the versioned text format, naming line and column on errors."""
+    """Parse the versioned text format, naming line and column on errors.
+
+    A layout line of plain digit tokens (see _PLAIN_LINE) is converted by
+    numpy in one call and range-checked at once.  Any other line goes
+    through _int_token a token at a time, which alone decides what an odd
+    token (a sign, leading zeros, underscores, non-ASCII digits, more than
+    _MAX_DIGITS digits) means and words its error.  Both give the same
+    values and the same first error of a line.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != TEXT_FORMAT_HEADER:
         raise ValueError(f'line 1: expected header "{TEXT_FORMAT_HEADER}"')
@@ -471,30 +502,48 @@ def parse_design(text: str) -> CrossoverDesign:
     body = [ln for ln in lines[2:] if ln.strip() != ""]
     if len(body) != p:
         raise ValueError(f"expected {p} layout lines, found {len(body)}")
-    layout: list[list[int]] = []
+    # stack the checked rows at the end: s comes from the file, and sizes
+    # no array before a line has shown s entries
+    layout: list[np.ndarray] = []
     for j, ln in enumerate(body):
         toks = ln.split()
         if len(toks) != s:
             raise ValueError(f"line {j + 3}: expected {s} entries, found {len(toks)}")
-        layout.append([])
-        for i, tok in enumerate(toks):
-            v = _int_token(tok, "line {}, column {}: ", j + 3, i + 1)
-            if not 0 <= v < t:
-                raise ValueError(
-                    f"line {j + 3}, column {i + 1}: treatment {v} out of range 0..{t - 1}"
-                )
-            layout[j].append(v)
+        if _PLAIN_LINE.fullmatch(" ".join(toks)):
+            row = np.array(toks, dtype=np.int64)
+            bad = np.flatnonzero(row >= t)
+            if bad.size:
+                _out_of_range(j + 3, int(bad[0]) + 1, int(row[bad[0]]), t)
+        else:
+            values = []
+            for i, tok in enumerate(toks):
+                v = _int_token(tok, "line {}, column {}: ", j + 3, i + 1)
+                if not 0 <= v < t:
+                    _out_of_range(j + 3, i + 1, v, t)
+                values.append(v)
+            row = np.array(values, dtype=np.int64)
+        layout.append(row)
     return CrossoverDesign(t=t, p=p, s=s, layout=np.array(layout))
 
 
+def _out_of_range(line: int, col: int, v: int, t: int) -> NoReturn:
+    raise ValueError(f"line {line}, column {col}: treatment {v} out of range 0..{t - 1}")
+
+
 def parse_pattern(text: str) -> DropoutPattern:
-    """Parse a dropout pattern file: one line of completion periods."""
+    """Parse a dropout pattern file: one line of completion periods.
+
+    As in parse_design, a line of plain digit tokens is converted by numpy
+    in one call, and any other line by _int_token a token at a time.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) != 1:
         raise ValueError(f"expected one line of completion periods, found {len(lines)}")
+    toks = lines[0].split()
+    if _PLAIN_LINE.fullmatch(" ".join(toks)):
+        return DropoutPattern(tuple(np.array(toks, dtype=np.int64).tolist()))
     return DropoutPattern(
         tuple(
-            _int_token(tok, "line 1, column {}: ", i + 1)
-            for i, tok in enumerate(lines[0].split())
+            _int_token(tok, "line 1, column {}: ", i + 1) for i, tok in enumerate(toks)
         )
     )

@@ -208,9 +208,16 @@ def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
     )
 
 
+# The bounds take floats of products that grow as t**3, which overflow
+# from about t = 10**103.
+_MAX_T_DIGITS = 100
+
+
 def _check_t_m(t: int, m: int) -> None:
     if m < 1:
         raise ValueError(f"requires m >= 1, got m={m}")
+    if t > 10**_MAX_T_DIGITS:
+        raise ValueError(f"requires t <= 10**{_MAX_T_DIGITS}, got a larger t")
     if t < 2 * m + 2:
         raise ValueError(f"requires t >= 2m+2, got t={t}, m={m}")
 

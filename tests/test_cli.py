@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xover import cli, designs
 from xover.cli import main
 from xover.construct import (
     extreme_design,
     fixture,
+    relabel,
     replicate,
     union,
     williams_pair,
@@ -19,6 +21,8 @@ from xover.construct import (
 from xover.designs import (
     TEXT_FORMAT_HEADER,
     CrossoverDesign,
+    check_type_wm,
+    classify,
     parse_design,
     write_design,
 )
@@ -201,8 +205,9 @@ def test_evaluate_pattern_mismatch(tmp_path, capsys):
         ("1" + "0" * 4999, "error: completion period exceeds p=5"),
         ("0", "error: every subject must complete at least period 1"),
         ("-" + "9" * 5000, "error: every subject must complete at least period 1"),
+        ("-2", "error: every subject must complete at least period 1"),
     ],
-    ids=["23-digit", "5000-digit", "zero", "negative-5000-digit"],
+    ids=["23-digit", "5000-digit", "zero", "negative-5000-digit", "negative"],
 )
 def test_evaluate_pattern_bad_completion(tmp_path, capsys, first, message):
     f = _write(tmp_path, "d.txt", fixture("d3plan"))
@@ -225,6 +230,17 @@ def test_evaluate_prints_structural_zero_eigenvalues_as_zero(tmp_path, capsys, d
     zeros = [v for v in report["eigenvalues"] if v == 0.0]
     assert len(zeros) == design.t - report["rank"]
     assert all(abs(v) > 1e-6 for v in report["eigenvalues"] if v != 0.0)
+
+
+def test_evaluate_missing_pattern_file(tmp_path, capsys):
+    f = _write(tmp_path, "d.txt", williams_pair(5))
+    missing = str(tmp_path / "nothere.txt")
+    assert main(["evaluate", f, "--pattern", missing]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
 
 
 def test_evaluate_parse_failure(tmp_path, capsys):
@@ -251,9 +267,11 @@ def test_evaluate_rejects_duplicate_dimension_key(tmp_path, capsys):
         (1, "s=4", "s=1" + "0" * 4999),
         (3, "0", "1" + "0" * 4999),
         (3, "0", "1" * 5000 + "x"),
+        (3, "0", "1_000_000_000_000_000_000_000"),
         (None, None, "1" * 5000 + "x"),
     ],
-    ids=["t", "p", "s", "layout-entry", "layout-junk", "pattern-junk"],
+    ids=["t", "p", "s", "layout-entry", "layout-junk", "layout-underscored",
+         "pattern-junk"],
 )
 def test_evaluate_short_error_for_5000_digit_integer(tmp_path, capsys, line, old, new):
     lines = write_design(fixture("d2plan")).split("\n")
@@ -320,6 +338,21 @@ def test_bounds_overflow_is_an_argument_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "t, code",
+    [(10**100, 0), (10**100 + 1, 2), (10**200, 2)],
+    ids=["limit", "above", "1e200"],
+)
+def test_bounds_t_limit(capsys, t, code):
+    assert main(["bounds", "--t", str(t)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == "error: requires t <= 10**100, got a larger t\n"
+    else:
+        assert json.loads(captured.out)["t"] == t
 
 
 def test_bounds_class(capsys):
@@ -652,3 +685,101 @@ def test_bounds_survives_any_integers(t_and_m, fmt):
     if code == 0:
         assert err == ""
         assert out.startswith('{\n  "command": "bounds"' if fmt == "json" else "key,value\n")
+
+
+# (design, classification, type_w for m = 1, 2, ... while t >= 2m+2), as
+# classify and check_type_wm gave them when both still worded every failure
+VERDICTS = {
+    "d1plan": (fixture("d1plan"), "ClassB-W1", []),
+    "d2plan": (fixture("d2plan"), "ClassA-W1", [True]),
+    "d3plan": (fixture("d3plan"), "ClassB-W1", [True]),
+    "ex13sq1": (fixture("ex13sq1"), "ClassA-W1", [True, False]),
+    "ex13sq2": (fixture("ex13sq2"), "ClassA-W1", [True, False]),
+    "pair3": (williams_pair(3), "ClassB-W1", []),
+    "square4": (williams_square(4), "ClassA-W1", [True]),
+    "pair5": (williams_pair(5), "ClassB-W1", [True]),
+    "square6": (williams_square(6), "ClassA-W1", [True, False]),
+    "pair7": (williams_pair(7), "ClassB-W1", [True, True]),
+    "square8": (williams_square(8), "ClassA-W1", [True, False, False]),
+    "pair9": (williams_pair(9), "ClassB-W1", [True, True, False]),
+    "ex13-union": (
+        union([fixture("ex13sq1"), fixture("ex13sq2")]), "type-W1", [True, False]
+    ),
+    "pair7-reversed": (
+        union([williams_pair(7), relabel(williams_pair(7), [6, 5, 4, 3, 2, 1, 0])]),
+        "type-W5",
+        [True, True],
+    ),
+    "pair9-doubled": (
+        union([williams_pair(9), relabel(williams_pair(9), [0, 2, 4, 6, 8, 1, 3, 5, 7])]),
+        "type-W2",
+        [True, True, False],
+    ),
+    "extreme4": (extreme_design(4), "UBRMD", [False]),
+}
+
+
+@pytest.mark.parametrize("name", VERDICTS)
+def test_verdicts_are_unchanged_and_word_no_failures(tmp_path, monkeypatch, name):
+    design, klass, type_w = VERDICTS[name]
+    assert [check_type_wm(design, m).ok for m in range(1, len(type_w) + 1)] == type_w
+    f = _write(tmp_path, "d.txt", design)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a type-W failure was worded")
+
+    # classify and evaluate read the verdict from the masks alone
+    monkeypatch.setattr(designs, "check_type_wm", refuse)
+    monkeypatch.setattr(designs, "TypeWReport", refuse)
+    assert classify(design) == klass
+    code, out, _ = _run_in_process(["evaluate", f])
+    assert (code, json.loads(out)["classification"]) == (0, klass)
+    for m, ok in enumerate(type_w, start=1):
+        code, out, _ = _run_in_process(["evaluate", f, "--truncate", str(m)])
+        assert (code, json.loads(out)["type_w"]) == (0, ok)
+
+
+def test_repeated_main_calls_give_identical_output(tmp_path):
+    f = _write(tmp_path, "d.txt", fixture("d3plan"))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("5 4 5 5 5 5 5 5 5 3\n")
+    calls = [
+        ["construct", "--fixture", "d1plan", "--fixture", "d2plan", "--union"],
+        ["construct", "--fixture", "d2plan", "--fixture", "d2plan", "--union"],
+        ["evaluate", f, "--truncate", "1"],
+        ["evaluate", f, "--pattern", str(pattern), "--format", "csv"],
+        ["bounds", "--t", "7", "--class", "B"],
+        ["tables", "--table", "2", "--format", "csv"],
+        ["simulate", f, "--hazards", "0.3", "--n", "20"],
+    ]
+    usage_errors = [
+        ["evaluate", f, "--truncate", "x"],
+        ["evaluate", f, "--truncate", "1", "--pattern", str(pattern)],
+    ]
+    first = [_run_in_process(argv) for argv in calls]
+    for bad in usage_errors:
+        with pytest.raises(SystemExit) as info:
+            with contextlib.redirect_stderr(io.StringIO()):
+                main(bad)
+        assert info.value.code == 2
+    assert [_run_in_process(argv) for argv in calls] == first
+    assert first[0][0] == 1
+    # two --fixture values, not four: the list does not grow across calls
+    assert first[1][2].startswith("t=4 p=4 s=8 g=2\n")
+
+
+def test_main_runs_a_subcommand_patched_after_the_first_call(monkeypatch, capsys):
+    # the first call builds the parser
+    assert main(["tables", "--table", "1"]) == 0
+    capsys.readouterr()
+    tables = []
+    cmd_tables = cli.cmd_tables
+
+    def recording(args):
+        tables.append(args.table)
+        return cmd_tables(args)
+
+    monkeypatch.setattr(cli, "cmd_tables", recording)
+    assert main(["tables", "--table", "3"]) == 0
+    assert tables == [3]
+    assert _json_out(capsys)["table"] == 3

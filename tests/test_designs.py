@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xover import designs
 from xover.construct import (
+    FIXTURE_NAMES,
     extreme_design,
     fixture,
     relabel,
@@ -394,6 +396,9 @@ def test_parse_design_errors_name_position():
         ("t=3 p=3 s=3 s=4", "line 2, token 4: duplicate key 's'"),
         ("t=2 t=2 p=2 s=2", "line 2, token 2: duplicate key 't'"),
         ("t=5 p=2 s=2", "line 2: t=5 exceeds the p*s=4 cells of the layout"),
+        # no array is sized by s before a line holds s entries
+        ("t=2 p=2 s=100000000000", "line 3: expected 100000000000 entries, found 2"),
+        ("t=2 p=2 s=" + "9" * 19, "line 3: expected 1000000000000000000 entries, found 2"),
     ],
 )
 def test_parse_design_rejects_bad_dimension_line(dims, message):
@@ -409,3 +414,81 @@ def test_parse_pattern():
         parse_pattern("4 x 3 3\n")
     with pytest.raises(ValueError, match="one line"):
         parse_pattern("4 4\n3 3\n")
+
+
+# tokens that are not plain ASCII digit runs, each with the value the
+# per-token reader gives it
+ODD_TOKENS = {"+3": 3, "007": 7, "1_0": 10, "٣": 3, "0" * 20 + "1": 1}
+
+
+@pytest.mark.parametrize(
+    "tok", ODD_TOKENS, ids=["plus", "zeros", "underscore", "arabic", "padded"]
+)
+def test_odd_tokens_read_as_their_values(tok):
+    # williams_square(12) takes every value above as a treatment
+    lines = write_design(williams_square(12)).split("\n")
+
+    def with_entry(word):
+        words = lines[5].split()
+        words[4] = word
+        return "\n".join(lines[:5] + [" ".join(words)] + lines[6:])
+
+    np.testing.assert_array_equal(
+        parse_design(with_entry(tok)).layout,
+        parse_design(with_entry(str(ODD_TOKENS[tok]))).layout,
+    )
+    assert parse_pattern(f"4 {tok} 4\n") == DropoutPattern((4, ODD_TOKENS[tok], 4))
+    assert parse_pattern(f"{tok}\n") == DropoutPattern((ODD_TOKENS[tok],))
+
+
+_HEAD = f"{TEXT_FORMAT_HEADER}\nt=4 p=2 s=4\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 1 2 3\n1 2 3 4\n", "line 4, column 4: treatment 4 out of range 0..3"),
+        ("0 1 2 3\n1 2 9 x\n", "line 4, column 3: treatment 9 out of range 0..3"),
+        ("0 1 2 3\n1 2 x 9\n", "line 4, column 3: 'x' is not an integer"),
+        ("0 1 +9 x\n1 2 3 0\n", "line 3, column 3: treatment 9 out of range 0..3"),
+        ("0 1 2 3\n1 2 3 -1\n", "line 4, column 4: treatment -1 out of range 0..3"),
+        ("0 1 2 3\n0 1 2 3 0\n", "line 4: expected 4 entries, found 5"),
+        ("0 1 2 9\n0 1 2\n", "line 3, column 4: treatment 9 out of range 0..3"),
+        (
+            "0 1 2 3\n0 1 2 " + "1" * 19 + "\n",
+            "line 4, column 4: treatment 1000000000000000000 out of range 0..3",
+        ),
+        (
+            "0 1 2 3\n0 1 2 1_000_000_000_000_000_000_000\n",
+            "line 4, column 4: treatment 1" + "0" * 21 + " out of range 0..3",
+        ),
+        (
+            "0 1 2 3\n0 1 " + "1" * 5000 + "x 3\n",
+            "line 4, column 3: '111111111111111111'... (5001 characters) "
+            "is not an integer",
+        ),
+    ],
+    ids=["high", "high-then-junk", "junk-then-high", "odd-high", "negative", "count",
+         "high-before-count", "19-digit", "underscored-above-clamp", "5000-digit-junk"],
+)
+def test_rejected_layout_lines_keep_their_messages(body, message):
+    with pytest.raises(ValueError) as info:
+        parse_design(_HEAD + body)
+    assert str(info.value) == message
+
+
+def test_plain_lines_never_reach_the_per_token_reader(monkeypatch):
+    wheres = []
+    int_token = designs._int_token
+
+    def recording(tok, where, *at):
+        wheres.append(where)
+        return int_token(tok, where, *at)
+
+    monkeypatch.setattr(designs, "_int_token", recording)
+    for d in [fixture(name) for name in FIXTURE_NAMES] + [extreme_design(6)]:
+        np.testing.assert_array_equal(parse_design(write_design(d)).layout, d.layout)
+        completion = tuple(1 + i % d.p for i in range(d.s))
+        assert parse_pattern(" ".join(map(str, completion))).completion == completion
+    # only the dimension values t, p and s go through it
+    assert set(wheres) == {"line 2, token {}: {}="}
