@@ -41,6 +41,7 @@ from .designs import (
 )
 from .metrics import (
     ACriteria,
+    _class_ab_losses,
     against_plan,
     bounds_report,
     class_ab_ml,
@@ -56,6 +57,8 @@ from .simulate import DropoutModel, check_seed, simulate
 TABLE1_T = (5, 6, 7, 8, 9, 10)
 TABLE2_T = (8, 9, 10, 11, 12, 16)
 TABLE3 = ((5, "B"), (6, "A"), (7, "B"), (8, "A"), (9, "B"), (10, "A"))
+# bounds --class reports all t-1 spectrum values, so its t is bounded
+_MAX_CLASS_T = 10_000
 
 
 def _f(x: float) -> float:
@@ -261,11 +264,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.klass is not None:
         if m != 1:
             raise _ArgumentError("--class applies to one-period dropout (m=1)")
+        if t > _MAX_CLASS_T:
+            raise _ArgumentError(f"--class requires t <= {_MAX_CLASS_T}, got a larger t")
         report["class"] = args.klass
         report["spectrum"] = class_ab_spectrum(t, args.klass)
         if t >= 5:
-            report["class_ml"] = class_ab_ml(t, args.klass)
-            report["class_el"] = el_ab(t, args.klass)
+            ml, el = _class_ab_losses(t, args.klass)
+            report["class_ml"] = ml
+            report["class_el"] = el
             report["class_disconnected"] = False
         else:
             report["class_ml"] = 1.0

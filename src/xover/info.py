@@ -51,9 +51,11 @@ from .linalg import moore_penrose, schur_complement, symmetrize
 
 # Byte budget of each per-chunk temporary of direct_info_patterns: a batch
 # is evaluated in chunks of rows whose (rows, s, d) and (rows, d, d) float
-# arrays fit in it, at least one row per chunk.  64 KiB keeps a call's
-# working set near that of one pattern at a time.
-_CHUNK_BYTES = 1 << 16
+# arrays fit in it, at least one row per chunk.  128 KiB keeps every such
+# temporary under glibc's default 128 KiB mmap threshold, so it is reused
+# from the heap instead of being mapped and faulted in afresh; budgets of
+# 256 KiB to 4 MiB measured slower on simulate of williams_pair(15).
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,8 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     information comes from the exact-count Gram matrix of _joint_stack,
     and the carryover block is swept out as a stacked Schur complement.
     Rows are evaluated in chunks whose per-chunk temporaries stay within
-    _CHUNK_BYTES, and every row equals its own B = 1 call bit for bit.
+    _CHUNK_BYTES (see there for the size), and every row equals its own
+    B = 1 call bit for bit.
     """
     ks = _completion_rows(design, completions)
     t = design.t

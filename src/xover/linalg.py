@@ -30,17 +30,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
     Raises ValueError if the asymmetry of any matrix exceeds SYM_TOL
     relative to its largest entry, so genuinely non-symmetric input is
-    rejected rather than silently averaged away.
+    rejected rather than silently averaged away.  Input that equals its
+    transpose exactly (the output of an earlier symmetrize, or a
+    difference of such outputs) skips the measurement.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     mt = np.swapaxes(m, -1, -2)
-    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1), initial=0.0))
     out = m - mt
-    gap = np.max(np.abs(out, out=out), axis=(-2, -1), initial=0.0)
-    if np.any(gap > SYM_TOL * scale):
-        raise ValueError(f"matrix is not symmetric: max asymmetry {np.max(gap):.3e}")
+    if out.any():
+        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1), initial=0.0))
+        gap = np.max(np.abs(out, out=out), axis=(-2, -1), initial=0.0)
+        if np.any(gap > SYM_TOL * scale):
+            raise ValueError(
+                f"matrix is not symmetric: max asymmetry {np.max(gap):.3e}"
+            )
     np.add(m, mt, out=out)
     out /= 2.0
     return out

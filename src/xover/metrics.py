@@ -214,12 +214,15 @@ _MAX_T_DIGITS = 100
 
 
 def _check_t_m(t: int, m: int) -> None:
+    """Reject (t, m) outside the bounds' domain.  The messages name no
+    digits of t or m, which may be hundreds long, so each stays one
+    short line."""
     if m < 1:
-        raise ValueError(f"requires m >= 1, got m={m}")
+        raise ValueError("requires m >= 1, got a smaller m")
     if t > 10**_MAX_T_DIGITS:
         raise ValueError(f"requires t <= 10**{_MAX_T_DIGITS}, got a larger t")
     if t < 2 * m + 2:
-        raise ValueError(f"requires t >= 2m+2, got t={t}, m={m}")
+        raise ValueError("requires t >= 2m+2, got a smaller t")
 
 
 def _d(t: int, m: int) -> int:
@@ -370,17 +373,22 @@ def _inv_sum_harmonic(t: int, klass: str) -> float:
     return 1.0 / sum(1.0 / v for v in spectrum)
 
 
+def _class_ab_losses(t: int, klass: str) -> tuple[float, float]:
+    """(class_ab_ml, el_ab) of (t, klass) from one spectrum."""
+    if t < 5:
+        raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
+    inv = _inv_sum_harmonic(t, klass)
+    ml = 1.0 - ((t - 1) * (t * t - t - 1) / (t * (t - 2) * (t + 1))) * inv
+    return ml, ((t - 1) ** 2 / mtr(t, 1)) * inv
+
+
 def class_ab_ml(t: int, klass: str) -> float:
     """Exact maximum loss for the replicated square or pair families.
 
     ML = 1 - ((t-1)(t^2-t-1)/(t(t-2)(t+1))) (sum_r 1/theta_r)^{-1};
     requires t >= 5 (the t=4 truncation is disconnected).
     """
-    if t < 5:
-        raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
-    return 1.0 - ((t - 1) * (t * t - t - 1) / (t * (t - 2) * (t + 1))) * (
-        _inv_sum_harmonic(t, klass)
-    )
+    return _class_ab_losses(t, klass)[0]
 
 
 def el_ab(t: int, klass: str) -> float:
@@ -389,9 +397,7 @@ def el_ab(t: int, klass: str) -> float:
     EL_AB = ((t-1)^2 / MTr(t, 1)) (sum_r 1/theta_r)^{-1}; requires
     t >= 5.
     """
-    if t < 5:
-        raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
-    return ((t - 1) ** 2 / mtr(t, 1)) * _inv_sum_harmonic(t, klass)
+    return _class_ab_losses(t, klass)[1]
 
 
 def extreme_ml(t: int) -> float:

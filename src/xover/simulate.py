@@ -142,7 +142,10 @@ def simulate(
     the information matrices fail the expected sandwich (plan
     above implemented above truncated, as positive-semidefinite
     differences at tolerance 1e-9); a violation would falsify the
-    worst-case analysis, so it is surfaced prominently.
+    worst-case analysis, so it is surfaced prominently.  Each chunk
+    checks both halves of the sandwich for all its distinct patterns in
+    one stacked is_psd call on their 2 * (B - 2) differences, B the rows
+    of its against_plan stack.
     """
     require_ubrmd(design)
     if n < 1:
@@ -167,7 +170,9 @@ def simulate(
         c, _, chunk_losses, chunk_disconnected = against_plan(
             design, [tail, *distinct.view(rows.dtype).reshape(-1, s)]
         )
-        ok = is_psd(c[0] - c[2:], ORDER_TOL) & is_psd(c[2:] - c[1], ORDER_TOL)
+        # plan minus each pattern, then each pattern minus the truncation
+        ok = is_psd(np.concatenate([c[0] - c[2:], c[2:] - c[1]]), ORDER_TOL)
+        ok = ok[: len(distinct)] & ok[len(distinct) :]
         losses[start:stop] = chunk_losses[2:][inverse]
         disconnected[start:stop] = chunk_disconnected[2:][inverse]
         ordering_ok[start:stop] = ok[inverse]

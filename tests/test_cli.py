@@ -355,6 +355,37 @@ def test_bounds_t_limit(capsys, t, code):
         assert json.loads(captured.out)["t"] == t
 
 
+@pytest.mark.parametrize(
+    "t, m, message",
+    [
+        ("10", "1" + "0" * 3000, "requires t >= 2m+2, got a smaller t"),
+        ("10", "-1" + "0" * 3000, "requires m >= 1, got a smaller m"),
+    ],
+    ids=["m-long", "m-long-negative"],
+)
+def test_bounds_range_error_names_no_digits(capsys, t, m, message):
+    assert main(["bounds", "--t", t, "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert len(captured.err.encode()) < 120
+
+
+@pytest.mark.parametrize("t", [10_001, 200_000, 10**100])
+def test_bounds_class_t_limit(capsys, t):
+    assert main(["bounds", "--t", str(t), "--class", "A"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --class requires t <= 10000, got a larger t\n"
+
+
+def test_bounds_class_at_t_limit(capsys):
+    assert main(["bounds", "--t", "10000", "--class", "B"]) == 0
+    report = _json_out(capsys)
+    assert len(report["spectrum"]) == 9999
+    assert report["class_disconnected"] is False
+
+
 def test_bounds_class(capsys):
     assert main(["bounds", "--t", "6", "--class", "A"]) == 0
     report = _json_out(capsys)
@@ -675,16 +706,25 @@ _T_AND_M = st.one_of(
 
 
 @settings(max_examples=30, deadline=None)
-@given(t_and_m=_T_AND_M, fmt=st.sampled_from(["json", "csv"]))
-def test_bounds_survives_any_integers(t_and_m, fmt):
-    # --class is left out: its report lists t-1 values by design
+@given(
+    t_and_m=_T_AND_M,
+    fmt=st.sampled_from(["json", "csv"]),
+    klass=st.sampled_from([None, "A", "B"]),
+)
+def test_bounds_survives_any_integers(t_and_m, fmt, klass):
     t, m = t_and_m
     argv = ["bounds", f"--t={t}", f"--m={m}", "--format", fmt]
+    if klass is not None:
+        argv += ["--class", klass]
     code, out, err = _run_in_process(argv)
     assert code in (0, 2), (code, err)
     if code == 0:
         assert err == ""
         assert out.startswith('{\n  "command": "bounds"' if fmt == "json" else "key,value\n")
+    else:
+        # one short line, whatever the length of t and m
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
 
 
 # (design, classification, type_w for m = 1, 2, ... while t >= 2m+2), as

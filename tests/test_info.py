@@ -159,6 +159,28 @@ def test_batch_rows_equal_their_single_calls(design, low, monkeypatch):
     assert np.array_equal(direct_info_patterns(design, ks), batch)
 
 
+@pytest.mark.parametrize(
+    "design, low",
+    [(williams_pair(15), 13), (extreme_design(5), 3)],
+    ids=["pair15-m2", "extreme5"],
+)
+def test_chunk_budget_leaves_every_bit(design, low, monkeypatch):
+    # only the last row reaches the batch minimum low, so the chunks
+    # start from heads of different lengths depending on the budget
+    rng = np.random.default_rng(20071019)
+    ks = rng.integers(low + 1, design.p + 1, (20, design.s))
+    ks[-1, 0] = low
+    results = []
+    for budget in (1, info_module._CHUNK_BYTES, 1 << 30):
+        monkeypatch.setattr(info_module, "_CHUNK_BYTES", budget)
+        results.append(direct_info_patterns(design, ks))
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
+    for b, row in enumerate(ks):
+        single = direct_info_pattern(design, DropoutPattern(tuple(row)))
+        assert np.array_equal(results[0][b], single), b
+
+
 def test_batched_engine_rejects_bad_rows():
     d = fixture("d2plan")
     with pytest.raises(ValueError, match="rows of s=4"):

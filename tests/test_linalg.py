@@ -12,9 +12,26 @@ def test_symmetrize_averages_roundoff():
     assert np.allclose(out, out.T)
 
 
+def _symmetric_stack(seed):
+    a = np.random.default_rng(seed).standard_normal((4, 6, 6))
+    return a + np.swapaxes(a, -1, -2)  # exactly symmetric: x + y == y + x
+
+
 def test_symmetrize_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        symmetrize(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    # also a stack, and one slice of it, off by 1e-6 in a single entry
+    nudged = _symmetric_stack(5)
+    nudged[2, 0, 1] += 1e-6
+    for m in (np.array([[1.0, 2.0], [3.0, 4.0]]), nudged, nudged[2]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetrize(m)
+
+
+def test_symmetrize_of_exactly_symmetric_input_is_the_average():
+    m = _symmetric_stack(6)
+    out = symmetrize(m)
+    assert np.array_equal(out, (m + np.swapaxes(m, -1, -2)) / 2)
+    assert not np.shares_memory(out, m)
+    assert np.array_equal(symmetrize(m[1]), (m[1] + m[1].T) / 2)
 
 
 def test_symmetrize_rejects_nonsquare():

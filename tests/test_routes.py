@@ -206,6 +206,35 @@ def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys)
             assert f'"classification": "{klass}"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
+    # both halves of the sandwich, for every distinct pattern of the
+    # chunk, in one stacked is_psd call
+    sim = sys.modules["xover.simulate"]
+    stacks, checks = [], []
+    against_plan, is_psd = sim.against_plan, sim.is_psd
+
+    def recording_plan(design, rows):
+        out = against_plan(design, rows)
+        stacks.append(len(out[0]))
+        return out
+
+    def recording_psd(m, tol=1e-9):
+        checks.append(m.shape)
+        return is_psd(m, tol)
+
+    monkeypatch.setattr(sim, "against_plan", recording_plan)
+    monkeypatch.setattr(sim, "is_psd", recording_psd)
+    # 20 replicates of 30 * 2 uniforms: one default chunk, or two of 10
+    if chunks == 2:
+        monkeypatch.setattr(sim, "_CHUNK_UNIFORMS", 600)
+    d = williams_pair(15)
+    result = simulate(d, DropoutModel(2, (0.2, 0.2)), 20, seed=1)
+    assert result.ordering_violations == 0
+    assert len(stacks) == len(checks) == chunks
+    assert checks == [(2 * (b - 2), d.t, d.t) for b in stacks]
+
+
 def test_readme_python_api_runs():
     # the README's API examples share one namespace, as a reader runs them
     readme = (Path(__file__).parents[1] / "README.md").read_text()
