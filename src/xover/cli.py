@@ -32,6 +32,7 @@ from .designs import (
     CrossoverDesign,
     _classify,
     _is_type_wm,
+    _short_int,
     check_tail,
     parse_design,
     parse_pattern,
@@ -348,7 +349,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         check_seed(args.seed)
         check_tail(design, args.m)
     if args.n < 1:
-        raise _ArgumentError(f"--n must be >= 1, got {args.n}")
+        raise _ArgumentError(f"--n must be >= 1, got {_short_int(args.n)}")
     result = simulate(design, model, n=args.n, seed=args.seed)
     report: dict[str, Any] = {
         "command": "simulate",

@@ -271,10 +271,26 @@ def incidences(
     )
 
 
+# An integer argument of more digits than this is shown shortened in an
+# error message; a 64-bit seed has at most 20.
+_SHOWN_DIGITS = 20
+
+
+def _short_int(v: int) -> str:
+    """An integer as an error message shows it: whole up to _SHOWN_DIGITS
+    digits, else its first _SHOWN_DIGITS characters and its digit count,
+    so a message naming a command-line integer stays one short line."""
+    text = str(v)
+    digits = len(text) - (v < 0)
+    if digits <= _SHOWN_DIGITS:
+        return text
+    return f"{text[:_SHOWN_DIGITS]}... ({digits} digits)"
+
+
 def check_tail(design: CrossoverDesign, m: int) -> None:
     """Reject a tail length m outside 1..p-2."""
     if not 1 <= m < design.p - 1:
-        raise ValueError(f"m={m} out of range 1..{design.p - 2}")
+        raise ValueError(f"m={_short_int(m)} out of range 1..{design.p - 2}")
 
 
 def truncation(design: CrossoverDesign, m: int) -> DropoutPattern:

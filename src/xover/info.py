@@ -17,8 +17,11 @@ sweeping out subjects and periods:
   cell indicators is formed from exact integer counts,
   G = X'X - sum_k M_k / k (X'X over the observed cells, M_k the sum of
   a_i a_i' over the subjects completing k periods, a_i their column
-  sums); the period and carryover blocks are then swept out as stacked
-  Schur complements (stacked matmul and eigh).  Every verdict of the
+  sums).  Dropout is monotone, so the period block is diagonal on fixed
+  Helmert contrasts with integer eigenvalues, the numbers of subjects
+  observed in each period, and is swept out in closed form; the
+  carryover block is then swept out as a stacked Schur complement
+  (stacked matmul and eigh).  Every verdict of the
   library reaches it through metrics.against_plan, which stacks the plan
   in front of the patterns it judges.  direct_info_pattern and
   joint_info_projection are its B = 1 calls, the public single-matrix
@@ -37,6 +40,7 @@ information when a single period is lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -50,8 +54,8 @@ from .designs import (
 from .linalg import moore_penrose, schur_complement, symmetrize
 
 # Byte budget of each per-chunk temporary of direct_info_patterns: a batch
-# is evaluated in chunks of rows whose (rows, s, d) and (rows, d, d) float
-# arrays fit in it, at least one row per chunk.  128 KiB keeps every such
+# is evaluated in chunks of rows whose (rows, max(s, d), d) float arrays
+# fit in it, at least one row per chunk.  128 KiB keeps every such
 # temporary under glibc's default 128 KiB mmap threshold, so it is reused
 # from the heap instead of being mapped and faulted in afresh; budgets of
 # 256 KiB to 4 MiB measured slower on simulate of williams_pair(15).
@@ -138,6 +142,17 @@ def _cells(design: CrossoverDesign) -> np.ndarray:
     return x
 
 
+@cache
+def _helmert(p: int) -> np.ndarray:
+    """(p, p-1) orthonormal Helmert contrasts of p periods: column j-1
+    holds j ones, then -j, then zeros, scaled by 1/sqrt(j(j+1))."""
+    j = np.arange(1, p)
+    rows = np.arange(p)[:, None]
+    h = np.where(rows < j, 1.0, np.where(rows == j, -j, 0)) / np.sqrt(j * (j + 1))
+    h.flags.writeable = False
+    return h
+
+
 def _joint_stack(x: np.ndarray, ks: np.ndarray, t: int) -> np.ndarray:
     """(B, 2t, 2t) joint information of the completion rows ks.
 
@@ -148,24 +163,39 @@ def _joint_stack(x: np.ndarray, ks: np.ndarray, t: int) -> np.ndarray:
     the BLAS blocking; the only roundings are the divisions and
     subtractions, in ascending k.  A k absent from a row subtracts an
     all-zero M_k, which leaves its bits unchanged, so every row comes
-    out the same in any batch.  The period block is then swept out.
+    out the same in any batch.  Only the 2t direct and carryover rows
+    of the Gram matrix are formed.
+
+    The period block is swept out in closed form.  Dropout is monotone,
+    so it equals sum_i (I - J/k_i) on each subject's first k_i periods;
+    Helmert contrast j (of _helmert) lies in the span of the first j+1
+    periods and sums to zero there, so that block maps it to n_j times
+    itself, n_j the number of subjects observed in period j+1.  The
+    constant direction has eigenvalue 0 and the period columns of every
+    centred row sum to 0, so it drops out, and the sweep is
+    G_TT - W diag(1/n) W' with W = G_TP H, a zero count taking a zero
+    reciprocal: an exact rank, with no threshold.
     """
     b, (p, s, d) = len(ks), x.shape
     k0 = int(ks.min())
     head = x[:k0]  # the periods every row observes
     flat = head.reshape(-1, d)
-    gram = np.repeat((flat.T @ flat)[None], b, axis=0)
+    gram = np.repeat((flat[:, : 2 * t].T @ flat)[None], b, axis=0)
     a = np.repeat(head.sum(axis=0)[None], b, axis=0)
     for j in range(k0, p):
         w = x[j] * (j < ks)[..., None]
-        gram += np.swapaxes(w, 1, 2) @ w
+        gram += np.swapaxes(w[..., : 2 * t], 1, 2) @ w
         a += w
     for k in np.unique(ks):
         ak = a * (ks == k)[..., None]
-        m_k = np.swapaxes(ak, 1, 2) @ ak
+        m_k = np.swapaxes(ak[..., : 2 * t], 1, 2) @ ak
         m_k /= k
         gram -= m_k
-    return schur_complement(gram, 2 * t)
+    n = np.count_nonzero(ks[:, :, None] >= np.arange(2, p + 1), axis=1)
+    inv = np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
+    w = gram[..., 2 * t :] @ _helmert(p)
+    swept = (w * inv[:, None, :]) @ np.swapaxes(w, 1, 2)
+    return symmetrize(gram[..., : 2 * t] - swept)
 
 
 def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
@@ -198,10 +228,11 @@ def joint_info_projection(
 
     Works on any staircase layout: each subject contributes a prefix of
     periods.  Subject effects are removed by within-subject centering;
-    the period block is then swept out with a Moore-Penrose solve, which
-    also absorbs the intercept confounding between the two nuisance
-    blocks without dropping columns.  This is the B = 1 call of the
-    stage that direct_info_patterns runs on whole batches.
+    the period block is then swept out in closed form on Helmert
+    contrasts (see _joint_stack), which also drops the intercept
+    confounding between the two nuisance blocks without dropping
+    columns.  This is the B = 1 call of the stage that
+    direct_info_patterns runs on whole batches.
     """
     t = design.t
     c = _joint_stack(_cells(design), _one_row(design, pattern), t)[0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
-from .designs import check_tail, truncation
+from .designs import _short_int, check_tail, truncation
 from .linalg import is_psd
 from .metrics import against_plan
 
@@ -37,10 +37,12 @@ ORDER_TOL = 1e-9
 # of the Philox rounds at 128 KiB whatever the design's size.
 _CHUNK_UNIFORMS = 1 << 16
 
-# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# Philox4x64-10 multipliers, as a column for the (c0, c2) rows, and Weyl
+# key increments (Salmon et al., SC'11).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK32 = np.uint64(0xFFFFFFFF)
+_M_LO, _M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _U64 = 1 << 64
 
 
@@ -54,10 +56,10 @@ class DropoutModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hazards", tuple(float(h) for h in self.hazards))
         if self.m < 1:
-            raise ValueError(f"requires m >= 1, got m={self.m}")
+            raise ValueError(f"requires m >= 1, got m={_short_int(self.m)}")
         if len(self.hazards) != self.m:
             raise ValueError(
-                f"expected {self.m} hazards, got {len(self.hazards)}"
+                f"expected {_short_int(self.m)} hazards, got {len(self.hazards)}"
             )
         if any(not 0.0 <= h <= 1.0 for h in self.hazards):
             raise ValueError(f"hazards must lie in [0, 1]: {list(self.hazards)}")
@@ -88,14 +90,30 @@ class ExactDistribution:
     p_disconnect: float
 
 
-def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a*x, by 32-bit halves."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    x_lo, x_hi = x & _MASK32, x >> 32
-    ll, lh, hl = x_lo * a_lo, x_lo * a_hi, x_hi * a_lo
-    mid = (ll >> 32) + (lh & _MASK32) + (hl & _MASK32)
-    hi = x_hi * a_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
-    return hi, x * np.uint64(a)
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _PHILOX_M * x, row by
+    row, by 32-bit halves.  The high words overwrite x.
+
+    With x = x_hi 2**32 + x_lo and a likewise, the partial sums
+    x_hi a_lo + (x_lo a_lo >> 32) and (that & mask) + x_lo a_hi stay
+    below 2**64, so no carry is lost.
+    """
+    lo = x * _PHILOX_M
+    x_lo = x & _MASK32
+    x >>= 32
+    t = x_lo * _M_LO
+    t >>= 32
+    w = x * _M_LO
+    t += w
+    np.bitwise_and(t, _MASK32, out=w)
+    t >>= 32
+    x_lo *= _M_HI
+    w += x_lo
+    w >>= 32
+    x *= _M_HI
+    x += t
+    x += w
+    return x, lo
 
 
 def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
@@ -103,28 +121,33 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
 
     rs holds uint64 replicate indices.  Row i equals
     ``Generator(Philox(key=[seed, rs[i]])).random(k)`` bit for bit:
-    blocks use counters 1..ceil(k/4) in the low word, and every round
-    of all streams runs as a handful of uint64 array ops.
+    blocks use counters 1..ceil(k/4) in the low word.  The words are
+    held as x = (c0, c2) and y = (c1, c3), so every round of all streams
+    is one _mulhilo pass over both multipliers and a few in-place uint64
+    array ops: x, y = (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1), (lo1, lo0).
     """
     blocks = -(-k // 4)
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rs.size)
-    c1 = c2 = c3 = np.zeros_like(c0)
+    x = np.zeros((2, rs.size * blocks), dtype=np.uint64)
+    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rs.size)
+    y = np.zeros_like(x)
     k0, k1 = int(seed), np.repeat(rs, blocks)
     for rnd in range(10):
         if rnd:
             k0 = (k0 + _PHILOX_W[0]) % _U64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=1).reshape(rs.size, 4 * blocks)
+            k1 += np.uint64(_PHILOX_W[1])
+        hi, lo = _mulhilo(x)
+        x = np.bitwise_xor(hi[::-1], y, out=y)
+        x[0] ^= np.uint64(k0)
+        x[1] ^= k1
+        y = lo[::-1]
+    words = np.stack((x[0], y[0], x[1], y[1]), axis=1).reshape(rs.size, 4 * blocks)
     return (words[:, :k] >> 11).astype(np.float64) * 2.0**-53
 
 
 def check_seed(seed: int) -> None:
     """Reject seeds that are not a 64-bit Philox key word."""
     if not 0 <= seed < _U64:
-        raise ValueError(f"seed must lie in 0..{_U64 - 1}, got {seed}")
+        raise ValueError(f"seed must lie in 0..{_U64 - 1}, got {_short_int(seed)}")
 
 
 def simulate(
@@ -149,7 +172,7 @@ def simulate(
     """
     require_ubrmd(design)
     if n < 1:
-        raise ValueError(f"requires n >= 1, got n={n}")
+        raise ValueError(f"requires n >= 1, got n={_short_int(n)}")
     tail = truncation(design, model.m).completion
     check_seed(seed)
     s, p, m = design.s, design.p, model.m
@@ -177,7 +200,7 @@ def simulate(
         disconnected[start:stop] = chunk_disconnected[2:][inverse]
         ordering_ok[start:stop] = ok[inverse]
     qs = (0.5, 0.9, 0.99)
-    quantiles = tuple((q, float(np.quantile(losses, q))) for q in qs)
+    quantiles = tuple(zip(qs, np.quantile(losses, qs).tolist()))
     return SimulationResult(
         replicates=n,
         mean_loss=float(losses.mean()),

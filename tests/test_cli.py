@@ -371,6 +371,49 @@ def test_bounds_range_error_names_no_digits(capsys, t, m, message):
     assert len(captured.err.encode()) < 120
 
 
+LONG = "1" + "0" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["simulate", "--hazards", "0.1", "--m", LONG],
+            "expected 10000000000000000000... (3001 digits) hazards, got 1",
+        ),
+        (
+            ["simulate", "--hazards", "0.1", "--m", "-" + LONG],
+            "requires m >= 1, got m=-1000000000000000000... (3001 digits)",
+        ),
+        (
+            ["simulate", "--hazards", "0.1", "--seed", LONG],
+            "seed must lie in 0..18446744073709551615, got "
+            "10000000000000000000... (3001 digits)",
+        ),
+        (
+            ["simulate", "--hazards", "0.1", "--n", "-" + LONG],
+            "--n must be >= 1, got -1000000000000000000... (3001 digits)",
+        ),
+        (
+            ["evaluate", "--truncate", LONG],
+            "m=10000000000000000000... (3001 digits) out of range 1..3",
+        ),
+        (
+            ["evaluate", "--truncate", "-" + LONG],
+            "m=-1000000000000000000... (3001 digits) out of range 1..3",
+        ),
+    ],
+    ids=["m", "m-negative", "seed", "n-negative", "truncate", "truncate-negative"],
+)
+def test_long_integer_argument_error_is_one_short_line(tmp_path, capsys, argv, message):
+    f = _write(tmp_path, "p5.txt", williams_pair(5))
+    assert main([argv[0], f, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert len(captured.err.encode()) < 120
+
+
 @pytest.mark.parametrize("t", [10_001, 200_000, 10**100])
 def test_bounds_class_t_limit(capsys, t):
     assert main(["bounds", "--t", str(t), "--class", "A"]) == 2

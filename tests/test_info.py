@@ -27,7 +27,7 @@ from xover.info import (
     residual_info,
     residual_info_minimal_m1,
 )
-from xover.linalg import eigensym, is_psd, moore_penrose
+from xover.linalg import eigensym, is_psd, moore_penrose, schur_complement
 from xover.metrics import a_criteria, a_criterion
 
 info_module = sys.modules["xover.info"]
@@ -192,6 +192,52 @@ def test_batched_engine_rejects_bad_rows():
     with pytest.raises(ValueError, match="must be integers"):
         direct_info_patterns(d, [[4.0, 4.0, 4.0, 4.0]])
     assert direct_info_patterns(d, np.zeros((0, 4), dtype=int)).shape == (0, 4, 4)
+
+
+def _centred_gram(x, completion):
+    """Full d x d Gram matrix of the subject-centred cell rows."""
+    gram = np.zeros((x.shape[2],) * 2)
+    for i, k in enumerate(completion):
+        z = x[:k, i] - x[:k, i].mean(axis=0)
+        gram += z.T @ z
+    return gram
+
+
+@pytest.mark.parametrize(
+    "design",
+    [fixture("d3plan"), williams_pair(7), extreme_design(4)],
+    ids=["d3plan", "pair7", "extreme4"],
+)
+def test_closed_form_period_sweep_matches_schur_reference(design):
+    # ragged rows with k = 1 subjects, and rows in which nobody reaches
+    # the last periods, against the sweep of the full Gram matrix by eigh
+    t, p = design.t, design.p
+    x = info_module._cells(design)
+    rng = np.random.default_rng(20071020)
+    ks = rng.integers(1, p + 1, (30, design.s))
+    ks[0] = 1
+    ks[1, 0] = 1
+    ks[2:10] = np.minimum(ks[2:10], p - 2)
+    got = info_module._joint_stack(x, ks, t)
+    for b, row in enumerate(ks):
+        gram = _centred_gram(x, row)
+        want = schur_complement(gram, 2 * t)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(gram)))
+        assert np.max(np.abs(got[b] - want)) <= tol, b
+
+
+def test_helmert_basis_diagonalizes_period_block():
+    p = 5
+    h = info_module._helmert(p)
+    assert h.shape == (p, p - 1)
+    np.testing.assert_allclose(h.T @ h, np.eye(p - 1), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(h.T @ np.ones(p), 0.0, rtol=0, atol=1e-15)
+    # period block of completions 1, 2, 3, 2, 3: nobody reaches periods 4, 5
+    x = np.zeros((p, 5, p))
+    x[np.arange(p), :, np.arange(p)] = 1.0
+    g_pp = _centred_gram(x, (1, 2, 3, 2, 3))
+    n = [4, 2, 0, 0]  # subjects observed in periods 2, 3, 4, 5
+    np.testing.assert_allclose(h.T @ g_pp @ h, np.diag(n), rtol=0, atol=1e-14)
 
 
 def test_orthogonal_d3plan_complete_symmetric():

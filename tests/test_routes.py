@@ -235,6 +235,32 @@ def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
     assert checks == [(2 * (b - 2), d.t, d.t) for b in stacks]
 
 
+def test_engine_chunk_makes_one_eigh_and_one_schur_call(monkeypatch):
+    # the period block is swept in closed form; only the carryover sweep
+    # of the chunk's stack takes a stacked eigh
+    info = sys.modules["xover.info"]
+    eighs, schurs = [], []
+    eigh, schur = np.linalg.eigh, info.schur_complement
+
+    def recording_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def recording_schur(m, k):
+        schurs.append((m.shape, k))
+        return schur(m, k)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(info, "schur_complement", recording_schur)
+    d = williams_pair(15)
+    ks = np.full((8, d.s), d.p)
+    ks[1:, :4] = d.p - 2
+    monkeypatch.setattr(info, "_CHUNK_BYTES", 1 << 30)  # one chunk
+    assert info.direct_info_patterns(d, ks).shape == (8, d.t, d.t)
+    assert eighs == [(8, d.t, d.t)]
+    assert schurs == [((8, 2 * d.t, 2 * d.t), d.t)]
+
+
 def test_readme_python_api_runs():
     # the README's API examples share one namespace, as a reader runs them
     readme = (Path(__file__).parents[1] / "README.md").read_text()
