@@ -32,11 +32,11 @@ from .designs import (
     CrossoverDesign,
     _classify,
     _is_type_wm,
+    _pattern_row,
     _short_int,
+    _short_token,
     check_tail,
     parse_design,
-    parse_pattern,
-    truncation,
     validate_ubrmd,
     write_design,
 )
@@ -53,7 +53,7 @@ from .metrics import (
     extreme_ml,
     uml,
 )
-from .simulate import DropoutModel, check_seed, simulate
+from .simulate import MAX_N, DropoutModel, check_seed, simulate
 
 TABLE1_T = (5, 6, 7, 8, 9, 10)
 TABLE2_T = (8, 9, 10, 11, 12, 16)
@@ -221,14 +221,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "ubrmd": validation.ok,
         "classification": _classify(design) if validation.ok else "not-UBRMD",
     }
-    rows: list[tuple[int, ...]] = []
+    # the (B, s) completion rows evaluated against the plan, B = 0 or 1
+    rows = np.empty((0, design.s), dtype=np.int64)
     if args.pattern is not None:
-        pattern = parse_pattern(_read(args.pattern))
-        pattern.check_against(design)
-        rows.append(pattern.completion)
+        rows = _pattern_row(_read(args.pattern), design)[None]
     elif args.truncate is not None:
         m = args.truncate
-        rows.append(truncation(design, m).completion)
+        rows = np.full((1, design.s), design.p - m)
         report["m"] = m
     _, crit, losses, disconnected = against_plan(design, rows)
     report.update(_spectrum_block(crit, len(rows)))
@@ -350,6 +349,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         check_tail(design, args.m)
     if args.n < 1:
         raise _ArgumentError(f"--n must be >= 1, got {_short_int(args.n)}")
+    if args.n > MAX_N:
+        raise _ArgumentError(f"--n must be <= {MAX_N}, got {_short_int(args.n)}")
     result = simulate(design, model, n=args.n, seed=args.seed)
     report: dict[str, Any] = {
         "command": "simulate",
@@ -377,6 +378,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """The argparse type of every integer option: int, with a text it
+    refuses echoed short (designs._short_token), so that argparse's
+    error line stays short."""
+    try:
+        return int(text)
+    except ValueError:
+        message = f"invalid int value: {_short_token(text)}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
+def _table_number(text: str) -> int:
+    """The argparse type of tables --table: 1, 2 or 3, a larger integer
+    echoed short."""
+    n = _integer(text)
+    if n not in (1, 2, 3):
+        message = f"invalid choice: {_short_int(n)} (choose from 1, 2, 3)"
+        raise argparse.ArgumentTypeError(message)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xover",
@@ -386,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_con = sub.add_parser("construct", help="build a design and write it out")
-    p_con.add_argument("--williams", type=int, metavar="T")
-    p_con.add_argument("--pair", type=int, metavar="T")
-    p_con.add_argument("--extreme", type=int, metavar="T")
+    p_con.add_argument("--williams", type=_integer, metavar="T")
+    p_con.add_argument("--pair", type=_integer, metavar="T")
+    p_con.add_argument("--extreme", type=_integer, metavar="T")
     p_con.add_argument(
         "--fixture", action="append", metavar="NAME", help=", ".join(con.FIXTURE_NAMES)
     )
@@ -398,36 +420,36 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="combine all sources (and any design files given here)",
     )
-    p_con.add_argument("--reps", type=int, metavar="K")
+    p_con.add_argument("--reps", type=_integer, metavar="K")
     p_con.add_argument("-o", "--output", metavar="PATH")
 
     p_eval = sub.add_parser("evaluate", help="information metrics for a design file")
     p_eval.add_argument("design", metavar="FILE")
     group = p_eval.add_mutually_exclusive_group()
-    group.add_argument("--truncate", type=int, metavar="M")
+    group.add_argument("--truncate", type=_integer, metavar="M")
     group.add_argument("--pattern", metavar="FILE")
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.add_argument("-o", "--output", metavar="PATH")
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds for one (t, m)")
-    p_bounds.add_argument("--t", type=int, required=True)
-    p_bounds.add_argument("--m", type=int, default=1)
+    p_bounds.add_argument("--t", type=_integer, required=True)
+    p_bounds.add_argument("--m", type=_integer, default=1)
     p_bounds.add_argument("--type-w", dest="type_w", action="store_true")
     p_bounds.add_argument("--class", dest="klass", choices=("A", "B"))
     p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
     p_bounds.add_argument("-o", "--output", metavar="PATH")
 
     p_tab = sub.add_parser("tables", help="regenerate the bound tables")
-    p_tab.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
+    p_tab.add_argument("--table", type=_table_number, metavar="{1,2,3}", required=True)
     p_tab.add_argument("--format", choices=("json", "csv"), default="json")
     p_tab.add_argument("-o", "--output", metavar="PATH")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo dropout simulation")
     p_sim.add_argument("design", metavar="FILE")
-    p_sim.add_argument("--m", type=int, default=1)
+    p_sim.add_argument("--m", type=_integer, default=1)
     p_sim.add_argument("--hazards", required=True, metavar="H1,..,HM")
-    p_sim.add_argument("--n", type=int, default=10000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--n", type=_integer, default=10000)
+    p_sim.add_argument("--seed", type=_integer, default=0)
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     p_sim.add_argument("-o", "--output", metavar="PATH")
     return parser

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .designs import CrossoverDesign
+from .designs import CrossoverDesign, _short_int
 
 # Reference layouts, stored exactly as printed.  d1plan is a 3x6 pair of
 # squares, d2plan the 4x4 Williams square, d3plan a 5x10 pair, and the
@@ -56,6 +56,10 @@ _FIXTURES: dict[str, list[list[int]]] = {
 
 FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 
+# The largest t of williams_square and williams_pair: their layouts hold
+# t*t and 2t*t entries (16 MB for the pair at this t).
+MAX_WILLIAMS_T = 1000
+
 
 def _square_grouping(s: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(b * t, (b + 1) * t)) for b in range(s // t))
@@ -75,13 +79,16 @@ def williams_base_column(t: int) -> list[int]:
 
 
 def williams_square(t: int) -> CrossoverDesign:
-    """A t x t sequentially counterbalanced Latin square, even t >= 4.
+    """A t x t sequentially counterbalanced Latin square, even 4 <= t <= 1000.
 
     Column j is the cyclic shift by j of the zigzag base column; the
     result is uniform-balanced with g = 1.
     """
-    if t % 2 != 0 or t < 4:
-        raise ValueError(f"williams_square requires even t >= 4, got t={t}")
+    if t % 2 != 0 or not 4 <= t <= MAX_WILLIAMS_T:
+        raise ValueError(
+            f"williams_square requires even t with 4 <= t <= {MAX_WILLIAMS_T}, "
+            f"got t={_short_int(t)}"
+        )
     base = np.array(williams_base_column(t))
     layout = (base[:, None] + np.arange(t)[None, :]) % t
     return CrossoverDesign(
@@ -90,13 +97,16 @@ def williams_square(t: int) -> CrossoverDesign:
 
 
 def williams_pair(t: int) -> CrossoverDesign:
-    """A t x 2t design from a square and its period reversal, odd t >= 3.
+    """A t x 2t design from a square and its period reversal, odd 3 <= t <= 999.
 
     For odd t a single square cannot balance the precedence counts;
     adjoining the period-reversed square restores balance with g = 2.
     """
-    if t % 2 != 1 or t < 3:
-        raise ValueError(f"williams_pair requires odd t >= 3, got t={t}")
+    if t % 2 != 1 or not 3 <= t <= MAX_WILLIAMS_T:
+        raise ValueError(
+            f"williams_pair requires odd t with 3 <= t <= {MAX_WILLIAMS_T}, "
+            f"got t={_short_int(t)}"
+        )
     base = (1 - np.array(williams_base_column(t))) % t
     first = (base[:, None] + np.arange(t)[None, :]) % t
     layout = np.hstack([first, first[::-1, :]])
@@ -112,7 +122,9 @@ def extreme_design(t: int) -> CrossoverDesign:
     3 <= t <= 8 to keep the column count (t!) within reason.
     """
     if not 3 <= t <= 8:
-        raise ValueError(f"extreme_design requires 3 <= t <= 8, got t={t}")
+        raise ValueError(
+            f"extreme_design requires 3 <= t <= 8, got t={_short_int(t)}"
+        )
     cols = np.array(list(itertools.permutations(range(t))), dtype=int)
     return CrossoverDesign(t=t, p=t, s=cols.shape[0], layout=cols.T)
 
@@ -149,7 +161,7 @@ def union(designs: list[CrossoverDesign] | tuple[CrossoverDesign, ...]) -> Cross
 def replicate(design: CrossoverDesign, reps: int) -> CrossoverDesign:
     """Union of ``reps`` copies of one design."""
     if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+        raise ValueError(f"reps must be >= 1, got {_short_int(reps)}")
     return union([design] * reps)
 
 

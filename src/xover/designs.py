@@ -16,9 +16,9 @@ completion periods.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -73,13 +73,22 @@ class CrossoverDesign:
         """The grouping, defaulting to contiguous runs of t subjects."""
         if self.grouping is not None:
             return self.grouping
-        if self.s % self.t != 0:
+        return tuple(map(tuple, self._block_index.tolist()))
+
+    @functools.cached_property
+    def _block_index(self) -> np.ndarray:
+        """blocks() as a read-only (g, t) array, row l holding block l's
+        subjects; built once per design."""
+        if self.grouping is not None:
+            index = np.array(self.grouping)
+        elif self.s % self.t != 0:
             raise ValueError(
                 f"no grouping given and s={self.s} is not a multiple of t={self.t}"
             )
-        return tuple(
-            tuple(range(b * self.t, (b + 1) * self.t)) for b in range(self.s // self.t)
-        )
+        else:
+            index = np.arange(self.s).reshape(-1, self.t)
+        index.setflags(write=False)
+        return index
 
 
 @dataclass(frozen=True)
@@ -92,16 +101,24 @@ class DropoutPattern:
         object.__setattr__(
             self, "completion", tuple(int(k) for k in self.completion)
         )
-        if any(k < 1 for k in self.completion):
-            raise ValueError("every subject must complete at least period 1")
+        _check_completion(np.asarray(self.completion))
 
     def check_against(self, design: CrossoverDesign) -> None:
-        if len(self.completion) != design.s:
-            raise ValueError(
-                f"pattern length {len(self.completion)} does not match s={design.s}"
-            )
-        if any(k > design.p for k in self.completion):
-            raise ValueError(f"completion period exceeds p={design.p}")
+        _check_completion(np.asarray(self.completion), design)
+
+
+def _check_completion(row: np.ndarray, design: CrossoverDesign | None = None) -> None:
+    """Raise the first fault of a row of completion periods: a period
+    below 1, then, against a design, a length other than s or a period
+    above p.  The one place that words these faults."""
+    if row.size and row.min() < 1:
+        raise ValueError("every subject must complete at least period 1")
+    if design is None:
+        return
+    if row.size != design.s:
+        raise ValueError(f"pattern length {row.size} does not match s={design.s}")
+    if row.size and row.max() > design.p:
+        raise ValueError(f"completion period exceeds p={design.p}")
 
 
 @dataclass(frozen=True)
@@ -359,7 +376,7 @@ def _tail_cycles(
     some tail period, since the maps then are not permutations.
     """
     t, p = design.t, design.p
-    tail = design.layout[p - 1 - np.arange(m + 1)][:, np.array(design.blocks())]
+    tail = design.layout[p - 1 - np.arange(m + 1)][:, design._block_index]
     counts = _counts(tail, t)
     if (counts != 1).any():
         return tail, counts, None
@@ -402,7 +419,7 @@ def _classify(design: CrossoverDesign) -> str:
     are the copy's times the number of copies.
     """
     t, p = design.t, design.p
-    squares = design.layout[:, np.array(design.blocks())]  # (p, g, t)
+    squares = design.layout[:, design._block_index]  # (p, g, t)
     g = squares.shape[1]
     # the maps from period p to period p-1 of the first two blocks
     tails = _pairs(squares[p - 1, :2], squares[p - 2, :2], t)
@@ -439,12 +456,35 @@ def _classify(design: CrossoverDesign) -> str:
 # int() refuses more than 4300 of them.
 _MAX_DIGITS = 18
 _DIGITS = re.compile(r"([+-]?)0*(\d+)")
-# A line whose tokens all read as numpy reads them: 1 to _MAX_DIGITS ASCII
-# digits each, joined by single spaces.  Every repetition starts with the
-# one space, so a match never backtracks more than _MAX_DIGITS characters.
-_PLAIN_LINE = re.compile(
-    rf"[0-9]{{1,{_MAX_DIGITS}}}(?: [0-9]{{1,{_MAX_DIGITS}}})*", re.ASCII
-)
+# Deletes every character of a plain text (see _plain_ints).
+_PLAIN_CHARS = str.maketrans("", "", "0123456789 \n")
+
+
+def _plain_ints(text: str, below: int) -> np.ndarray | None:
+    """The integers of a plain text, read by numpy in one call.
+
+    A plain text holds ASCII digits, spaces and newlines only, and at
+    least one digit.  The result is None for any other text, and when
+    some value is not below the given bound (at most 10**_MAX_DIGITS).
+    numpy reads a run of more than _MAX_DIGITS significant digits as
+    2**63-1 (strtoll saturates), so every value it returns is exact and
+    is the value _int_token gives its token.
+    """
+    if not text.isascii() or text.translate(_PLAIN_CHARS):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if not values.size or values.max() >= below:
+        return None
+    return values
+
+
+def _short_token(tok: str) -> str:
+    """A token as an error message echoes it: its repr, or for more than
+    _MAX_DIGITS characters the repr of its first _MAX_DIGITS and its
+    length, so the message stays one short line."""
+    if len(tok) > _MAX_DIGITS:
+        return f"{tok[:_MAX_DIGITS]!r}... ({len(tok)} characters)"
+    return repr(tok)
 
 
 def _int_token(tok: str, where: str, *at: object) -> int:
@@ -453,8 +493,8 @@ def _int_token(tok: str, where: str, *at: object) -> int:
     The error message starts with where.format(*at), built only on error.
     An integer of more than _MAX_DIGITS digits reads as +-10**_MAX_DIGITS:
     every range check fails on it as on its true value, and a message that
-    names it stays one short line.  A longer non-integer token is echoed
-    as its first _MAX_DIGITS characters and its length.
+    names it stays one short line.  A non-integer token is echoed by
+    _short_token.
     """
     match = len(tok) > _MAX_DIGITS and _DIGITS.fullmatch(tok)
     if match:
@@ -465,10 +505,9 @@ def _int_token(tok: str, where: str, *at: object) -> int:
     try:
         return int(tok)
     except ValueError:
-        shown = repr(tok)
-        if len(tok) > _MAX_DIGITS:
-            shown = f"{tok[:_MAX_DIGITS]!r}... ({len(tok)} characters)"
-        raise ValueError(f"{where.format(*at)}{shown} is not an integer") from None
+        raise ValueError(
+            f"{where.format(*at)}{_short_token(tok)} is not an integer"
+        ) from None
 
 
 def write_design(design: CrossoverDesign) -> str:
@@ -485,12 +524,13 @@ def write_design(design: CrossoverDesign) -> str:
 def parse_design(text: str) -> CrossoverDesign:
     """Parse the versioned text format, naming line and column on errors.
 
-    A layout line of plain digit tokens (see _PLAIN_LINE) is converted by
-    numpy in one call and range-checked at once.  Any other line goes
-    through _int_token a token at a time, which alone decides what an odd
-    token (a sign, leading zeros, underscores, non-ASCII digits, more than
-    _MAX_DIGITS digits) means and words its error.  Both give the same
-    values and the same first error of a line.
+    A layout in the form write_design writes (lines of digit tokens
+    joined by single spaces, blank lines and any line ending allowed) is
+    converted in one _plain_ints call.  Any other layout, and any layout
+    with an error, goes through _layout_rows a token at a time, which
+    alone decides what an odd token (a sign, leading zeros, underscores,
+    non-ASCII digits, more than _MAX_DIGITS digits) means and words the
+    first error.  Both give the same layout.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != TEXT_FORMAT_HEADER:
@@ -518,48 +558,68 @@ def parse_design(text: str) -> CrossoverDesign:
     body = [ln for ln in lines[2:] if ln.strip() != ""]
     if len(body) != p:
         raise ValueError(f"expected {p} layout lines, found {len(body)}")
-    # stack the checked rows at the end: s comes from the file, and sizes
-    # no array before a line has shown s entries
-    layout: list[np.ndarray] = []
+    # a line of only digits and spaces holds at most count(" ") + 1 tokens:
+    # if that is s on every line and the body holds p*s, each line holds s
+    values = None
+    if all(ln.count(" ") + 1 == s for ln in body):
+        values = _plain_ints("\n".join(body), t)
+    if values is None or values.size != p * s:
+        return CrossoverDesign(t=t, p=p, s=s, layout=_layout_rows(body, t, s))
+    return CrossoverDesign(t=t, p=p, s=s, layout=values.reshape(p, s))
+
+
+def _layout_rows(body: list[str], t: int, s: int) -> np.ndarray:
+    """The layout lines read a token at a time, raising the first error.
+
+    Each line is checked for s entries before its tokens are read, and
+    each entry's range before the next token is read, so s (from the
+    file) sizes no array before a line has shown s entries.
+    """
+    layout: list[list[int]] = []
     for j, ln in enumerate(body):
         toks = ln.split()
         if len(toks) != s:
             raise ValueError(f"line {j + 3}: expected {s} entries, found {len(toks)}")
-        if _PLAIN_LINE.fullmatch(" ".join(toks)):
-            row = np.array(toks, dtype=np.int64)
-            bad = np.flatnonzero(row >= t)
-            if bad.size:
-                _out_of_range(j + 3, int(bad[0]) + 1, int(row[bad[0]]), t)
-        else:
-            values = []
-            for i, tok in enumerate(toks):
-                v = _int_token(tok, "line {}, column {}: ", j + 3, i + 1)
-                if not 0 <= v < t:
-                    _out_of_range(j + 3, i + 1, v, t)
-                values.append(v)
-            row = np.array(values, dtype=np.int64)
+        row = []
+        for i, tok in enumerate(toks):
+            v = _int_token(tok, "line {}, column {}: ", j + 3, i + 1)
+            if not 0 <= v < t:
+                raise ValueError(
+                    f"line {j + 3}, column {i + 1}: "
+                    f"treatment {v} out of range 0..{t - 1}"
+                )
+            row.append(v)
         layout.append(row)
-    return CrossoverDesign(t=t, p=p, s=s, layout=np.array(layout))
+    return np.array(layout, dtype=np.int64)
 
 
-def _out_of_range(line: int, col: int, v: int, t: int) -> NoReturn:
-    raise ValueError(f"line {line}, column {col}: treatment {v} out of range 0..{t - 1}")
+def _pattern_row(text: str, design: CrossoverDesign | None = None) -> np.ndarray:
+    """A dropout pattern file as an int64 row of completion periods.
 
-
-def parse_pattern(text: str) -> DropoutPattern:
-    """Parse a dropout pattern file: one line of completion periods.
-
-    As in parse_design, a line of plain digit tokens is converted by numpy
-    in one call, and any other line by _int_token a token at a time.
+    The file holds one line of completion periods.  The faults are
+    raised in this order: a line count other than one, a token that is
+    not an integer, a period below 1, and, when a design is given, a
+    length other than its s and a period above its p.  A plain line (see
+    _plain_ints) is converted in one numpy call, any other line by
+    _int_token a token at a time.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) != 1:
         raise ValueError(f"expected one line of completion periods, found {len(lines)}")
-    toks = lines[0].split()
-    if _PLAIN_LINE.fullmatch(" ".join(toks)):
-        return DropoutPattern(tuple(np.array(toks, dtype=np.int64).tolist()))
-    return DropoutPattern(
-        tuple(
-            _int_token(tok, "line 1, column {}: ", i + 1) for i, tok in enumerate(toks)
+    row = _plain_ints(lines[0], 10**_MAX_DIGITS)
+    if row is None:
+        row = np.array(
+            [
+                _int_token(tok, "line 1, column {}: ", i + 1)
+                for i, tok in enumerate(lines[0].split())
+            ],
+            dtype=np.int64,
         )
-    )
+    _check_completion(row, design)
+    return row
+
+
+def parse_pattern(text: str) -> DropoutPattern:
+    """Parse a dropout pattern file: one line of completion periods (see
+    _pattern_row)."""
+    return DropoutPattern(tuple(_pattern_row(text).tolist()))

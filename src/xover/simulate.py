@@ -33,6 +33,9 @@ from .linalg import is_psd
 from .metrics import against_plan
 
 ORDER_TOL = 1e-9
+# The most replicates one call draws: simulate keeps three arrays of n
+# entries (100 MB at this n), and n sizes them before any is drawn.
+MAX_N = 10**7
 # Uniforms drawn per vectorized chunk: 2**16 keeps every uint64 temporary
 # of the Philox rounds at 128 KiB whatever the design's size.
 _CHUNK_UNIFORMS = 1 << 16
@@ -159,9 +162,10 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo distribution of precision loss under random dropout.
 
-    Deterministic for a fixed seed in 0..2**64-1: replicate r draws from
-    the Philox stream keyed by (seed, r), under the sampling contract of
-    the module docstring.  ordering_violations counts replicates where
+    n must lie in 1..MAX_N.  Deterministic for a fixed seed in
+    0..2**64-1: replicate r draws from the Philox stream keyed by
+    (seed, r), under the sampling contract of the module docstring.
+    ordering_violations counts replicates where
     the information matrices fail the expected sandwich (plan
     above implemented above truncated, as positive-semidefinite
     differences at tolerance 1e-9); a violation would falsify the
@@ -173,6 +177,8 @@ def simulate(
     require_ubrmd(design)
     if n < 1:
         raise ValueError(f"requires n >= 1, got n={_short_int(n)}")
+    if n > MAX_N:
+        raise ValueError(f"requires n <= {MAX_N}, got n={_short_int(n)}")
     tail = truncation(design, model.m).completion
     check_seed(seed)
     s, p, m = design.s, design.p, model.m

@@ -414,6 +414,143 @@ def test_long_integer_argument_error_is_one_short_line(tmp_path, capsys, argv, m
     assert len(captured.err.encode()) < 120
 
 
+SHORT = "10000000000000000000... (3001 digits)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["construct", "--williams", LONG],
+            f"williams_square requires even t with 4 <= t <= 1000, got t={SHORT}",
+        ),
+        (
+            ["construct", "--pair", LONG + "1"],
+            "williams_pair requires odd t with 3 <= t <= 1000, "
+            "got t=10000000000000000000... (3002 digits)",
+        ),
+        (
+            ["construct", "--extreme", LONG],
+            f"extreme_design requires 3 <= t <= 8, got t={SHORT}",
+        ),
+        (
+            ["construct", "--pair", "5", "--reps", "-" + LONG],
+            "reps must be >= 1, got -1000000000000000000... (3001 digits)",
+        ),
+        (["construct", "--williams", "1002"],
+         "williams_square requires even t with 4 <= t <= 1000, got t=1002"),
+        (["construct", "--pair", "1001"],
+         "williams_pair requires odd t with 3 <= t <= 1000, got t=1001"),
+    ],
+    ids=["williams", "pair", "extreme", "reps-negative", "williams-above", "pair-above"],
+)
+def test_construct_argument_error_is_one_short_line(capsys, argv, message):
+    # a T beyond the bound fails at once, before any list or layout is built
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["tables", "--table", LONG],
+            f"xover tables: error: argument --table: invalid choice: {SHORT} "
+            "(choose from 1, 2, 3)",
+        ),
+        (
+            ["tables", "--table", "4"],
+            "xover tables: error: argument --table: invalid choice: 4 "
+            "(choose from 1, 2, 3)",
+        ),
+        (
+            ["bounds", "--t", "1" + "0" * 5000],
+            "xover bounds: error: argument --t: invalid int value: "
+            "'100000000000000000'... (5001 characters)",
+        ),
+        (
+            ["simulate", "d.txt", "--hazards", "0.1", "--m", "1" + "0" * 5000],
+            "xover simulate: error: argument --m: invalid int value: "
+            "'100000000000000000'... (5001 characters)",
+        ),
+        (
+            ["construct", "--williams", "x"],
+            "xover construct: error: argument --williams: invalid int value: 'x'",
+        ),
+    ],
+    ids=["table-3001-digits", "table-4", "bounds-t-5001-digits", "simulate-m-5001-digits",
+         "williams-junk"],
+)
+def test_argparse_integer_error_is_one_short_line(argv, message):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as info, contextlib.redirect_stderr(err):
+        main(argv)
+    assert info.value.code == 2
+    lines = err.getvalue().splitlines()
+    assert lines[0].startswith("usage: xover ")
+    assert lines[-1] == message
+    assert all(len(line.encode()) < 200 for line in lines)
+
+
+def test_tables_usage_still_lists_its_choices():
+    err = io.StringIO()
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(err):
+        main(["tables"])
+    assert "--table {1,2,3}" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "n, shown",
+    [(10**7 + 1, "10000001"), (10**3000, SHORT)],
+    ids=["above", "3001-digits"],
+)
+def test_simulate_n_limit(tmp_path, capsys, n, shown):
+    # checked with the other arguments, before simulate sizes any array
+    f = _write(tmp_path, "p5.txt", williams_pair(5))
+    assert main(["simulate", f, "--hazards", "0.1", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n must be <= 10000000, got {shown}\n"
+
+
+# A pattern file with two faults reports the first in the order: line
+# count, non-integer, period below 1, length, period above p.  The
+# messages are those of the per-token reader before the array reader.
+BELOW_1 = "every subject must complete at least period 1"
+LINES = "expected one line of completion periods, found "
+PATTERN_FAULTS = {
+    "junk-then-zero": ("5 x 0 5 5 5 5 5 5 5", "line 1, column 2: 'x' is not an integer"),
+    "zero-then-junk": ("0 5 5 5 5 5 5 5 5 x", "line 1, column 10: 'x' is not an integer"),
+    "zero-and-short": ("0 5 5", BELOW_1),
+    "zero-and-long": ("5 5 5 5 5 5 5 5 5 5 0", BELOW_1),
+    "high-and-short": ("6 5 5", "pattern length 3 does not match s=10"),
+    "zero-then-high": ("0 5 5 5 5 5 5 5 5 6", BELOW_1),
+    "high-then-zero": ("6 5 5 5 5 5 5 5 5 0", BELOW_1),
+    "two-lines-and-zero": ("5 5 5 5 5\n0 5 5 5 5", LINES + "2"),
+    "two-lines-and-junk": ("x 5 5 5 5\n5 5 5 5 5", LINES + "2"),
+    "huge-and-short": ("1" + "0" * 22 + " 5 5", "pattern length 3 does not match s=10"),
+    "negative-huge-and-high": ("-" + "9" * 5000 + " 6 5 5 5 5 5 5 5 5", BELOW_1),
+    "junk-and-long": ("5 5 5 5 5 5 5 5 5 5 5_x", "line 1, column 11: '5_x' is not an integer"),
+    "tabs-zero-and-high": ("5\t0 5 5 5 5 5 5 5 7", BELOW_1),
+    "empty": ("\n", LINES + "0"),
+}
+
+
+@pytest.mark.parametrize("name", PATTERN_FAULTS)
+def test_pattern_fault_precedence(tmp_path, capsys, name):
+    text, message = PATTERN_FAULTS[name]
+    f = _write(tmp_path, "d.txt", fixture("d3plan"))
+    pat = tmp_path / "pattern.txt"
+    pat.write_text(text + "\n")
+    assert main(["evaluate", f, "--pattern", str(pat)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("t", [10_001, 200_000, 10**100])
 def test_bounds_class_t_limit(capsys, t):
     assert main(["bounds", "--t", str(t), "--class", "A"]) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xover.construct import (
+    MAX_WILLIAMS_T,
     extreme_design,
     fixture,
     relabel,
@@ -57,6 +58,28 @@ def test_williams_pair_odd_range():
         d = williams_pair(t)
         assert d.g == 2
         assert validate_ubrmd(d).ok
+
+
+def test_williams_t_limit():
+    assert williams_square(MAX_WILLIAMS_T).s == 1000
+    assert williams_pair(MAX_WILLIAMS_T - 1).s == 1998
+    for build, t, rule in (
+        (williams_square, MAX_WILLIAMS_T + 2, "even t with 4"),
+        (williams_pair, MAX_WILLIAMS_T + 1, "odd t with 3"),
+    ):
+        with pytest.raises(ValueError) as info:
+            build(t)
+        assert str(info.value) == (
+            f"{build.__name__} requires {rule} <= t <= 1000, got t={t}"
+        )
+
+
+def test_williams_huge_t_fails_at_once():
+    # a 3000-digit t is refused before any list or layout of t entries
+    shown = r"<= 1000, got t=1\d{19}\.\.\. \(3000 digits\)$"
+    for build, t in ((williams_square, 10**2999), (williams_pair, 10**2999 + 1)):
+        with pytest.raises(ValueError, match=shown):
+            build(t)
 
 
 def test_williams_pair_classifies_class_b():

@@ -492,3 +492,122 @@ def test_plain_lines_never_reach_the_per_token_reader(monkeypatch):
         assert parse_pattern(" ".join(map(str, completion))).completion == completion
     # only the dimension values t, p and s go through it
     assert set(wheres) == {"line 2, token {}: {}="}
+
+
+def _outcome(read, text):
+    """What read(text) gives: its value, or the message it raised."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _both_readers(read, text):
+    """read(text) as parsed, and with the one-call reader switched off so
+    that every line goes through the per-token reader."""
+    fast = _outcome(read, text)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(designs, "_plain_ints", lambda text, below: None)
+        slow = _outcome(read, text)
+    return fast, slow
+
+
+def _same(a, b):
+    if isinstance(a, CrossoverDesign) and isinstance(b, CrossoverDesign):
+        return (a.t, a.p, a.s) == (b.t, b.p, b.s) and np.array_equal(a.layout, b.layout)
+    return a == b
+
+
+def _square12(edits=None, sep=" ", eol="\n"):
+    """williams_square(12) as text (t = 12: entries of one and two
+    digits), edits[j] applied to the tokens of layout row j, tokens
+    joined by sep and lines by eol."""
+    head, dims, *rows = write_design(williams_square(12)).splitlines()
+    rows = [r.split() for r in rows]
+    for j, edit in (edits or {}).items():
+        rows[j] = edit(rows[j])
+    return eol.join([head, dims] + [sep.join(r) for r in rows]) + eol
+
+
+def _put(*words, at=4):
+    """An edit writing words over the tokens from position at."""
+    return lambda toks: toks[:at] + list(words) + toks[at + len(words):]
+
+
+LAYOUT_CORPUS = {
+    "plain": _square12(),
+    "tabs": _square12(sep="\t"),
+    "crlf": _square12(eol="\r\n"),
+    "blank-lines": _square12().replace("\n0", "\n\n \n0").replace("\n1", "\n\t\n1"),
+    "double-spaces": _square12(sep="  "),
+    "trailing-space": _square12({3: lambda toks: toks[:-1] + [toks[-1] + " "]}),
+    "odd-tokens-one-line": _square12(
+        {0: _put("+3", "007", "1_0", "٣", "0" * 20 + "1", "11")}
+    ),
+    "19-digit-in-range": _square12({0: _put("0" * 18 + "5")}),
+    "19-digit-high": _square12({0: _put("1" * 19)}),
+    "19-digit-ten-to-18": _square12({0: _put("1" + "0" * 18)}),
+    "5000-digit-in-range": _square12({0: _put("0" * 4999 + "7")}),
+    "5000-digit-high": _square12({0: _put("1" + "0" * 4999)}),
+    "5000-digit-junk": _square12({0: _put("1" * 5000 + "x")}),
+    "negative": _square12({5: _put("-1")}),
+    "plus-zero": _square12({5: _put("+0", "-0")}),
+    "high": _square12({5: _put("12")}),
+    "short-line": _square12({2: lambda toks: toks[:-1]}),
+    "long-line": _square12({2: lambda toks: toks + ["0"]}),
+    "high-then-short": _square12({0: _put("12"), 2: lambda toks: toks[:-1]}),
+    "junk-then-high": _square12({0: _put("x", "99")}),
+    "arabic-then-high": _square12({0: _put("١٠", "12")}),
+    "vertical-tab": _square12(sep="\v"),
+    "form-feed-line": _square12().replace("\n0", "\f0", 1),
+    "empty-body": f"{TEXT_FORMAT_HEADER}\nt=0 p=0 s=0\n",
+    "empty-body-s": f"{TEXT_FORMAT_HEADER}\nt=0 p=0 s=3\n",
+    "extreme4": write_design(extreme_design(4)),
+    "d3plan-crlf-blank": write_design(fixture("d3plan")).replace("\n", "\r\n")
+    .replace("\r\n1", "\r\n\r\n1"),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_CORPUS)
+def test_layout_readers_agree(name):
+    fast, slow = _both_readers(parse_design, LAYOUT_CORPUS[name])
+    assert _same(fast, slow), (fast, slow)
+
+
+@pytest.mark.parametrize(
+    "name", ["plain", "crlf", "blank-lines", "extreme4", "d3plan-crlf-blank"]
+)
+def test_plain_layouts_take_one_call(monkeypatch, name):
+    def per_token(*args):
+        raise AssertionError("the per-token reader was called")
+
+    monkeypatch.setattr(designs, "_layout_rows", per_token)
+    assert isinstance(parse_design(LAYOUT_CORPUS[name]), CrossoverDesign)
+
+
+_TOKEN = st.sampled_from(
+    ["0", "3", "11", "12", "007", "+3", "-1", "1_0", "٣", "x", "0" * 19 + "4", "9" * 19]
+)
+_SEP = st.sampled_from([" ", "  ", "\t", " \t"])
+_EOL = st.sampled_from(["\n", "\r\n", "\n\n", "\n \n"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.lists(_TOKEN, min_size=2, max_size=4), min_size=2, max_size=3),
+    sep=_SEP,
+    eol=_EOL,
+)
+def test_layout_readers_agree_on_generated_bodies(rows, sep, eol):
+    body = eol.join(sep.join(r) for r in rows)
+    text = f"{TEXT_FORMAT_HEADER}\nt=12 p={len(rows)} s=3\n{body}\n"
+    fast, slow = _both_readers(parse_design, text)
+    assert _same(fast, slow), (fast, slow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(toks=st.lists(_TOKEN, min_size=1, max_size=5), sep=_SEP, eol=_EOL)
+def test_pattern_readers_agree(toks, sep, eol):
+    text = sep.join(toks) + eol
+    fast, slow = _both_readers(parse_pattern, text)
+    assert fast == slow

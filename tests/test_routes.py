@@ -6,6 +6,7 @@ joint_info_orthogonal, direct_info_complete) is kept only as an
 independent reference, and these tests use it as one.
 """
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -21,7 +22,13 @@ from xover.construct import (
     williams_pair,
     williams_square,
 )
-from xover.designs import CrossoverDesign, truncate, truncation, write_design
+from xover.designs import (
+    CrossoverDesign,
+    parse_pattern,
+    truncate,
+    truncation,
+    write_design,
+)
 from xover.info import direct_info_complete, direct_info_pattern
 from xover.metrics import a_criterion, implemented_loss, max_loss
 from xover.simulate import DropoutModel, enumerate_exact, simulate
@@ -125,6 +132,28 @@ def test_production_never_calls_the_single_matrix_api(monkeypatch, tmp_path, cap
         assert main(argv) == 0, capsys.readouterr().err
     with pytest.raises(AssertionError, match="B = 1"):
         sys.modules["xover.metrics"].a_criterion(direct_info_complete(d), d.t)
+
+
+def test_evaluate_carries_subjects_as_arrays(monkeypatch, tmp_path, capsys):
+    # the pattern reaches the engine as an int row and the blocks as one
+    # index array: no DropoutPattern and no tuple per block or subject
+    def _objects(*args, **kwargs):
+        raise AssertionError("a per-subject object was built")
+
+    for name, module in list(sys.modules.items()):
+        if name == "xover" or name.startswith("xover."):
+            if hasattr(module, "DropoutPattern"):
+                monkeypatch.setattr(module, "DropoutPattern", _objects)
+    monkeypatch.setattr(CrossoverDesign, "blocks", _objects)
+    d = extreme_design(6)
+    for argv in _evaluate_argvs(tmp_path, d):
+        assert main(argv) == 0, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["classification"] == "UBRMD"
+    # the patches are live: the tuple API itself now fails
+    with pytest.raises(AssertionError, match="per-subject"):
+        parse_pattern("6 5 6\n")
+    with pytest.raises(AssertionError, match="per-subject"):
+        d.blocks()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,13 @@ from xover.construct import fixture, replicate, williams_pair, williams_square
 from xover.designs import CrossoverDesign
 from xover.info import direct_info_pattern
 from xover.metrics import a_criterion, implemented_loss, max_loss
-from xover.simulate import DropoutModel, DropoutPattern, enumerate_exact, simulate
+from xover.simulate import (
+    MAX_N,
+    DropoutModel,
+    DropoutPattern,
+    enumerate_exact,
+    simulate,
+)
 
 # the package re-exports the function simulate under the submodule's name
 sim_module = sys.modules["xover.simulate"]
@@ -108,6 +114,18 @@ def test_simulate_argument_errors():
     broken = CrossoverDesign(t=3, p=3, s=3, layout=np.zeros((3, 3), dtype=int))
     with pytest.raises(ValueError, match="not uniform-balanced"):
         simulate(broken, DropoutModel(1, (0.5,)), 10)
+
+
+def test_n_limit():
+    # rejected before any array of n entries is sized
+    d = williams_pair(5)
+    for n, shown in (
+        (MAX_N + 1, "10000001"),
+        (10**40, "10000000000000000000... (41 digits)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            simulate(d, DropoutModel(1, (0.5,)), n)
+        assert str(info.value) == f"requires n <= 10000000, got n={shown}"
 
 
 def test_seed_range():
