@@ -59,6 +59,10 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 # The largest t of williams_square and williams_pair: their layouts hold
 # t*t and 2t*t entries (16 MB for the pair at this t).
 MAX_WILLIAMS_T = 1000
+# The most subjects replicate builds: its layout, grouping and design text
+# all grow with reps * s, and 10**5 subjects still hold two copies of
+# extreme_design(8).
+MAX_REPLICATE_S = 10**5
 
 
 def _square_grouping(s: int, t: int) -> tuple[tuple[int, ...], ...]:
@@ -159,9 +163,15 @@ def union(designs: list[CrossoverDesign] | tuple[CrossoverDesign, ...]) -> Cross
 
 
 def replicate(design: CrossoverDesign, reps: int) -> CrossoverDesign:
-    """Union of ``reps`` copies of one design."""
+    """Union of ``reps`` copies of one design, at most MAX_REPLICATE_S
+    subjects in all."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {_short_int(reps)}")
+    if reps * design.s > MAX_REPLICATE_S:
+        raise ValueError(
+            f"replicate allows at most {MAX_REPLICATE_S} subjects, "
+            f"got reps={_short_int(reps)} copies of s={design.s}"
+        )
     return union([design] * reps)
 
 

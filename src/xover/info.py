@@ -54,11 +54,13 @@ from .designs import (
 from .linalg import moore_penrose, schur_complement, symmetrize
 
 # Byte budget of each per-chunk temporary of direct_info_patterns: a batch
-# is evaluated in chunks of rows whose (rows, max(s, d), d) float arrays
-# fit in it, at least one row per chunk.  128 KiB keeps every such
-# temporary under glibc's default 128 KiB mmap threshold, so it is reused
-# from the heap instead of being mapped and faulted in afresh; budgets of
-# 256 KiB to 4 MiB measured slower on simulate of williams_pair(15).
+# is evaluated in chunks of rows whose float arrays fit in it, at least one
+# row per chunk.  The largest are the masked cell rows and subject sums,
+# (rows, s, d), and the 2t Gram rows, (rows, 2t, d).  128 KiB keeps every
+# such temporary under glibc's default 128 KiB mmap threshold, so it is
+# reused from the heap instead of being mapped and faulted in afresh;
+# budgets of 256 KiB to 4 MiB measured slower on simulate of
+# williams_pair(15).
 _CHUNK_BYTES = 1 << 17
 
 
@@ -213,7 +215,7 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     t = design.t
     x = _cells(design)
     d = x.shape[2]
-    step = max(1, _CHUNK_BYTES // (8 * d * max(design.s, d)))
+    step = max(1, _CHUNK_BYTES // (8 * d * max(design.s, 2 * t)))
     out = np.empty((len(ks), t, t))
     for start in range(0, len(ks), step):
         chunk = ks[start : start + step]

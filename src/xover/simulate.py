@@ -15,10 +15,14 @@ top 53 bits of a word times 2**-53, exactly as
 replicate's s*m uniforms are read as an s x m array in row-major order,
 and subject i stops before period p-m+j+1 at the first j whose uniform
 falls below h_{j+1}.  The seed must lie in 0..2**64-1.  Replicates are
-drawn in vectorized chunks.  Each chunk's distinct completion patterns
-go through metrics.against_plan in one stack behind the plan and the
-truncation, so results are bit-identical for a fixed seed regardless of
-chunking or evaluation order.
+drawn in vectorized chunks.  A chunk's completion rows are deduplicated
+on packed integer keys, and its distinct patterns go through
+metrics.against_plan in one stack behind the plan and the truncation,
+so results are bit-identical for a fixed seed regardless of chunking or
+evaluation order.  The information ordering plan >= pattern >=
+truncation is certified from the spectra that stack already has
+(_loewner_certified); only the differences the certificate leaves open
+take an eigenvalue computation of their own.
 """
 
 from __future__ import annotations
@@ -153,6 +157,112 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in 0..{_U64 - 1}, got {_short_int(seed)}")
 
 
+def _distinct_completions(
+    u: np.ndarray, hazards: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct completion rows of a chunk's (n, s, m) uniforms, and the
+    index of each replicate's row among them.
+
+    A subject's digit is the number of periods it loses: m - j for the
+    first j whose uniform falls below hazards[j], 0 when none does.  It
+    takes m boolean passes, latest j first, so the earliest j wins.  Digits
+    lie in 0..m and take bits = m.bit_length() bits each, so a row packs
+    into ceil(s / per) uint64 words of per = min(s, 64 // bits) digits.
+    One word is deduplicated by np.unique on uint64, more words through a
+    void view of the row's words.  Distinct rows come back in key order.
+    """
+    n, s, m = u.shape
+    bits = m.bit_length()
+    per = min(s, 64 // bits)
+    words = -(-s // per)
+    digits = np.zeros((n, words * per), dtype=np.uint64)
+    for j in range(m - 1, -1, -1):
+        np.copyto(digits[:, :s], m - j, where=u[..., j] < hazards[j])
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(bits)
+    # the digits' bit fields are disjoint, so the integer product sums
+    # them without a carry
+    keys = digits.reshape(n, words, per) @ (np.uint64(1) << shifts)
+    if words > 1:
+        keys = keys.view(np.dtype((np.void, 8 * words)))
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    fields = distinct.view(np.uint64).reshape(-1, words, 1) >> shifts
+    fields &= np.uint64((1 << bits) - 1)
+    rows = p - fields.reshape(len(distinct), -1)[:, :s].astype(np.intp)
+    return rows, inverse.ravel()
+
+
+def _loewner_certified(
+    vals: np.ndarray, rho: np.ndarray, upper: np.ndarray, lower: np.ndarray
+) -> np.ndarray:
+    """Which pairs A = upper, B = lower of a stack are certified A >= B.
+
+    vals holds the ascending eigenvalues that eigvalsh computed for each
+    (t, t) matrix of the stack, rho the row-sum residuals |X 1| / sqrt(t);
+    upper and lower index pairs of it.  A pair is certified when
+
+        |lam_1(A)| <= delta_A,
+        lam_2(A) - lam_max(B) >= -ORDER_TOL + 4 delta_A + 2 delta_B,
+        delta_A + delta_B <= ORDER_TOL,
+
+    with delta_X = 8 t eps max|lam(X)| + 2 rho_X, lam the computed
+    eigenvalues.  A certified pair passes is_psd(A - B, ORDER_TOL).
+
+    Proof.  Take eigvalsh on a symmetric n x n matrix X to be accurate
+    within E(X) = 4 n eps |X|_2 (LAPACK's backward-stable bound, with a
+    factor 4n where its guide's estimate takes 1), so
+    E(X) <= 4.04 t eps max|lam(X)| <= delta_X.  Let u be the unit
+    constant vector, P = I - uu' and X' = PXP.  In a basis {u, u-perp}, X - X' is
+    [[u'r, (Pr)'], [Pr, 0]] with r = Xu, of norm at most
+    |u'r| + |Pr| <= sqrt(2) rho_X, so by Weyl every eigenvalue of X' lies
+    within e_X = E(X) + sqrt(2) rho_X <= delta_X of the computed one.
+    X' maps u to 0, so its spectrum is 0 together with that of X' on
+    u-perp.  Let mu be the smallest eigenvalue of A' on u-perp.  If
+    mu >= 0, it is the second eigenvalue of A', so mu >= lam_2(A) - e_A.
+    If mu < 0, it is the first, so mu >= lam_1(A) - e_A >= -delta_A - e_A,
+    and the second eigenvalue of A' is the smaller of 0 and the next one
+    on u-perp, so lam_2(A) <= e_A; either way mu >= lam_2(A) - 3 delta_A.  On u-perp,
+    v'B'v = v'Bv <= lam_max(B) + E(B).  A' - B' vanishes on u and has no
+    cross terms with it, so its smallest eigenvalue is at least
+    min(0, mu - lam_max(B) - E(B)) >= min(0, L - 3 delta_A - delta_B),
+    L = lam_2(A) - lam_max(B).  Then A - B = (A' - B') + (A - A') -
+    (B - B') loses at most sqrt(2) (rho_A + rho_B).  is_psd rounds the
+    subtraction (error at most eps sqrt(t) |A - B|_2 in norm; A and B
+    are exactly symmetric, so symmetrize keeps the difference) and runs
+    eigvalsh (error E), together at most 5.1 t eps (max|lam(A)| +
+    max|lam(B)|), so the computed smallest eigenvalue is at least
+    min(0, L - 3 delta_A - delta_B) - (delta_A + delta_B).  The second
+    and third conditions put that at -ORDER_TOL or above.
+    """
+    t = vals.shape[-1]
+    delta = 8 * t * np.finfo(float).eps * np.abs(vals[:, [0, -1]]).max(axis=1)
+    delta += 2 * rho
+    da, db = delta[upper], delta[lower]
+    return (
+        (np.abs(vals[upper, 0]) <= da)
+        & (vals[upper, 1] - vals[lower, -1] >= -ORDER_TOL + 4 * da + 2 * db)
+        & (da + db <= ORDER_TOL)
+    )
+
+
+def _ordering_ok(c: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Whether plan >= pattern >= truncation holds for each pattern of an
+    against_plan stack: plan at row 0, truncation at row 1, patterns
+    after, vals their computed spectra.  The two halves of every
+    pattern's sandwich are certified by _loewner_certified where it can;
+    the differences it leaves open go through one stacked is_psd.
+    """
+    d = len(c) - 2
+    patterns = np.arange(2, d + 2)
+    upper = np.concatenate([np.zeros(d, dtype=np.intp), patterns])
+    lower = np.concatenate([patterns, np.ones(d, dtype=np.intp)])
+    rho = np.linalg.norm(c.sum(axis=-1), axis=-1) / np.sqrt(c.shape[-1])
+    ok = _loewner_certified(vals, rho, upper, lower)
+    left = ~ok
+    if left.any():
+        ok[left] = is_psd(c[upper[left]] - c[lower[left]], ORDER_TOL)
+    return ok[:d] & ok[d:]
+
+
 def simulate(
     design: CrossoverDesign,
     model: DropoutModel,
@@ -170,16 +280,19 @@ def simulate(
     above implemented above truncated, as positive-semidefinite
     differences at tolerance 1e-9); a violation would falsify the
     worst-case analysis, so it is surfaced prominently.  Each chunk
-    checks both halves of the sandwich for all its distinct patterns in
-    one stacked is_psd call on their 2 * (B - 2) differences, B the rows
-    of its against_plan stack.
+    deduplicates its completion rows on packed integer keys
+    (_distinct_completions) and evaluates the distinct ones in one
+    against_plan stack.  Both halves of the sandwich are certified from
+    that stack's spectra by Weyl's inequality (_loewner_certified), and
+    the differences left open go through at most one stacked is_psd
+    call, which gives the same verdict as is_psd on every difference.
     """
     require_ubrmd(design)
     if n < 1:
         raise ValueError(f"requires n >= 1, got n={_short_int(n)}")
     if n > MAX_N:
         raise ValueError(f"requires n <= {MAX_N}, got n={_short_int(n)}")
-    tail = truncation(design, model.m).completion
+    tail = np.array([truncation(design, model.m).completion])
     check_seed(seed)
     s, p, m = design.s, design.p, model.m
     hazards = np.array(model.hazards)
@@ -190,18 +303,12 @@ def simulate(
     for start in range(0, n, step):
         stop = min(n, start + step)
         rs = np.arange(start, stop, dtype=np.uint64)
-        fired = _philox_uniforms(seed, rs, s * m).reshape(-1, s, m) < hazards
-        rows = np.where(fired.any(axis=2), p - m + fired.argmax(axis=2), p)
-        # one void scalar per row: np.unique(axis=0) sorts a structured
-        # dtype field by field, about ten times slower on a 2000 x 10 chunk
-        keys = rows.view(np.dtype((np.void, rows.itemsize * s))).ravel()
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        c, _, chunk_losses, chunk_disconnected = against_plan(
-            design, [tail, *distinct.view(rows.dtype).reshape(-1, s)]
+        u = _philox_uniforms(seed, rs, s * m).reshape(-1, s, m)
+        distinct, inverse = _distinct_completions(u, hazards, p)
+        c, crit, chunk_losses, chunk_disconnected = against_plan(
+            design, np.concatenate([tail, distinct])
         )
-        # plan minus each pattern, then each pattern minus the truncation
-        ok = is_psd(np.concatenate([c[0] - c[2:], c[2:] - c[1]]), ORDER_TOL)
-        ok = ok[: len(distinct)] & ok[len(distinct) :]
+        ok = _ordering_ok(c, crit.eigenvalues)
         losses[start:stop] = chunk_losses[2:][inverse]
         disconnected[start:stop] = chunk_disconnected[2:][inverse]
         ordering_ok[start:stop] = ok[inverse]

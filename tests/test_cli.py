@@ -441,11 +441,18 @@ SHORT = "10000000000000000000... (3001 digits)"
          "williams_square requires even t with 4 <= t <= 1000, got t=1002"),
         (["construct", "--pair", "1001"],
          "williams_pair requires odd t with 3 <= t <= 1000, got t=1001"),
+        (["construct", "--pair", "5", "--reps", "9999999999"],
+         "replicate allows at most 100000 subjects, "
+         "got reps=9999999999 copies of s=10"),
     ],
-    ids=["williams", "pair", "extreme", "reps-negative", "williams-above", "pair-above"],
+    ids=[
+        "williams", "pair", "extreme", "reps-negative", "williams-above",
+        "pair-above", "reps-above",
+    ],
 )
 def test_construct_argument_error_is_one_short_line(capsys, argv, message):
-    # a T beyond the bound fails at once, before any list or layout is built
+    # a T or K beyond the bound fails at once, before any list or layout
+    # is built
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xover.construct import (
+    MAX_REPLICATE_S,
     MAX_WILLIAMS_T,
     extreme_design,
     fixture,
@@ -155,6 +156,19 @@ def test_replicate():
     np.testing.assert_array_equal(r.layout[:, :4], r.layout[:, 4:])
     with pytest.raises(ValueError, match=">= 1"):
         replicate(fixture("d2plan"), 0)
+
+
+def test_replicate_subject_limit():
+    pair = williams_pair(5)
+    assert replicate(pair, MAX_REPLICATE_S // 10).s == MAX_REPLICATE_S
+    for reps, shown in ((MAX_REPLICATE_S // 10 + 1, "10001"), (10**3000, None)):
+        with pytest.raises(ValueError) as info:
+            replicate(pair, reps)
+        shown = shown or "10000000000000000000... (3001 digits)"
+        assert str(info.value) == (
+            f"replicate allows at most 100000 subjects, got reps={shown} "
+            "copies of s=10"
+        )
 
 
 def test_relabel_identity_and_inverse():

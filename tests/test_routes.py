@@ -237,19 +237,20 @@ def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys)
 
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
-    # both halves of the sandwich, for every distinct pattern of the
-    # chunk, in one stacked is_psd call
+    # at most one stacked is_psd call per chunk, on exactly the
+    # differences the spectral certificate leaves open: plan minus each
+    # pattern, then each pattern minus the truncation, in stack order
     sim = sys.modules["xover.simulate"]
-    stacks, checks = [], []
+    events = []
     against_plan, is_psd = sim.against_plan, sim.is_psd
 
     def recording_plan(design, rows):
         out = against_plan(design, rows)
-        stacks.append(len(out[0]))
+        events.append(("plan", out))
         return out
 
     def recording_psd(m, tol=1e-9):
-        checks.append(m.shape)
+        events.append(("psd", m))
         return is_psd(m, tol)
 
     monkeypatch.setattr(sim, "against_plan", recording_plan)
@@ -260,8 +261,28 @@ def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
     d = williams_pair(15)
     result = simulate(d, DropoutModel(2, (0.2, 0.2)), 20, seed=1)
     assert result.ordering_violations == 0
-    assert len(stacks) == len(checks) == chunks
-    assert checks == [(2 * (b - 2), d.t, d.t) for b in stacks]
+    assert [kind for kind, _ in events if kind == "plan"] == ["plan"] * chunks
+    checked = 0
+    for k, (kind, out) in enumerate(events):
+        if kind != "plan":
+            continue
+        c, crit = out[:2]
+        checks = [m for kind, m in events[k + 1 : k + 3] if kind == "psd"]
+        b = len(c) - 2
+        upper = np.r_[np.zeros(b, dtype=int), np.arange(2, b + 2)]
+        lower = np.r_[np.arange(2, b + 2), np.ones(b, dtype=int)]
+        rho = np.sqrt((c.sum(axis=2) ** 2).sum(axis=1) / d.t)
+        left = ~sim._loewner_certified(crit.eigenvalues, rho, upper, lower)
+        if not left.any():
+            assert checks == []
+            continue
+        assert len(checks) == 1
+        assert np.array_equal(checks[0], c[upper[left]] - c[lower[left]])
+        checked += 1
+    # seed 1 leaves some pattern-minus-truncation differences open in
+    # every chunk, so the single check is exercised
+    assert checked == chunks
+    assert [kind for kind, _ in events].count("psd") == checked
 
 
 def test_engine_chunk_makes_one_eigh_and_one_schur_call(monkeypatch):

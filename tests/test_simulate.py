@@ -1,14 +1,24 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
-from xover.construct import fixture, replicate, williams_pair, williams_square
+from xover.construct import (
+    FIXTURE_NAMES,
+    extreme_design,
+    fixture,
+    replicate,
+    williams_pair,
+    williams_square,
+)
 from xover.designs import CrossoverDesign
 from xover.info import direct_info_pattern
-from xover.metrics import a_criterion, implemented_loss, max_loss
+from xover.linalg import is_psd
+from xover.metrics import a_criterion, against_plan, implemented_loss, max_loss
 from xover.simulate import (
     MAX_N,
+    ORDER_TOL,
     DropoutModel,
     DropoutPattern,
     enumerate_exact,
@@ -271,3 +281,158 @@ def test_monte_carlo_agrees_with_enumeration():
 def test_pattern_type_reexported():
     # the module works with the same pattern type the info layer uses
     assert DropoutPattern((5, 5, 4, 4, 5, 5, 4, 4, 5, 5)).completion[2] == 4
+
+
+# the certificate corpus: every fixture and a spread of generated designs
+CORPUS = [fixture(name) for name in FIXTURE_NAMES] + [
+    williams_pair(5),
+    williams_pair(7),
+    williams_pair(15),
+    williams_square(4),
+    williams_square(6),
+    extreme_design(4),
+    extreme_design(5),
+]
+# the last two force dropout in the first tail period, the truncation
+# itself, which disconnects d1plan and d2plan
+HAZARDS = ((0.1, 0.1, 0.1), (0.5, 0.3, 0.6), (1.0, 0.5, 0.5), (1.0, 1.0, 1.0))
+
+
+def _sandwich_by_is_psd(c):
+    """Both halves of every pattern's sandwich, each by its own is_psd."""
+    return np.array(
+        [is_psd(c[0] - c[b], ORDER_TOL) and is_psd(c[b] - c[1], ORDER_TOL)
+         for b in range(2, len(c))],
+        dtype=bool,
+    )
+
+
+def _stack_for(design, m, hazards, n, seed):
+    u = sim_module._philox_uniforms(
+        seed, np.arange(n, dtype=np.uint64), design.s * m
+    ).reshape(n, design.s, m)
+    rows, inverse = sim_module._distinct_completions(
+        u, np.array(hazards[:m]), design.p
+    )
+    tail = np.full((1, design.s), design.p - m)
+    return against_plan(design, np.concatenate([tail, rows])), inverse
+
+
+def test_ordering_certificate_matches_is_psd_on_corpus():
+    certified = pairs = 0
+    for design in CORPUS:
+        for m in range(1, min(3, design.p - 2) + 1):
+            for k, hazards in enumerate(HAZARDS):
+                (c, crit, _, _), inverse = _stack_for(design, m, hazards, 30, k)
+                expected = _sandwich_by_is_psd(c)
+                got = sim_module._ordering_ok(c, crit.eigenvalues)
+                assert np.array_equal(got, expected), (design.s, m, hazards)
+                result = simulate(design, DropoutModel(m, hazards[:m]), 30, seed=k)
+                assert result.ordering_violations == int((~expected[inverse]).sum())
+                b = len(c) - 2
+                upper = np.r_[np.zeros(b, dtype=int), np.arange(2, b + 2)]
+                lower = np.r_[np.arange(2, b + 2), np.ones(b, dtype=int)]
+                rho = np.linalg.norm(c.sum(axis=2), axis=1) / np.sqrt(design.t)
+                ok = sim_module._loewner_certified(
+                    crit.eigenvalues, rho, upper, lower
+                )
+                # a certified difference is one is_psd passes
+                assert is_psd(c[upper[ok]] - c[lower[ok]], ORDER_TOL).all()
+                certified += int(ok.sum())
+                pairs += ok.size
+    # the certificate settles most differences by itself
+    assert certified > pairs // 2
+
+
+def _near_tolerance_stack(design, lows):
+    """Plan, truncation and three patterns per entry x of lows, each
+    with the plan minus it having smallest eigenvalue -x."""
+    (c, _, _, _), _ = _stack_for(design, 1, (1.0,), 1, 0)
+    plan, tail = c[0], c[1]
+    t = design.t
+    ones = np.ones(t) / np.sqrt(t)
+    v = np.zeros(t)
+    v[:2] = (1.0, -1.0)
+    v /= np.linalg.norm(v)
+    vv, coupled = np.outer(v, v), np.outer(ones, v) + np.outer(v, ones)
+    beta = 0.45 * ORDER_TOL
+    patterns = []
+    for x in lows:
+        # above the plan along a contrast v; coupling the constant
+        # direction to v, which keeps lam_2(plan) - lam_max(pattern)
+        # near 0; and both, with a row-sum residual small enough for the
+        # certificate to weigh it: on (1, v) the plan minus the last is
+        # -[[0, beta], [beta, y]], with y = (x^2 - beta^2) / x
+        for bump in (x * vv, x * coupled, (x * x - beta * beta) / x * vv + beta * coupled):
+            b = plan + bump
+            patterns.append((b + b.T) / 2)
+    return np.stack([plan, tail, *patterns])
+
+
+@pytest.mark.parametrize(
+    "design", [fixture("d3plan"), williams_pair(15), extreme_design(4)],
+    ids=["d3plan", "pair15", "extreme4"],
+)
+def test_ordering_certificate_near_tolerance(design):
+    steps = np.arange(-4, 5) * 2.5e-13
+    c = _near_tolerance_stack(design, ORDER_TOL + steps)
+    low = np.linalg.eigvalsh(c[0] - c[2:])[:, 0]
+    assert np.abs(low + ORDER_TOL).max() <= 1e-12 + 1e-15
+    assert (low < -ORDER_TOL).any() and (low >= -ORDER_TOL).any()
+    vals = np.linalg.eigvalsh(c)
+    assert np.array_equal(sim_module._ordering_ok(c, vals), _sandwich_by_is_psd(c))
+
+
+def test_real_violation_is_counted(monkeypatch):
+    # the first distinct pattern of the chunk replaced by the plan pushed
+    # 1e-6 above itself along a contrast
+    against = sim_module.against_plan
+    first = []
+
+    def raised(design, rows):
+        c, crit, losses, disconnected = against(design, rows)
+        v = np.zeros(design.t)
+        v[:2] = (1.0, -1.0)
+        c = c.copy()
+        c[2] = c[0] + 1e-6 * np.outer(v, v) / 2
+        first.append(np.asarray(rows)[1])
+        crit = dataclasses.replace(crit, eigenvalues=np.linalg.eigvalsh(c))
+        return c, crit, losses, disconnected
+
+    monkeypatch.setattr(sim_module, "against_plan", raised)
+    d = williams_pair(5)
+    model = DropoutModel(1, (0.3,))
+    r = simulate(d, model, 50, seed=4)
+    (row,) = first
+    u = sim_module._philox_uniforms(4, np.arange(50, dtype=np.uint64), d.s)
+    hits = int(((u < 0.3) == (row < d.p)).all(axis=1).sum())
+    assert hits >= 1
+    assert r.ordering_violations == hits
+
+
+def _void_key_rows(u, hazards, p):
+    """Completion rows and their dedupe by one void key per row."""
+    n, s, m = u.shape
+    fired = u < hazards
+    rows = np.where(fired.any(axis=2), p - m + fired.argmax(axis=2), p)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * s))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return rows, distinct.view(rows.dtype).reshape(-1, s), inverse.ravel()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 32, 33, 63, 64, 65, 720])
+def test_packed_keys_match_void_keys(m, s):
+    # one to four bits a digit put the word edges at 64, 32 and 21 digits
+    p = m + 2
+    rng = np.random.default_rng(1000 * m + s)
+    for n, hazard in ((300, 0.3 / s), (200, 0.5)):
+        u = rng.random((n, s, m))
+        hazards = np.full(m, hazard)
+        rows, ref, ref_inverse = _void_key_rows(u, hazards, p)
+        got, inverse = sim_module._distinct_completions(u, hazards, p)
+        assert got.dtype == np.intp and inverse.shape == (n,)
+        assert np.array_equal(got[inverse], rows)
+        assert np.array_equal(ref[ref_inverse], rows)
+        assert len(got) == len(ref)
+        assert sorted(map(tuple, got)) == sorted(map(tuple, ref))
