@@ -45,13 +45,9 @@ from .metrics import (
     _class_ab_losses,
     against_plan,
     bounds_report,
-    class_ab_ml,
     class_ab_spectrum,
-    efficiency_bounds,
     efficiency_lower_bound,
-    el_ab,
     extreme_ml,
-    uml,
 )
 from .simulate import MAX_N, DropoutModel, check_seed, simulate
 
@@ -239,11 +235,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report["bounds_applicable"] = applicable
         if applicable:
             report["type_w"] = _is_type_wm(design, m)
-            el, el_star = efficiency_bounds(design.t, m)
-            report["uml"] = uml(design.t, m, star=False)
-            report["uml_star"] = uml(design.t, m, star=True)
-            report["el"] = el
-            report["el_star"] = el_star
+            b = bounds_report(design.t, m)
+            report.update(uml=b.uml, uml_star=b.uml_star, el=b.el, el_star=b.el_star)
             if not disconnected[1] and design.g is not None:
                 report["eff_lower_bound"] = efficiency_lower_bound(
                     crit.trace_mp[1], design.t, m, design.g
@@ -282,31 +275,23 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _table_grid(which: int) -> dict[str, Any]:
-    if which == 1:
-        ts, m = TABLE1_T, 1
+    """Table 1 or 2, the bounds of one bounds_report per t, or table 3,
+    the exact losses of one _class_ab_losses call per (t, class)."""
+    if which == 3:
+        ts, klasses = zip(*TABLE3)
+        out = {"table": 3, "m": 1, "t": list(ts), "class": list(klasses)}
+        ml, el = zip(*(_class_ab_losses(t, k) for t, k in TABLE3))
+        rows = {"ML": list(ml), "EL_AB": list(el)}
     else:
-        ts, m = TABLE2_T, 2
-    if which in (1, 2):
+        ts, m = (TABLE1_T, 1) if which == 1 else (TABLE2_T, 2)
+        out = {"table": which, "m": m, "t": list(ts)}
+        bounds = [bounds_report(t, m) for t in ts]
         rows = {
-            "UML": [uml(t, m, star=False) for t in ts],
-            "UML_star": [uml(t, m, star=True) for t in ts],
-            "EL": [efficiency_bounds(t, m)[0] for t in ts],
-            "EL_star": [efficiency_bounds(t, m)[1] for t in ts],
+            "UML": [b.uml for b in bounds],
+            "UML_star": [b.uml_star for b in bounds],
+            "EL": [b.el for b in bounds],
+            "EL_star": [b.el_star for b in bounds],
         }
-        header = {"table": which, "m": m, "t": list(ts)}
-    else:
-        ts = tuple(t for t, _ in TABLE3)
-        rows = {
-            "ML": [class_ab_ml(t, k) for t, k in TABLE3],
-            "EL_AB": [el_ab(t, k) for t, k in TABLE3],
-        }
-        header = {
-            "table": 3,
-            "m": 1,
-            "t": list(ts),
-            "class": [k for _, k in TABLE3],
-        }
-    out = dict(header)
     out["rows"] = {
         name: {
             "value": values,

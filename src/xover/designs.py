@@ -7,17 +7,18 @@ layout into period incidence matrices, builds the coincidence matrices
 between tail periods, counts all treatment/subject/period/carryover
 incidences (optionally under subject dropout), and classifies designs
 by the cycle structure of their tail permutations.  Every balance,
-coincidence and classification verdict counts treatments through one
-of two bincount helpers: _counts (per row of any stack of rows) and
-_pairs (per pair of rows).  Designs are read from and written to a
-versioned text format, and dropout patterns are read from one line of
-completion periods.
+coincidence and classification verdict, and every count of
+incidences, counts treatments through one of two bincount helpers:
+_counts (per row of any stack of rows) and _pairs (per pair of rows).
+Designs are read from and written to a versioned text format, and
+dropout patterns are read from one line of completion periods.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,15 +109,16 @@ class DropoutPattern:
 
 
 def _check_completion(row: np.ndarray, design: CrossoverDesign | None = None) -> None:
-    """Raise the first fault of a row of completion periods: a period
-    below 1, then, against a design, a length other than s or a period
-    above p.  The one place that words these faults."""
+    """Raise the first fault of a row, or a stack of rows, of completion
+    periods: a period below 1, then, against a design, a length (of the
+    last axis) other than s or a period above p.  The one place that
+    words these faults."""
     if row.size and row.min() < 1:
         raise ValueError("every subject must complete at least period 1")
     if design is None:
         return
-    if row.size != design.s:
-        raise ValueError(f"pattern length {row.size} does not match s={design.s}")
+    if row.shape[-1] != design.s:
+        raise ValueError(f"pattern length {row.shape[-1]} does not match s={design.s}")
     if row.size and row.max() > design.p:
         raise ValueError(f"completion period exceeds p={design.p}")
 
@@ -257,32 +259,24 @@ def incidences(
     """
     t, p, s = design.t, design.p, design.s
     if pattern is None:
-        completion = [p] * s
+        ks = np.full(s, p)
     else:
         pattern.check_against(design)
-        completion = list(pattern.completion)
-    n_ds = np.zeros((t, s), dtype=int)
-    n_cs = np.zeros((t, s), dtype=int)
-    n_dp = np.zeros((t, p), dtype=int)
-    n_cp = np.zeros((t, p), dtype=int)
-    n_dc = np.zeros((t, t), dtype=int)
-    layout = design.layout
-    for i in range(s):
-        for j in range(completion[i]):
-            d = layout[j, i]
-            n_ds[d, i] += 1
-            n_dp[d, j] += 1
-            if j >= 1:
-                c = layout[j - 1, i]
-                n_cs[c, i] += 1
-                n_cp[c, j] += 1
-                n_dc[d, c] += 1
+        ks = np.array(pattern.completion)
+    # an unobserved cell, and period 1's carryover, count as treatment t,
+    # whose bucket is sliced off
+    seen = np.arange(p)[:, None] < ks
+    direct = np.where(seen, design.layout, t)
+    carry = np.where(seen, np.vstack([np.full(s, t), design.layout[:-1]]), t)
+    cells = np.stack([direct, carry])  # (2, p, s)
+    n_dp, n_cp = _counts(cells, t + 1)[..., :t].swapaxes(1, 2)
+    n_ds, n_cs = _counts(cells.swapaxes(1, 2), t + 1)[..., :t].swapaxes(1, 2)
     return IncidenceSet(
         n_ds=n_ds,
         n_cs=n_cs,
         n_dp=n_dp,
         n_cp=n_cp,
-        n_dc=n_dc,
+        n_dc=_pairs(direct.ravel(), carry.ravel(), t + 1)[:t, :t],
         r_d=n_ds.sum(axis=1),
         r_c=n_cs.sum(axis=1),
     )
@@ -296,7 +290,13 @@ _SHOWN_DIGITS = 20
 def _short_int(v: int) -> str:
     """An integer as an error message shows it: whole up to _SHOWN_DIGITS
     digits, else its first _SHOWN_DIGITS characters and its digit count,
-    so a message naming a command-line integer stays one short line."""
+    so a message naming a command-line integer stays one short line.  An
+    integer beyond Python's int-to-str digit limit, which str() refuses,
+    is shown as its sign and that limit."""
+    # Python before 3.10.7 has no such limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(v) >= 10**limit:
+        return f"{'-' if v < 0 else ''}... (more than {limit} digits)"
     text = str(v)
     digits = len(text) - (v < 0)
     if digits <= _SHOWN_DIGITS:

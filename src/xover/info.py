@@ -47,6 +47,7 @@ import numpy as np
 from .designs import (
     CrossoverDesign,
     DropoutPattern,
+    _check_completion,
     coincidence,
     incidences,
     require_ubrmd,
@@ -116,10 +117,7 @@ def _completion_rows(design: CrossoverDesign, completions) -> np.ndarray:
         )
     if not np.issubdtype(ks.dtype, np.integer):
         raise ValueError(f"completion periods must be integers, got {ks.dtype}")
-    if ks.size and ks.min() < 1:
-        raise ValueError("every subject must complete at least period 1")
-    if ks.size and ks.max() > design.p:
-        raise ValueError(f"completion period exceeds p={design.p}")
+    _check_completion(ks, design)
     return ks.astype(np.intp, copy=False)
 
 
@@ -252,7 +250,6 @@ def joint_info_orthogonal(design: CrossoverDesign) -> JointInfo:
         c11 = diag(r_d) + r_d r_d'/(p s) - N_ds N_ds'/p - N_dp N_dp'/s
 
     and c22, c12 follow the same shape with carryover counts.
-    Ragged input is rejected; use the projection route for that.
     """
     inc = incidences(design)
     p, s = design.p, design.s
@@ -316,30 +313,15 @@ def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
     assert g is not None
     eye = np.eye(t)
     ones = np.ones((t, t))
-    u = {
-        (j, k): coincidence(design, j, k).astype(float)
-        for j in range(m + 1)
-        for k in range(m + 1)
-    }
-
-    sum_low = np.zeros((t, t))  # pairs j != k drawn from 0..m-1
-    for j in range(m):
-        for k in range(m):
-            if j != k:
-                sum_low += u[(j, k)]
-    sum_full = np.zeros((t, t))  # pairs j != k drawn from 0..m
-    for j in range(m + 1):
-        for k in range(m + 1):
-            if j != k:
-                sum_full += u[(j, k)]
-    sum_adj = np.zeros((t, t))  # consecutive pairs (j, j+1)
-    for j in range(m):
-        sum_adj += u[(j, j + 1)]
-    sum_cross = np.zeros((t, t))  # j in 0..m-1 against all other k in 0..m
-    for j in range(m):
-        for k in range(m + 1):
-            if k != j:
-                sum_cross += u[(j, k)]
+    # u[j, k] = U_jk for j != k in 0..m, zero for j = k: every sum below is
+    # over pairs j != k, and exact, since the counts are integers
+    tail = range(m + 1)
+    u = np.array([[coincidence(design, j, k) for k in tail] for j in tail], float)
+    u[tail, tail] = 0
+    sum_full = u.sum(axis=(0, 1))  # j, k drawn from 0..m
+    sum_low = u[:m, :m].sum(axis=(0, 1))  # j, k from 0..m-1
+    sum_cross = u[:m].sum(axis=(0, 1))  # j from 0..m-1, any k
+    sum_adj = u[tail[:-1], tail[1:]].sum(axis=0)  # k = j+1
 
     q = t - m
     c11 = (g * (q * q - m) / q) * eye - (g * (t - 2 * m) / q) * ones - sum_low / q

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, truncation
+from .designs import CrossoverDesign, _short_int, truncation
 from .info import _completion_rows, direct_info_patterns
 from .linalg import SpectralSummary, spectral_cut, symmetrize
 
@@ -275,7 +275,7 @@ def connect_condition(t: int, m: int) -> tuple[float, bool]:
     worst-case m-tail dropout.
     """
     if m < 1:
-        raise ValueError(f"requires m >= 1, got m={m}")
+        raise ValueError(f"requires m >= 1, got m={_short_int(m)}")
     value = (t - 2 * m) * _d(t, m) - t * (m + 1) ** 2
     return float(value), value > 0
 
@@ -291,7 +291,7 @@ def t_star(m: int) -> int:
     f(m) = 2m(m+1) > f(m-1), so convexity keeps f increasing past m.
     """
     if m < 1:
-        raise ValueError(f"requires m >= 1, got m={m}")
+        raise ValueError(f"requires m >= 1, got m={_short_int(m)}")
     return 3 * m + 2
 
 
@@ -366,18 +366,14 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
     return out
 
 
-def _inv_sum_harmonic(t: int, klass: str) -> float:
-    spectrum = class_ab_spectrum(t, klass)
-    if any(v <= 0 for v in spectrum):
-        raise ValueError(f"truncated design is disconnected for t={t}")
-    return 1.0 / sum(1.0 / v for v in spectrum)
-
-
 def _class_ab_losses(t: int, klass: str) -> tuple[float, float]:
     """(class_ab_ml, el_ab) of (t, klass) from one spectrum."""
     if t < 5:
         raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
-    inv = _inv_sum_harmonic(t, klass)
+    spectrum = class_ab_spectrum(t, klass)
+    if any(v <= 0 for v in spectrum):
+        raise ValueError(f"truncated design is disconnected for t={t}")
+    inv = 1.0 / sum(1.0 / v for v in spectrum)
     ml = 1.0 - ((t - 1) * (t * t - t - 1) / (t * (t - 2) * (t + 1))) * inv
     return ml, ((t - 1) ** 2 / mtr(t, 1)) * inv
 

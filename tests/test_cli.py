@@ -26,6 +26,7 @@ from xover.designs import (
     parse_design,
     write_design,
 )
+from xover.metrics import bounds_report, class_ab_ml, el_ab
 
 
 def _write(tmp_path, name, design):
@@ -626,6 +627,45 @@ def test_tables_exact_losses_csv(capsys):
     ml_rounded = [ln for ln in lines if ln.startswith("ML_rounded,")]
     assert ml_rounded == ["ML_rounded,0.35,0.30,0.20,0.18,0.14,0.13"]
     assert any(ln.startswith("EL_AB,") for ln in lines)
+
+
+@pytest.mark.parametrize("which, m", [(1, 1), (2, 2)])
+def test_bound_tables_are_bounds_report_fields(which, m):
+    grid = cli._table_grid(which)
+    reports = [bounds_report(t, m) for t in grid["t"]]
+    for name, field in (
+        ("UML", "uml"),
+        ("UML_star", "uml_star"),
+        ("EL", "el"),
+        ("EL_star", "el_star"),
+    ):
+        assert grid["rows"][name]["value"] == [getattr(b, field) for b in reports]
+
+
+def test_exact_loss_table_is_class_ab_values():
+    grid = cli._table_grid(3)
+    cases = list(zip(grid["t"], grid["class"]))
+    assert cases == list(cli.TABLE3)
+    assert grid["rows"]["ML"]["value"] == [class_ab_ml(t, k) for t, k in cases]
+    assert grid["rows"]["EL_AB"]["value"] == [el_ab(t, k) for t, k in cases]
+
+
+@pytest.mark.parametrize(
+    "design", [williams_square(6), williams_pair(7), extreme_design(5)]
+)
+def test_evaluate_truncate_bounds_are_bounds_report_fields(
+    monkeypatch, tmp_path, design
+):
+    # the report before rounding: each bound field is bounds_report's own
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, fmt, out: reports.append(report))
+    f = _write(tmp_path, "d.txt", design)
+    for m in range(1, (design.t - 2) // 2 + 1):
+        assert main(["evaluate", f, "--truncate", str(m)]) == 0
+        report, b = reports.pop(), bounds_report(design.t, m)
+        assert report["bounds_applicable"]
+        for field in ("uml", "uml_star", "el", "el_star"):
+            assert report[field] == getattr(b, field), (m, field)
 
 
 def test_simulate_cli(tmp_path, capsys):

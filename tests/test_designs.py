@@ -279,6 +279,63 @@ def test_incidence_margins_consistent():
     np.testing.assert_array_equal(inc.n_dc.sum(axis=1), inc.r_d - 2)
 
 
+def _incidences_by_cell(design, completion):
+    """The incidence counts visited one observed cell at a time: the
+    reference for incidences."""
+    t, p, s = design.t, design.p, design.s
+    n_ds = np.zeros((t, s), dtype=int)
+    n_cs = np.zeros((t, s), dtype=int)
+    n_dp = np.zeros((t, p), dtype=int)
+    n_cp = np.zeros((t, p), dtype=int)
+    n_dc = np.zeros((t, t), dtype=int)
+    layout = design.layout
+    for i in range(s):
+        for j in range(completion[i]):
+            d = layout[j, i]
+            n_ds[d, i] += 1
+            n_dp[d, j] += 1
+            if j >= 1:
+                c = layout[j - 1, i]
+                n_cs[c, i] += 1
+                n_cp[c, j] += 1
+                n_dc[d, c] += 1
+    return {
+        "n_ds": n_ds,
+        "n_cs": n_cs,
+        "n_dp": n_dp,
+        "n_cp": n_cp,
+        "n_dc": n_dc,
+        "r_d": n_ds.sum(axis=1),
+        "r_c": n_cs.sum(axis=1),
+    }
+
+
+@pytest.mark.parametrize(
+    "design",
+    [fixture(name) for name in FIXTURE_NAMES]
+    + [williams_square(t) for t in (4, 6, 8, 10)]
+    + [williams_pair(t) for t in (3, 5, 7, 9)]
+    + [extreme_design(t) for t in (4, 5)],
+    ids=list(FIXTURE_NAMES)
+    + [f"square{t}" for t in (4, 6, 8, 10)]
+    + [f"pair{t}" for t in (3, 5, 7, 9)]
+    + [f"extreme{t}" for t in (4, 5)],
+)
+def test_incidences_match_cell_by_cell_counts(design):
+    rng = np.random.default_rng(design.s * 100 + design.t)
+    p, s = design.p, design.s
+    # the complete design (no pattern and its all-p row), every uniform
+    # truncation down to period 1, and random patterns
+    rows = [None] + [(k,) * s for k in range(p, 0, -1)]
+    rows += [tuple(rng.integers(1, p + 1, size=s).tolist()) for _ in range(8)]
+    for row in rows:
+        got = incidences(design, None if row is None else DropoutPattern(row))
+        want = _incidences_by_cell(design, row or (p,) * s)
+        assert len(want) == len(got.__dataclass_fields__)
+        for name, counts in want.items():
+            assert np.array_equal(getattr(got, name), counts), (row, name)
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError, match="at least period 1"):
         DropoutPattern((0, 4, 4, 4))

@@ -13,7 +13,7 @@ from xover.construct import (
     williams_pair,
     williams_square,
 )
-from xover.designs import CrossoverDesign, DropoutPattern, truncate
+from xover.designs import CrossoverDesign, DropoutPattern, coincidence, truncate
 from xover.info import (
     direct_info,
     direct_info_complete,
@@ -27,7 +27,13 @@ from xover.info import (
     residual_info,
     residual_info_minimal_m1,
 )
-from xover.linalg import eigensym, is_psd, moore_penrose, schur_complement
+from xover.linalg import (
+    eigensym,
+    is_psd,
+    moore_penrose,
+    schur_complement,
+    symmetrize,
+)
 from xover.metrics import a_criteria, a_criterion
 
 info_module = sys.modules["xover.info"]
@@ -314,6 +320,68 @@ def test_minimal_closed_form_matches_both_paths(m):
         for got, ref in ((cf.c11, ortho.c11), (cf.c22, ortho.c22), (cf.c12, ortho.c12)):
             assert np.max(np.abs(got - ref)) <= 1e-10, (name, m)
         assert np.max(np.abs(cf.joint.c - proj.c)) <= 1e-10, (name, m)
+
+
+def _minimal_closed_form_by_loops(design, m):
+    """minimal_closed_form's blocks with each sum of coincidence
+    matrices accumulated pair by pair: the reference for the stacked sums."""
+    t, g = design.t, design.g
+    eye = np.eye(t)
+    ones = np.ones((t, t))
+    u = {
+        (j, k): coincidence(design, j, k).astype(float)
+        for j in range(m + 1)
+        for k in range(m + 1)
+    }
+    sum_low = np.zeros((t, t))  # pairs j != k drawn from 0..m-1
+    for j in range(m):
+        for k in range(m):
+            if j != k:
+                sum_low += u[(j, k)]
+    sum_full = np.zeros((t, t))  # pairs j != k drawn from 0..m
+    for j in range(m + 1):
+        for k in range(m + 1):
+            if j != k:
+                sum_full += u[(j, k)]
+    sum_adj = np.zeros((t, t))  # consecutive pairs (j, j+1)
+    for j in range(m):
+        sum_adj += u[(j, j + 1)]
+    sum_cross = np.zeros((t, t))  # j in 0..m-1 against all other k in 0..m
+    for j in range(m):
+        for k in range(m + 1):
+            if k != j:
+                sum_cross += u[(j, k)]
+    q = t - m
+    c11 = (g * (q * q - m) / q) * eye - (g * (t - 2 * m) / q) * ones - sum_low / q
+    c22 = (g / q) * (
+        (q * q - (t + 1)) * eye
+        - ((q * q - (t + 1) - m * (m + 1)) / t) * ones
+    ) - sum_full / q
+    c12 = (g / q) * ((m + 1) * ones - t * eye) - sum_adj - sum_cross / q
+    a_matrix = (g / q) * (q * q - (t + 1)) * eye - sum_full / q
+    return {
+        "c11": symmetrize(c11),
+        "c12": c12,
+        "c22": symmetrize(c22),
+        "a_matrix": symmetrize(a_matrix),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_minimal_closed_form_matches_pairwise_sums_bit_for_bit(m):
+    designs = dict(_designs_for_dual_path())
+    designs.update({f"square{t}": williams_square(t) for t in (4, 8, 10)})
+    designs.update({f"pair{t}": williams_pair(t) for t in (5, 7, 9)})
+    designs["extreme5"] = extreme_design(5)
+    checked = 0
+    for name, d in designs.items():
+        if not 1 <= m < d.t - 1:
+            continue
+        cf = minimal_closed_form(d, m)
+        for block, want in _minimal_closed_form_by_loops(d, m).items():
+            assert getattr(cf, block).tobytes() == want.tobytes(), (name, block)
+        checked += 1
+    assert checked >= 8
 
 
 def test_minimal_closed_form_lambda_min():

@@ -154,6 +154,16 @@ def test_t_star():
     assert t_star(3) == 11
 
 
+def test_long_m_is_worded_short():
+    # a 3001-digit m is echoed by its first digits and its length
+    message = "requires m >= 1, got m=-1000000000000000000... (3001 digits)"
+    m = -(10**3000)
+    for call in (lambda: connect_condition(10, m), lambda: t_star(m)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def _t_star_by_search(m):
     """The smallest t >= 2m+2 that satisfies connect_condition, by search."""
     t = 2 * m + 2

@@ -235,6 +235,36 @@ def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys)
             assert f'"classification": "{klass}"' in capsys.readouterr().out
 
 
+def test_cli_bounds_come_from_one_report_per_t(monkeypatch, tmp_path, capsys):
+    # evaluate --truncate and tables 1-2 read every bound off one
+    # bounds_report per t; table 3 takes one _class_ab_losses per (t, class)
+    cli = sys.modules["xover.cli"]
+    calls = []
+
+    def counting(attr):
+        fn = getattr(cli, attr)
+
+        def wrapper(*args):
+            calls.append((attr, *args))
+            return fn(*args)
+
+        monkeypatch.setattr(cli, attr, wrapper)
+
+    counting("bounds_report")
+    counting("_class_ab_losses")
+    truncated = _evaluate_argvs(tmp_path, williams_square(6))[1]
+    assert main(truncated) == 0
+    assert calls == [("bounds_report", 6, 1)]
+    for table, m, ts in ((1, 1, cli.TABLE1_T), (2, 2, cli.TABLE2_T)):
+        calls.clear()
+        assert main(["tables", "--table", str(table)]) == 0
+        assert calls == [("bounds_report", t, m) for t in ts]
+    calls.clear()
+    assert main(["tables", "--table", "3"]) == 0
+    assert calls == [("_class_ab_losses", t, k) for t, k in cli.TABLE3]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
     # at most one stacked is_psd call per chunk, on exactly the

@@ -40,6 +40,26 @@ def test_model_validation():
         DropoutModel(2, (0.5, -0.1))
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (-(10**5000), "requires m >= 1, got m=-... (more than 4300 digits)"),
+        (10**5000, "expected ... (more than 4300 digits) hazards, got 0"),
+        (10**4300, "expected ... (more than 4300 digits) hazards, got 0"),
+        (
+            10**4300 - 1,
+            "expected 99999999999999999999... (4300 digits) hazards, got 0",
+        ),
+    ],
+    ids=["negative", "positive", "4301-digits", "4300-digits"],
+)
+def test_model_words_m_beyond_the_str_digit_limit(m, message):
+    # str() refuses more than 4300 digits; the message still names m
+    with pytest.raises(ValueError) as info:
+        DropoutModel(m=m, hazards=())
+    assert str(info.value) == message
+
+
 def test_deterministic_for_fixed_seed():
     d = williams_pair(5)
     model = DropoutModel(1, (0.4,))
