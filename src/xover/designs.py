@@ -44,7 +44,7 @@ class CrossoverDesign:
     s: int
     layout: np.ndarray
     grouping: tuple[tuple[int, ...], ...] | None = None
-    g: int | None = field(default=None)
+    g: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         layout = np.asarray(self.layout, dtype=int)
@@ -552,7 +552,7 @@ def parse_design(text: str) -> CrossoverDesign:
         raise ValueError(f"line 2: missing {', '.join(missing)}")
     t, p, s = dims["t"], dims["p"], dims["s"]
     # more treatments than cells cannot all be used, and evaluation builds
-    # arrays of side 2t+p: reject before any array is sized by t
+    # arrays of side 2t: reject before any array is sized by t
     if t > p * s:
         raise ValueError(f"line 2: t={t} exceeds the p*s={p * s} cells of the layout")
     body = [ln for ln in lines[2:] if ln.strip() != ""]

@@ -13,17 +13,16 @@ sweeping out subjects and periods:
   pattern truncation(design, m), and dropout is any other pattern.  It
   is one batched engine, direct_info_patterns, which takes a (B, s)
   array of completion periods and returns the (B, t, t) direct-effect
-  information matrices.  Each pattern's Gram matrix of subject-centred
-  cell indicators is formed from exact integer counts,
-  G = X'X - sum_k M_k / k (X'X over the observed cells, M_k the sum of
-  a_i a_i' over the subjects completing k periods, a_i their column
-  sums).  Dropout is monotone, so the period block is diagonal on fixed
-  Helmert contrasts with integer eigenvalues, the numbers of subjects
-  observed in each period, and is swept out in closed form; the
+  information matrices.  On a subject's prefix of k periods the
+  unscaled Helmert contrasts l = 1..k-1 remove the subject effect, and
+  each carries exactly one period parameter, so centring contrast l
+  over the n_l subjects that observe it removes the period effects:
+  C = sum_l (Z_l'Z_l - S_l S_l'/n_l) / (l(l+1)), Z_l the integer
+  contrast rows and S_l their sum, exact counts in float64.  The
   carryover block is then swept out as a stacked Schur complement
-  (stacked matmul and eigh).  Every verdict of the
-  library reaches it through metrics.against_plan, which stacks the plan
-  in front of the patterns it judges.  direct_info_pattern and
+  (stacked matmul and eigh).  Every verdict of the library reaches it
+  through metrics.against_plan, which stacks the plan in front of the
+  patterns it judges.  direct_info_pattern and
   joint_info_projection are its B = 1 calls, the public single-matrix
   API and the test oracles, and every row of a batch equals its B = 1
   call bit for bit;
@@ -40,7 +39,6 @@ information when a single period is lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -56,9 +54,9 @@ from .linalg import moore_penrose, schur_complement, symmetrize
 
 # Byte budget of each per-chunk temporary of direct_info_patterns: a batch
 # is evaluated in chunks of rows whose float arrays fit in it, at least one
-# row per chunk.  The largest are the masked cell rows and subject sums,
-# (rows, s, d), and the 2t Gram rows, (rows, 2t, d).  128 KiB keeps every
-# such temporary under glibc's default 128 KiB mmap threshold, so it is
+# row per chunk.  The largest are the masked contrast rows, (rows, s, 2t),
+# and the Grams, (rows, 2t, 2t): 16 t max(s, 2t) bytes a row.  128 KiB keeps
+# every such temporary under glibc's default 128 KiB mmap threshold, so it is
 # reused from the heap instead of being mapped and faulted in afresh;
 # budgets of 256 KiB to 4 MiB measured slower on simulate of
 # williams_pair(15).
@@ -129,73 +127,66 @@ def _one_row(design: CrossoverDesign, pattern: DropoutPattern | None) -> np.ndar
     return np.array([pattern.completion])
 
 
-def _cells(design: CrossoverDesign) -> np.ndarray:
-    """Indicator rows of every cell over the columns [direct (t) |
-    carryover (t) | period (p)], as a (p, s, 2t+p) array."""
-    t, p, s = design.t, design.p, design.s
-    x = np.zeros((p, s, 2 * t + p))
-    rows = x.reshape(p * s, -1)  # cell (j, i) is row j*s + i
-    cells = np.arange(p * s)
-    rows[cells, design.layout.ravel()] = 1.0
-    rows[cells[s:], t + design.layout[:-1].ravel()] = 1.0
-    rows[cells, 2 * t + cells // s] = 1.0
-    return x
+def _contrasts(design: CrossoverDesign) -> np.ndarray:
+    """Unscaled Helmert contrasts of every subject's cell rows over the
+    columns [direct (t) | carryover (t)], as a (p-1, s, 2t) array of
+    integers: row l-1 is the sum of periods 1..l minus l times period
+    l+1.  Built by one running sum over periods: row l-1 is row l-2
+    plus l times period l minus l times period l+1."""
+    t, layout = design.t, design.layout
+    z = np.zeros((design.p - 1, design.s, 2 * t))
+    i = np.arange(design.s)
+    for l in range(1, design.p):
+        zl = z[l - 1]
+        if l > 1:
+            zl += z[l - 2]
+            zl[i, t + layout[l - 2]] += l
+        zl[i, layout[l - 1]] += l
+        zl[i, t + layout[l - 1]] -= l
+        zl[i, layout[l]] -= l
+    return z
 
 
-@cache
-def _helmert(p: int) -> np.ndarray:
-    """(p, p-1) orthonormal Helmert contrasts of p periods: column j-1
-    holds j ones, then -j, then zeros, scaled by 1/sqrt(j(j+1))."""
-    j = np.arange(1, p)
-    rows = np.arange(p)[:, None]
-    h = np.where(rows < j, 1.0, np.where(rows == j, -j, 0)) / np.sqrt(j * (j + 1))
-    h.flags.writeable = False
-    return h
+def _centred_gram(w: np.ndarray, n, l) -> np.ndarray:
+    """(W'W - S S'/n) / (l(l+1)) of a stack of contrast rows w, zero where
+    unobserved, S their sum and n the number observed, or 1 where none
+    is and S is zero."""
+    total = w.sum(axis=-2)
+    gram = np.swapaxes(w, -1, -2) @ w
+    gram -= total[..., :, None] * total[..., None, :] / n
+    gram /= l * (l + 1)
+    return gram
 
 
-def _joint_stack(x: np.ndarray, ks: np.ndarray, t: int) -> np.ndarray:
+def _joint_stack(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """(B, 2t, 2t) joint information of the completion rows ks.
 
-    The Gram matrix of the subject-centred cell rows is
-    X'X - sum_k M_k / k, with X'X over the observed cells and M_k the
-    sum of a_i a_i' over subjects completing k periods (a_i the subject's
-    column sums).  Both are integer counts, exact in float64 whatever
-    the BLAS blocking; the only roundings are the divisions and
-    subtractions, in ascending k.  A k absent from a row subtracts an
-    all-zero M_k, which leaves its bits unchanged, so every row comes
-    out the same in any batch.  Only the 2t direct and carryover rows
-    of the Gram matrix are formed.
-
-    The period block is swept out in closed form.  Dropout is monotone,
-    so it equals sum_i (I - J/k_i) on each subject's first k_i periods;
-    Helmert contrast j (of _helmert) lies in the span of the first j+1
-    periods and sums to zero there, so that block maps it to n_j times
-    itself, n_j the number of subjects observed in period j+1.  The
-    constant direction has eigenvalue 0 and the period columns of every
-    centred row sum to 0, so it drops out, and the sweep is
-    G_TT - W diag(1/n) W' with W = G_TP H, a zero count taking a zero
-    reciprocal: an exact rank, with no threshold.
+    On a prefix of k periods the contrasts l = 1..k-1 of _contrasts,
+    scaled by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they
+    remove the subject effect.  Each carries one period parameter,
+    shared by the n_l subjects observing it (k_i > l), so centring each
+    contrast over them sweeps the periods out:
+    C = sum_l (Z_l'Z_l - S_l S_l'/n_l) / (l(l+1)), S_l the sum of those
+    rows and a zero n_l taking a zero S S'/n.  Z'Z, S and n are integer
+    counts, exact and symmetric in float64 whatever the BLAS blocking;
+    the only roundings are the two divisions, the subtraction and the
+    sum in ascending l.  The contrasts below the batch's smallest
+    completion, seen by every row, are formed in one stacked call; the
+    rest are masked row by row.  A masked contrast seen by every
+    subject gives the bits of its shared form, so every row comes out
+    the same in any batch.
     """
-    b, (p, s, d) = len(ks), x.shape
     k0 = int(ks.min())
-    head = x[:k0]  # the periods every row observes
-    flat = head.reshape(-1, d)
-    gram = np.repeat((flat[:, : 2 * t].T @ flat)[None], b, axis=0)
-    a = np.repeat(head.sum(axis=0)[None], b, axis=0)
-    for j in range(k0, p):
-        w = x[j] * (j < ks)[..., None]
-        gram += np.swapaxes(w[..., : 2 * t], 1, 2) @ w
-        a += w
-    for k in np.unique(ks):
-        ak = a * (ks == k)[..., None]
-        m_k = np.swapaxes(ak[..., : 2 * t], 1, 2) @ ak
-        m_k /= k
-        gram -= m_k
-    n = np.count_nonzero(ks[:, :, None] >= np.arange(2, p + 1), axis=1)
-    inv = np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
-    w = gram[..., 2 * t :] @ _helmert(p)
-    swept = (w * inv[:, None, :]) @ np.swapaxes(w, 1, 2)
-    return symmetrize(gram[..., : 2 * t] - swept)
+    head = z[: k0 - 1]  # the contrasts every row observes
+    gram = np.zeros(z.shape[2:] * 2)
+    for term in _centred_gram(head, z.shape[1], np.arange(1, k0)[:, None, None]):
+        gram += term
+    gram = np.repeat(gram[None], len(ks), axis=0)
+    for l in range(k0, len(z) + 1):
+        seen = ks > l
+        n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
+        gram += _centred_gram(z[l - 1] * seen[..., None], n, l)
+    return gram
 
 
 def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
@@ -203,21 +194,21 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
 
     completions is a (B, s) integer array, row b holding each subject's
     completion period; the result is (B, t, t).  Each pattern's joint
-    information comes from the exact-count Gram matrix of _joint_stack,
-    and the carryover block is swept out as a stacked Schur complement.
-    Rows are evaluated in chunks whose per-chunk temporaries stay within
-    _CHUNK_BYTES (see there for the size), and every row equals its own
-    B = 1 call bit for bit.
+    information is the sum of centred Grams of its within-subject
+    contrasts (_joint_stack), which sweeps out subjects and periods in
+    one formula, and the carryover block is swept out as a stacked
+    Schur complement.  Rows are evaluated in chunks whose per-chunk
+    temporaries stay within _CHUNK_BYTES (see there for the size), and
+    every row equals its own B = 1 call bit for bit.
     """
     ks = _completion_rows(design, completions)
     t = design.t
-    x = _cells(design)
-    d = x.shape[2]
-    step = max(1, _CHUNK_BYTES // (8 * d * max(design.s, 2 * t)))
+    z = _contrasts(design)
+    step = max(1, _CHUNK_BYTES // (16 * t * max(design.s, 2 * t)))
     out = np.empty((len(ks), t, t))
     for start in range(0, len(ks), step):
         chunk = ks[start : start + step]
-        out[start : start + step] = schur_complement(_joint_stack(x, chunk, t), t)
+        out[start : start + step] = schur_complement(_joint_stack(z, chunk), t)
     return out
 
 
@@ -227,15 +218,14 @@ def joint_info_projection(
     """Joint information by projecting out subject and period effects.
 
     Works on any staircase layout: each subject contributes a prefix of
-    periods.  Subject effects are removed by within-subject centering;
-    the period block is then swept out in closed form on Helmert
-    contrasts (see _joint_stack), which also drops the intercept
-    confounding between the two nuisance blocks without dropping
-    columns.  This is the B = 1 call of the stage that
-    direct_info_patterns runs on whole batches.
+    periods.  The within-subject Helmert contrasts remove the subject
+    effects, and centring each contrast over the subjects that observe
+    it removes the period effects, intercept included, without
+    dropping columns (see _joint_stack).  This is the B = 1 call of the
+    stage that direct_info_patterns runs on whole batches.
     """
     t = design.t
-    c = _joint_stack(_cells(design), _one_row(design, pattern), t)[0]
+    c = _joint_stack(_contrasts(design), _one_row(design, pattern))[0]
     return JointInfo(c11=c[:t, :t], c12=c[:t, t:], c22=c[t:, t:])
 
 

@@ -213,14 +213,18 @@ def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
 _MAX_T_DIGITS = 100
 
 
+def _check_t(t: int) -> None:
+    if t > 10**_MAX_T_DIGITS:
+        raise ValueError(f"requires t <= 10**{_MAX_T_DIGITS}, got a larger t")
+
+
 def _check_t_m(t: int, m: int) -> None:
     """Reject (t, m) outside the bounds' domain.  The messages name no
     digits of t or m, which may be hundreds long, so each stays one
     short line."""
     if m < 1:
         raise ValueError("requires m >= 1, got a smaller m")
-    if t > 10**_MAX_T_DIGITS:
-        raise ValueError(f"requires t <= 10**{_MAX_T_DIGITS}, got a larger t")
+    _check_t(t)
     if t < 2 * m + 2:
         raise ValueError("requires t >= 2m+2, got a smaller t")
 
@@ -237,8 +241,7 @@ def theta_lower(t: int, m: int) -> float:
     theta_L(t, m) = (t/(t-m)) [ (t-2m) - t(m+1)^2 / D ] with
     D = (t-m)^2 - (t+1) - m(m+1); requires t >= 2m+2.
     """
-    _check_t_m(t, m)
-    return (t / (t - m)) * ((t - 2 * m) - t * (m + 1) ** 2 / _d(t, m))
+    return bounds_report(t, m).theta_l
 
 
 def theta_lower_star(t: int, m: int) -> float:
@@ -247,13 +250,7 @@ def theta_lower_star(t: int, m: int) -> float:
     Replaces the worst-case coincidence alignment by the extremal value
     cos(2 pi / t) available to a full-cycle permutation.
     """
-    _check_t_m(t, m)
-    psi1 = math.cos(2 * math.pi / t)
-    return (t / (t - m)) * (
-        (t - 2 * m)
-        + (m * (m - 1) / t) * (1 - psi1)
-        - t * (1 + 2 * psi1 * m + m * m) / _d(t, m)
-    )
+    return bounds_report(t, m).theta_l_star
 
 
 def uml(t: int, m: int, star: bool = False) -> float:
@@ -262,8 +259,8 @@ def uml(t: int, m: int, star: bool = False) -> float:
     UML(t, m) = 1 - (t^2-t-1) theta / (t(t-2)(t+1)) with theta the
     plain or starred spectral lower bound.
     """
-    theta = theta_lower_star(t, m) if star else theta_lower(t, m)
-    return 1.0 - (t * t - t - 1) * theta / (t * (t - 2) * (t + 1))
+    report = bounds_report(t, m)
+    return report.uml_star if star else report.uml
 
 
 def connect_condition(t: int, m: int) -> tuple[float, bool]:
@@ -272,10 +269,11 @@ def connect_condition(t: int, m: int) -> tuple[float, bool]:
     Returns the value of (t-2m) D - t(m+1)^2 with
     D = (t-m)^2 - (t+1) - m(m+1), and whether it is positive.  Positive
     value guarantees every treatment contrast stays estimable after the
-    worst-case m-tail dropout.
+    worst-case m-tail dropout.  Takes t < 2m+2 too.
     """
     if m < 1:
         raise ValueError(f"requires m >= 1, got m={_short_int(m)}")
+    _check_t(t)
     value = (t - 2 * m) * _d(t, m) - t * (m + 1) ** 2
     return float(value), value > 0
 
@@ -301,9 +299,7 @@ def mtr(t: int, m: int) -> float:
     MTr(t, m) = t(t-m-1) - (t(t-m-1)+1)/((t-m)(t-m-1)), the ceiling
     used to normalize efficiency bounds.
     """
-    _check_t_m(t, m)
-    w = t * (t - m - 1)
-    return w - (w + 1) / ((t - m) * (t - m - 1))
+    return bounds_report(t, m).mtr
 
 
 def efficiency_bounds(t: int, m: int) -> tuple[float, float]:
@@ -311,27 +307,34 @@ def efficiency_bounds(t: int, m: int) -> tuple[float, float]:
 
     EL = (t-1) theta_L / MTr and likewise with the starred theta.
     """
-    denom = mtr(t, m)
-    return (
-        (t - 1) * theta_lower(t, m) / denom,
-        (t - 1) * theta_lower_star(t, m) / denom,
-    )
+    report = bounds_report(t, m)
+    return report.el, report.el_star
 
 
 def bounds_report(t: int, m: int) -> BoundsReport:
-    """All (t, m) bounds in one bundle; requires t >= 2m+2."""
-    el, el_star = efficiency_bounds(t, m)
+    """All (t, m) bounds in one bundle; requires t >= 2m+2.  Each is
+    computed once, and the single-bound functions above read its field."""
+    _check_t_m(t, m)
+    d, scale, psi1 = _d(t, m), t / (t - m), math.cos(2 * math.pi / t)
+    theta_l = scale * ((t - 2 * m) - t * (m + 1) ** 2 / d)
+    theta_l_star = scale * (
+        (t - 2 * m)
+        + (m * (m - 1) / t) * (1 - psi1)
+        - t * (1 + 2 * psi1 * m + m * m) / d
+    )
+    w = t * (t - m - 1)
+    ceiling = w - (w + 1) / ((t - m) * (t - m - 1))
     value, ok = connect_condition(t, m)
     return BoundsReport(
         t=t,
         m=m,
-        theta_l=theta_lower(t, m),
-        theta_l_star=theta_lower_star(t, m),
-        uml=uml(t, m, star=False),
-        uml_star=uml(t, m, star=True),
-        mtr=mtr(t, m),
-        el=el,
-        el_star=el_star,
+        theta_l=theta_l,
+        theta_l_star=theta_l_star,
+        uml=1.0 - (t * t - t - 1) * theta_l / (t * (t - 2) * (t + 1)),
+        uml_star=1.0 - (t * t - t - 1) * theta_l_star / (t * (t - 2) * (t + 1)),
+        mtr=ceiling,
+        el=(t - 1) * theta_l / ceiling,
+        el_star=(t - 1) * theta_l_star / ceiling,
         condition_value=value,
         condition_satisfied=ok,
         t_star=t_star(m),

@@ -32,6 +32,14 @@ from xover.designs import (
 from xover.linalg import cycle_type
 
 
+def test_replication_number_is_derived_not_passed():
+    layout = [[0, 1], [1, 0]]
+    assert CrossoverDesign(t=2, p=2, s=2, layout=layout).g == 1
+    assert CrossoverDesign(t=2, p=2, s=3, layout=[[0, 1, 0], [1, 0, 1]]).g is None
+    with pytest.raises(TypeError):
+        CrossoverDesign(t=2, p=2, s=2, layout=layout, g=7)
+
+
 def test_validate_d2plan_passes():
     assert validate_ubrmd(fixture("d2plan")).ok
 

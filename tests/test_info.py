@@ -200,6 +200,50 @@ def test_batched_engine_rejects_bad_rows():
     assert direct_info_patterns(d, np.zeros((0, 4), dtype=int)).shape == (0, 4, 4)
 
 
+def _cells(design):
+    """Indicator rows of every cell over the columns [direct (t) |
+    carryover (t) | period (p)], as a (p, s, 2t+p) array."""
+    t, p, s = design.t, design.p, design.s
+    x = np.zeros((p, s, 2 * t + p))
+    rows = x.reshape(p * s, -1)  # cell (j, i) is row j*s + i
+    cells = np.arange(p * s)
+    rows[cells, design.layout.ravel()] = 1.0
+    rows[cells[s:], t + design.layout[:-1].ravel()] = 1.0
+    rows[cells, 2 * t + cells // s] = 1.0
+    return x
+
+
+def _unscaled_helmert(p):
+    """(p, p-1) Helmert contrasts: column l-1 holds l ones, then -l."""
+    l = np.arange(1, p)
+    rows = np.arange(p)[:, None]
+    return np.where(rows < l, 1.0, np.where(rows == l, -l, 0.0))
+
+
+def _dense_joint_stack(x, ks, t):
+    """The joint information by the former engine, from the dense cells:
+    G = X'X - sum_k M_k / k (M_k the sum of a_i a_i' over the subjects
+    completing k periods, a_i their column sums), then the period block
+    swept on orthonormal Helmert contrasts, G_TT - W diag(1/n) W' with
+    W = G_TP H and n the number of subjects observed in each period."""
+    p = x.shape[0]
+    gram = np.zeros((len(ks), 2 * t, x.shape[2]))
+    a = np.zeros((len(ks),) + x.shape[1:])
+    for j in range(p):
+        w = x[j] * (j < ks)[..., None]
+        gram += np.swapaxes(w[..., : 2 * t], 1, 2) @ w
+        a += w
+    for k in np.unique(ks):
+        ak = a * (ks == k)[..., None]
+        gram -= np.swapaxes(ak[..., : 2 * t], 1, 2) @ ak / k
+    n = np.count_nonzero(ks[:, :, None] >= np.arange(2, p + 1), axis=1)
+    inv = np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
+    h = _unscaled_helmert(p)
+    w = gram[..., 2 * t :] @ (h / np.linalg.norm(h, axis=0))
+    swept = (w * inv[:, None, :]) @ np.swapaxes(w, 1, 2)
+    return symmetrize(gram[..., : 2 * t] - swept)
+
+
 def _centred_gram(x, completion):
     """Full d x d Gram matrix of the subject-centred cell rows."""
     gram = np.zeros((x.shape[2],) * 2)
@@ -218,13 +262,13 @@ def test_closed_form_period_sweep_matches_schur_reference(design):
     # ragged rows with k = 1 subjects, and rows in which nobody reaches
     # the last periods, against the sweep of the full Gram matrix by eigh
     t, p = design.t, design.p
-    x = info_module._cells(design)
+    x = _cells(design)
     rng = np.random.default_rng(20071020)
     ks = rng.integers(1, p + 1, (30, design.s))
     ks[0] = 1
     ks[1, 0] = 1
     ks[2:10] = np.minimum(ks[2:10], p - 2)
-    got = info_module._joint_stack(x, ks, t)
+    got = info_module._joint_stack(info_module._contrasts(design), ks)
     for b, row in enumerate(ks):
         gram = _centred_gram(x, row)
         want = schur_complement(gram, 2 * t)
@@ -232,18 +276,38 @@ def test_closed_form_period_sweep_matches_schur_reference(design):
         assert np.max(np.abs(got[b] - want)) <= tol, b
 
 
-def test_helmert_basis_diagonalizes_period_block():
-    p = 5
-    h = info_module._helmert(p)
-    assert h.shape == (p, p - 1)
-    np.testing.assert_allclose(h.T @ h, np.eye(p - 1), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(h.T @ np.ones(p), 0.0, rtol=0, atol=1e-15)
-    # period block of completions 1, 2, 3, 2, 3: nobody reaches periods 4, 5
-    x = np.zeros((p, 5, p))
-    x[np.arange(p), :, np.arange(p)] = 1.0
-    g_pp = _centred_gram(x, (1, 2, 3, 2, 3))
-    n = [4, 2, 0, 0]  # subjects observed in periods 2, 3, 4, 5
-    np.testing.assert_allclose(h.T @ g_pp @ h, np.diag(n), rtol=0, atol=1e-14)
+def test_contrasts_are_unscaled_helmert_of_cells():
+    # integer-valued, and exactly H'X of the dense direct | carryover cells
+    for design in (fixture("d3plan"), williams_pair(7), extreme_design(4)):
+        t, p = design.t, design.p
+        z = info_module._contrasts(design)
+        assert z.shape == (p - 1, design.s, 2 * t)
+        assert np.array_equal(z, np.round(z))
+        x = _cells(design)[..., : 2 * t]
+        want = np.einsum("jl,jic->lic", _unscaled_helmert(p), x)
+        assert np.array_equal(z, want)
+
+
+@pytest.mark.parametrize(
+    "design",
+    [fixture(name) for name in FIXTURE_SET]
+    + [williams_square(4), williams_square(6)]
+    + [williams_pair(t) for t in (5, 7, 15)]
+    + [extreme_design(4), extreme_design(5)],
+    ids=[*FIXTURE_SET, "square4", "square6", "pair5", "pair7", "pair15"]
+    + ["extreme4", "extreme5"],
+)
+def test_contrast_grams_match_dense_engine(design):
+    # random ragged rows with k = 1 subjects, the complete row and every
+    # truncation row down to one period, against the dense-cell engine
+    t, p, s = design.t, design.p, design.s
+    rng = np.random.default_rng(20071021)
+    ks = np.vstack(
+        [np.full((p, s), np.arange(p, 0, -1)[:, None]), rng.integers(1, p + 1, (20, s))]
+    )
+    got = info_module._joint_stack(info_module._contrasts(design), ks)
+    want = _dense_joint_stack(_cells(design), ks, t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_orthogonal_d3plan_complete_symmetric():

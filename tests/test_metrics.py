@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,51 @@ def test_long_m_is_worded_short():
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+
+def test_huge_t_is_worded_short():
+    # connect_condition checks t as the other bounds do, rather than
+    # overflowing in float(), and still takes t < 2m+2
+    with pytest.raises(ValueError) as info:
+        connect_condition(10**200, 1)
+    assert str(info.value) == "requires t <= 10**100, got a larger t"
+    assert connect_condition(10**100, 1)[1]
+    assert connect_condition(3, 1) == (-14.0, False)
+
+
+def _bounds_by_formula(t, m):
+    """theta_L, theta_L*, UML, UML*, MTr, EL, EL* written out one by one."""
+    d = (t - m) ** 2 - (t + 1) - m * (m + 1)
+    psi1 = math.cos(2 * math.pi / t)
+    theta = (t / (t - m)) * ((t - 2 * m) - t * (m + 1) ** 2 / d)
+    theta_star = (t / (t - m)) * (
+        (t - 2 * m)
+        + (m * (m - 1) / t) * (1 - psi1)
+        - t * (1 + 2 * psi1 * m + m * m) / d
+    )
+    w = t * (t - m - 1)
+    ceiling = w - (w + 1) / ((t - m) * (t - m - 1))
+    thetas = (theta, theta_star)
+    umls = [1.0 - (t * t - t - 1) * x / (t * (t - 2) * (t + 1)) for x in thetas]
+    return *thetas, *umls, ceiling, *[(t - 1) * x / ceiling for x in thetas]
+
+
+def test_bounds_report_fields_equal_single_bounds():
+    for m in range(1, 6):
+        for t in range(2 * m + 2, 61):
+            b = bounds_report(t, m)
+            fields = (b.theta_l, b.theta_l_star, b.uml, b.uml_star)
+            fields += (b.mtr, b.el, b.el_star)
+            single = (
+                theta_lower(t, m),
+                theta_lower_star(t, m),
+                uml(t, m),
+                uml(t, m, star=True),
+                mtr(t, m),
+                *efficiency_bounds(t, m),
+            )
+            assert fields == single == _bounds_by_formula(t, m), (t, m)
+            assert (b.condition_value, b.condition_satisfied) == connect_condition(t, m)
 
 
 def _t_star_by_search(m):

@@ -265,6 +265,23 @@ def test_cli_bounds_come_from_one_report_per_t(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bounds_report_checks_t_m_once(monkeypatch):
+    # every bound of a bounds_report is computed from one (t, m) check
+    metrics = sys.modules["xover.metrics"]
+    calls = []
+    check = metrics._check_t_m
+
+    def counting(t, m):
+        calls.append((t, m))
+        check(t, m)
+
+    monkeypatch.setattr(metrics, "_check_t_m", counting)
+    for t, m in ((5, 1), (10, 2), (16, 2)):
+        calls.clear()
+        metrics.bounds_report(t, m)
+        assert calls == [(t, m)]
+
+
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
     # at most one stacked is_psd call per chunk, on exactly the
