@@ -19,10 +19,12 @@ sweeping out subjects and periods:
   over the n_l subjects that observe it removes the period effects:
   C = sum_l (Z_l'Z_l - S_l S_l'/n_l) / (l(l+1)), Z_l the integer
   contrast rows and S_l their sum, exact counts in float64.  The
-  carryover block is then swept out as a stacked Schur complement
-  (stacked matmul and eigh).  Every verdict of the library reaches it
-  through metrics.against_plan, which stacks the plan in front of the
-  patterns it judges.  direct_info_pattern and
+  carryover block is then swept out as a stacked Schur complement, by
+  Cholesky on the Helmert contrasts of the carryover effects where a
+  certificate allows and by eigh elsewhere (linalg.schur_complement).
+  Every verdict of the library reaches it through metrics.against_plan,
+  which stacks the plan in front of the patterns it judges.
+  direct_info_pattern and
   joint_info_projection are its B = 1 calls, the public single-matrix
   API and the test oracles, and every row of a batch equals its B = 1
   call bit for bit;
@@ -55,11 +57,13 @@ from .linalg import moore_penrose, schur_complement, symmetrize
 # Byte budget of each per-chunk temporary of direct_info_patterns: a batch
 # is evaluated in chunks of rows whose float arrays fit in it, at least one
 # row per chunk.  The largest are the masked contrast rows, (rows, s, 2t),
-# and the Grams, (rows, 2t, 2t): 16 t max(s, 2t) bytes a row.  128 KiB keeps
-# every such temporary under glibc's default 128 KiB mmap threshold, so it is
-# reused from the heap instead of being mapped and faulted in afresh;
-# budgets of 256 KiB to 4 MiB measured slower on simulate of
-# williams_pair(15).
+# and the Grams, (rows, 2t, 2t): 16 t max(s, 2t) bytes a row; the
+# Cholesky sweep's (rows, t-1, t) factors and products are smaller.  The
+# contrasts every row observes are summed once per call, so a chunk forms
+# only its masked contrasts.  128 KiB keeps every such temporary under
+# glibc's default 128 KiB mmap threshold, so it is reused from the heap
+# instead of being mapped and faulted in afresh; budgets of 256 KiB to
+# 4 MiB measured slower on simulate of williams_pair(15).
 _CHUNK_BYTES = 1 << 17
 
 
@@ -158,7 +162,20 @@ def _centred_gram(w: np.ndarray, n, l) -> np.ndarray:
     return gram
 
 
-def _joint_stack(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _shared_head(z: np.ndarray, ks: np.ndarray) -> tuple[int, np.ndarray]:
+    """k0 = ks.min() and the (2t, 2t) sum of the centred Grams of the
+    contrasts l < k0, which every row of ks observes, in ascending l and
+    in one stacked call."""
+    k0 = int(ks.min())
+    gram = np.zeros(z.shape[2:] * 2)
+    for term in _centred_gram(z[: k0 - 1], z.shape[1], np.arange(1, k0)[:, None, None]):
+        gram += term
+    return k0, gram
+
+
+def _joint_stack(
+    z: np.ndarray, ks: np.ndarray, head: tuple[int, np.ndarray] | None = None
+) -> np.ndarray:
     """(B, 2t, 2t) joint information of the completion rows ks.
 
     On a prefix of k periods the contrasts l = 1..k-1 of _contrasts,
@@ -170,17 +187,13 @@ def _joint_stack(z: np.ndarray, ks: np.ndarray) -> np.ndarray:
     rows and a zero n_l taking a zero S S'/n.  Z'Z, S and n are integer
     counts, exact and symmetric in float64 whatever the BLAS blocking;
     the only roundings are the two divisions, the subtraction and the
-    sum in ascending l.  The contrasts below the batch's smallest
-    completion, seen by every row, are formed in one stacked call; the
-    rest are masked row by row.  A masked contrast seen by every
-    subject gives the bits of its shared form, so every row comes out
-    the same in any batch.
+    sum in ascending l.  head is the _shared_head of ks or of a batch
+    containing it, formed here when not given; the contrasts from its k0
+    on are masked row by row and added to it.  A masked contrast seen by
+    every subject gives the bits of its shared form, so every row comes
+    out the same in any batch, whatever k0 its head was formed at.
     """
-    k0 = int(ks.min())
-    head = z[: k0 - 1]  # the contrasts every row observes
-    gram = np.zeros(z.shape[2:] * 2)
-    for term in _centred_gram(head, z.shape[1], np.arange(1, k0)[:, None, None]):
-        gram += term
+    k0, gram = _shared_head(z, ks) if head is None else head
     gram = np.repeat(gram[None], len(ks), axis=0)
     for l in range(k0, len(z) + 1):
         seen = ks > l
@@ -197,18 +210,22 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     information is the sum of centred Grams of its within-subject
     contrasts (_joint_stack), which sweeps out subjects and periods in
     one formula, and the carryover block is swept out as a stacked
-    Schur complement.  Rows are evaluated in chunks whose per-chunk
-    temporaries stay within _CHUNK_BYTES (see there for the size), and
-    every row equals its own B = 1 call bit for bit.
+    Schur complement.  The contrasts that every row observes are summed
+    once per call (_shared_head).  Rows are evaluated in chunks whose
+    per-chunk temporaries stay within _CHUNK_BYTES (see there for the
+    size), and every row equals its own B = 1 call bit for bit.
     """
     ks = _completion_rows(design, completions)
     t = design.t
-    z = _contrasts(design)
-    step = max(1, _CHUNK_BYTES // (16 * t * max(design.s, 2 * t)))
     out = np.empty((len(ks), t, t))
+    if not len(ks):
+        return out
+    z = _contrasts(design)
+    head = _shared_head(z, ks)
+    step = max(1, _CHUNK_BYTES // (16 * t * max(design.s, 2 * t)))
     for start in range(0, len(ks), step):
         chunk = ks[start : start + step]
-        out[start : start + step] = schur_complement(_joint_stack(z, chunk), t)
+        out[start : start + step] = schur_complement(_joint_stack(z, chunk, head), t)
     return out
 
 

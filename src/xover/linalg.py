@@ -6,12 +6,14 @@ decomposition, Moore-Penrose inverses computed through the spectrum,
 Schur complements, positive-semidefiniteness tests, and cycle analysis
 of permutation matrices.  A stacked call treats each matrix exactly as
 a call on that matrix alone would, bit for bit, because numpy's stacked
-eigh, eigvalsh and matmul run one LAPACK or BLAS call per matrix and
-every other step is elementwise or a reduction along one matrix.
+eigh, eigvalsh, cholesky, inv and matmul run one LAPACK or BLAS call
+per matrix and every other step is elementwise or a reduction along one
+matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank_threshold(n: int, lam_max):
+    """The rank threshold of spectral_cut for spectra of order n."""
+    return np.maximum(n * lam_max * RANK_RTOL, RANK_FLOOR)
+
+
 def spectral_cut(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank threshold, nonzero mask and pseudo-reciprocals of spectra.
 
@@ -60,9 +67,8 @@ def spectral_cut(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vectors) from genuinely small eigenvalues near disconnection; the
     pseudo-reciprocal is 1/lambda above it and 0 below.
     """
-    n = vals.shape[-1]
     lam_max = np.max(np.abs(vals), axis=-1, initial=0.0)
-    threshold = np.maximum(n * lam_max * RANK_RTOL, RANK_FLOOR)
+    threshold = _rank_threshold(vals.shape[-1], lam_max)
     keep = np.abs(vals) > threshold[..., None]
     inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
     return threshold, keep, inv
@@ -120,20 +126,85 @@ def moore_penrose(m: np.ndarray) -> np.ndarray:
     return symmetrize((vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
+@functools.cache
+def _helmert(n: int) -> np.ndarray:
+    """Orthonormal Helmert contrasts, (n, n-1): column l-1 is ones on
+    rows 0..l-1 and -l on row l, over sqrt(l(l+1))."""
+    h = np.triu(np.ones((n, n - 1)))
+    l = np.arange(1, n)
+    h[l, l - 1] = -l
+    h /= np.sqrt(l * (l + 1))
+    h.flags.writeable = False
+    return h
+
+
+def _factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of matrices, and which exist.
+
+    numpy's stacked cholesky raises LinAlgError for the whole stack when
+    one matrix is not positive definite; then each matrix is factored
+    alone, with the stacked call's bits, and I stands in for each that
+    fails, so that the stacked inverse of the factors still runs.
+    """
+    ok = np.ones(len(a), dtype=bool)
+    try:
+        return np.linalg.cholesky(a), ok
+    except np.linalg.LinAlgError:
+        pass
+    l = np.empty_like(a)
+    for i, one in enumerate(a):
+        try:
+            l[i] = np.linalg.cholesky(one)
+        except np.linalg.LinAlgError:
+            l[i], ok[i] = np.eye(len(one)), False
+    return l, ok
+
+
 def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
     """m11 - m12 m22^+ m21 for a symmetric matrix, or a stack of them,
     split after row and column k.
 
-    m22^+ is the Moore-Penrose inverse through the spectrum V diag(lambda) V'
-    of m22, cut by spectral_cut, so the product is formed as
-    (m12 V) diag(1/lambda) (m12 V)'.  The input is taken as symmetric
-    (eigh reads one triangle of m22); the result is checked for symmetry
-    and averaged once for the whole stack.
+    Precondition: the constant vector lies in the null space of m22 and
+    of m12, as in every caller of the library, where the carryover-sum
+    and direct-sum columns lie in the period and subject span.  Then
+    m22^+ = H A^-1 H' with H the orthonormal Helmert contrasts (_helmert)
+    and A = H' m22 H, whenever A is nonsingular.  Each matrix takes one
+    of two routes, decided from that matrix alone:
+
+    * Cholesky: A = L L', W = L^-1 (m12 H)' and the result m11 - W'W.
+      A matrix takes it when the factor exists (_factors) and certifies
+      that spectral_cut would keep all n-k-1 contrast eigenvalues of
+      m22: lambda_min(A) >= 1/trace(A^-1) = 1/|L^-1|_F^2 clears the
+      threshold of spectral_cut taken at trace(A) >= lambda_max (up to
+      rounding at the threshold itself, where both routes are float
+      verdicts).  L^-1 serves W and the certificate alike: inv and a
+      matmul cost less than numpy's solve, an LU with pivoting, on
+      [(m12 H)' | I].
+    * eigh, the fallback: the spectrum V diag(lambda) V' of m22, cut by
+      spectral_cut, gives (m12 V) diag(1/lambda) (m12 V)'.
+
+    The input is taken as symmetric (cholesky and eigh read one
+    triangle); the result is checked for symmetry and averaged once for
+    the whole stack.
     """
-    vals, vecs = np.linalg.eigh(m[..., k:, k:])
-    inv = spectral_cut(vals)[2]
-    w = m[..., :k, k:] @ vecs
-    return symmetrize(m[..., :k, :k] - (w * inv[..., None, :]) @ np.swapaxes(w, -1, -2))
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    h = _helmert(n - k)
+    g = stack[:, :, k:] @ h  # [m12 H; m22 H]
+    a = h.T @ g[:, k:]
+    l, factored = _factors(a)
+    l_inv = np.linalg.inv(l)  # triangular with a positive diagonal
+    w = l_inv @ np.swapaxes(g[:, :k], 1, 2)
+    out = stack[:, :k, :k] - np.swapaxes(w, 1, 2) @ w
+    norm2 = np.einsum("bij,bij->b", l_inv, l_inv)
+    threshold = _rank_threshold(n - k, np.trace(a, axis1=1, axis2=2))
+    eigh = ~(factored & (norm2 * threshold < 1.0))
+    if eigh.any():
+        vals, vecs = np.linalg.eigh(stack[eigh, k:, k:])
+        inv = spectral_cut(vals)[2]
+        v = stack[eigh, :k, k:] @ vecs
+        out[eigh] = stack[eigh, :k, :k] - (v * inv[:, None, :]) @ np.swapaxes(v, 1, 2)
+    return symmetrize(out.reshape(m.shape[:-2] + (k, k)))
 
 
 def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:

@@ -14,7 +14,9 @@ top 53 bits of a word times 2**-53, exactly as
 ``np.random.Generator(np.random.Philox(key=[S, r])).random``.  The
 replicate's s*m uniforms are read as an s x m array in row-major order,
 and subject i stops before period p-m+j+1 at the first j whose uniform
-falls below h_{j+1}.  The seed must lie in 0..2**64-1.  Replicates are
+falls below h_{j+1}.  That compare is made on the 53-bit integers x:
+x 2**-53 < h exactly when x < ceil(h 2**53), both sides exact in
+uint64.  The seed must lie in 0..2**64-1.  Replicates are
 drawn in vectorized chunks.  A chunk's completion rows are deduplicated
 on packed integer keys, and its distinct patterns go through
 metrics.against_plan in one stack behind the plan and the truncation,
@@ -124,9 +126,10 @@ def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
-    """First k uniforms of the Philox streams keyed by (seed, r), r in rs.
+    """First k uniforms of the Philox streams keyed by (seed, r), r in rs,
+    as the uint64 integers x of the uniforms x 2**-53.
 
-    rs holds uint64 replicate indices.  Row i equals
+    rs holds uint64 replicate indices.  Row i times 2**-53 equals
     ``Generator(Philox(key=[seed, rs[i]])).random(k)`` bit for bit:
     blocks use counters 1..ceil(k/4) in the low word.  The words are
     held as x = (c0, c2) and y = (c1, c3), so every round of all streams
@@ -148,7 +151,7 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
         x[1] ^= k1
         y = lo[::-1]
     words = np.stack((x[0], y[0], x[1], y[1]), axis=1).reshape(rs.size, 4 * blocks)
-    return (words[:, :k] >> 11).astype(np.float64) * 2.0**-53
+    return words[:, :k] >> 11
 
 
 def check_seed(seed: int) -> None:
@@ -158,26 +161,29 @@ def check_seed(seed: int) -> None:
 
 
 def _distinct_completions(
-    u: np.ndarray, hazards: np.ndarray, p: int
+    x: np.ndarray, hazards: np.ndarray, p: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct completion rows of a chunk's (n, s, m) uniforms, and the
-    index of each replicate's row among them.
+    """Distinct completion rows of a chunk's (n, s, m) uniforms, given as
+    the uint64 integers x of x 2**-53 (_philox_uniforms), and the index of
+    each replicate's row among them.
 
     A subject's digit is the number of periods it loses: m - j for the
-    first j whose uniform falls below hazards[j], 0 when none does.  It
+    first j whose uniform falls below hazards[j], that is x below
+    ceil(hazards[j] 2**53), 0 when none does.  It
     takes m boolean passes, latest j first, so the earliest j wins.  Digits
     lie in 0..m and take bits = m.bit_length() bits each, so a row packs
     into ceil(s / per) uint64 words of per = min(s, 64 // bits) digits.
     One word is deduplicated by np.unique on uint64, more words through a
     void view of the row's words.  Distinct rows come back in key order.
     """
-    n, s, m = u.shape
+    n, s, m = x.shape
+    cuts = np.ceil(hazards * 2.0**53).astype(np.uint64)
     bits = m.bit_length()
     per = min(s, 64 // bits)
     words = -(-s // per)
     digits = np.zeros((n, words * per), dtype=np.uint64)
     for j in range(m - 1, -1, -1):
-        np.copyto(digits[:, :s], m - j, where=u[..., j] < hazards[j])
+        np.copyto(digits[:, :s], m - j, where=x[..., j] < cuts[j])
     shifts = np.arange(per, dtype=np.uint64) * np.uint64(bits)
     # the digits' bit fields are disjoint, so the integer product sums
     # them without a carry
@@ -303,8 +309,8 @@ def simulate(
     for start in range(0, n, step):
         stop = min(n, start + step)
         rs = np.arange(start, stop, dtype=np.uint64)
-        u = _philox_uniforms(seed, rs, s * m).reshape(-1, s, m)
-        distinct, inverse = _distinct_completions(u, hazards, p)
+        x = _philox_uniforms(seed, rs, s * m).reshape(-1, s, m)
+        distinct, inverse = _distinct_completions(x, hazards, p)
         c, crit, chunk_losses, chunk_disconnected = against_plan(
             design, np.concatenate([tail, distinct])
         )

@@ -32,6 +32,7 @@ from xover.linalg import (
     is_psd,
     moore_penrose,
     schur_complement,
+    spectral_cut,
     symmetrize,
 )
 from xover.metrics import a_criteria, a_criterion
@@ -308,6 +309,107 @@ def test_contrast_grams_match_dense_engine(design):
     got = info_module._joint_stack(info_module._contrasts(design), ks)
     want = _dense_joint_stack(_cells(design), ks, t)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _eigh_schur(m, k):
+    """The carryover sweep by the eigh route alone: m11 - (m12 V)
+    diag(1/lambda) (m12 V)', V diag(lambda) V' the spectrum of m22 cut
+    by spectral_cut."""
+    vals, vecs = np.linalg.eigh(m[..., k:, k:])
+    inv = spectral_cut(vals)[2]
+    w = m[..., :k, k:] @ vecs
+    return symmetrize(m[..., :k, :k] - (w * inv[..., None, :]) @ np.swapaxes(w, -1, -2))
+
+
+SWEEP_CORPUS = {
+    **{name: fixture(name) for name in FIXTURE_SET},
+    "square4": williams_square(4),
+    "square6": williams_square(6),
+    **{f"pair{t}": williams_pair(t) for t in (5, 7, 15)},
+    **{f"extreme{t}": extreme_design(t) for t in (4, 5, 6)},
+    "square6x2": replicate(williams_square(6), 2),
+}
+
+
+@pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())
+def test_cholesky_and_eigh_sweeps_agree_on_corpus(design):
+    # the complete row, every truncation row down to one period and
+    # random rows: the two routes agree to rounding, with the same rank
+    # and connectedness verdicts
+    t, p, s = design.t, design.p, design.s
+    rng = np.random.default_rng(20071022)
+    ks = np.vstack(
+        [
+            np.full((p, s), np.arange(p, 0, -1)[:, None]),
+            rng.integers(1, p + 1, (10, s)),
+            rng.integers(max(1, p - 2), p + 1, (10, s)),
+        ]
+    )
+    joint = info_module._joint_stack(info_module._contrasts(design), ks)
+    got, want = schur_complement(joint, t), _eigh_schur(joint, t)
+    scale = max(1.0, float(np.max(np.abs(got))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    new, old = a_criteria(got, t), a_criteria(want, t)
+    assert np.array_equal(new.rank, old.rank)
+    assert np.array_equal(new.connected, old.connected)
+    # the stacked factor and inverse give each matrix's own bits
+    h = sys.modules["xover.linalg"]._helmert(t)
+    a = h.T @ (joint[:, t:, t:] @ h)
+    a = a[np.linalg.eigvalsh(a)[:, 0] > 0]
+    l = np.linalg.cholesky(a)
+    l_inv = np.linalg.inv(l)
+    for b in range(len(a)):
+        assert np.array_equal(l[b], np.linalg.cholesky(a[b]))
+        assert np.array_equal(l_inv[b], np.linalg.inv(l[b]))
+
+
+@pytest.mark.parametrize(
+    "design", [fixture("d3plan"), williams_pair(7), extreme_design(4)],
+    ids=["d3plan", "pair7", "extreme4"],
+)
+def test_uncertified_rows_take_the_eigh_route_row_by_row(design, monkeypatch):
+    # rows where no subject reaches period 2 (c22 = 0), or only one does
+    # (a singular contrast block), among ordinary rows: the stacked
+    # Cholesky raises, each row is decided alone, and the rows it leaves
+    # take the bits of the eigh route
+    t, p, s = design.t, design.p, design.s
+    rng = np.random.default_rng(20071023)
+    ks = rng.integers(max(1, p - 2), p + 1, (12, s))
+    ks[0] = p
+    ks[3] = 1
+    ks[7], ks[7, 0] = 1, 2
+    ks[10] = 1
+    raised, eighs = [], []
+    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
+
+    def recording_cholesky(a, *args, **kwargs):
+        try:
+            return cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    def recording_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    batch = direct_info_patterns(design, ks)
+    assert raised[0] == (len(ks), t - 1, t - 1)
+    assert eighs == [(3, t, t)]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    joint = info_module._joint_stack(info_module._contrasts(design), ks)
+    assert not joint[3, t:, t:].any()
+    for b, row in enumerate(ks):
+        single = direct_info_pattern(design, DropoutPattern(tuple(row)))
+        assert np.array_equal(batch[b], single), b
+    for b in (3, 7, 10):
+        assert np.array_equal(batch[b], _eigh_schur(joint[b], t)), b
+    others = np.setdiff1d(np.arange(len(ks)), [3, 7, 10])
+    assert np.max(np.abs(batch[others] - _eigh_schur(joint[others], t))) <= 1e-12 * max(
+        1.0, float(np.max(np.abs(batch)))
+    )
 
 
 def test_orthogonal_d3plan_complete_symmetric():

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xover.linalg import cycle_type, eigensym, is_psd, moore_penrose, symmetrize
+from xover.linalg import (
+    _factors,
+    cycle_type,
+    eigensym,
+    is_psd,
+    moore_penrose,
+    schur_complement,
+    symmetrize,
+)
 
 
 def test_symmetrize_averages_roundoff():
@@ -120,6 +128,37 @@ def test_moore_penrose_penrose_conditions(n, r, seed):
     assert np.max(np.abs(mp @ m @ mp - mp)) <= 1e-8 * max(1.0, np.max(np.abs(mp)))
     assert np.max(np.abs((m @ mp) - (m @ mp).T)) <= 1e-8 * scale
     assert np.max(np.abs((mp @ m) - (mp @ m).T)) <= 1e-8 * scale
+
+
+def test_factors_retry_a_failed_stack_matrix_by_matrix():
+    # one matrix that is not positive definite fails the stacked call;
+    # the others keep the stacked call's bits and it takes I
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 3, 3))
+    a = x @ np.swapaxes(x, 1, 2)
+    a[2] = -np.eye(3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a)
+    l, ok = _factors(a)
+    assert ok.tolist() == [True, True, False, True]
+    assert np.array_equal(l[2], np.eye(3))
+    assert np.array_equal(l[[0, 1, 3]], np.linalg.cholesky(a[[0, 1, 3]]))
+    l, ok = _factors(a[[0, 1, 3]])
+    assert ok.all() and np.array_equal(l, np.linalg.cholesky(a[[0, 1, 3]]))
+
+
+def test_schur_complement_sweeps_a_matrix_and_its_stack_alike():
+    # a Gram with the constant vector in the null space of m22 and m12:
+    # the 2-D call, the stacked call and the pseudo-inverse formula agree
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((12, 7))
+    x[:, 3:] -= x[:, 3:].mean(axis=1, keepdims=True)
+    m = x.T @ x
+    got = schur_complement(m, 3)
+    assert got.shape == (3, 3)
+    assert np.array_equal(schur_complement(np.stack([m, 2 * m]), 3)[0], got)
+    want = m[:3, :3] - m[:3, 3:] @ np.linalg.pinv(m[3:, 3:]) @ m[3:, :3]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(m).max())
 
 
 def test_is_psd():

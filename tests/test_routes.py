@@ -332,30 +332,62 @@ def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
     assert [kind for kind, _ in events].count("psd") == checked
 
 
-def test_engine_chunk_makes_one_eigh_and_one_schur_call(monkeypatch):
-    # the period block is swept in closed form; only the carryover sweep
-    # of the chunk's stack takes a stacked eigh
+def test_engine_chunk_makes_one_cholesky_and_one_schur_call(monkeypatch):
+    # the period block is swept in closed form, and the carryover sweep
+    # of the chunk's stack is one stacked Cholesky on t-1 contrasts, with
+    # no eigh where every row is certified
     info = sys.modules["xover.info"]
-    eighs, schurs = [], []
-    eigh, schur = np.linalg.eigh, info.schur_complement
+    eighs, choleskys, schurs = [], [], []
+    eigh, cholesky, schur = np.linalg.eigh, np.linalg.cholesky, info.schur_complement
 
     def recording_eigh(a, *args, **kwargs):
         eighs.append(a.shape)
         return eigh(a, *args, **kwargs)
+
+    def recording_cholesky(a, *args, **kwargs):
+        choleskys.append(a.shape)
+        return cholesky(a, *args, **kwargs)
 
     def recording_schur(m, k):
         schurs.append((m.shape, k))
         return schur(m, k)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
     monkeypatch.setattr(info, "schur_complement", recording_schur)
     d = williams_pair(15)
     ks = np.full((8, d.s), d.p)
     ks[1:, :4] = d.p - 2
     monkeypatch.setattr(info, "_CHUNK_BYTES", 1 << 30)  # one chunk
     assert info.direct_info_patterns(d, ks).shape == (8, d.t, d.t)
-    assert eighs == [(8, d.t, d.t)]
+    assert eighs == []
+    assert choleskys == [(8, d.t - 1, d.t - 1)]
     assert schurs == [((8, 2 * d.t, 2 * d.t), d.t)]
+
+
+def test_shared_head_is_summed_once_per_engine_call(monkeypatch):
+    # the contrasts every row observes are summed once per call, however
+    # many chunks the budget makes
+    info = sys.modules["xover.info"]
+    heads = []
+    shared_head = info._shared_head
+
+    def recording_head(z, ks):
+        heads.append(len(ks))
+        return shared_head(z, ks)
+
+    monkeypatch.setattr(info, "_shared_head", recording_head)
+    d = williams_pair(15)
+    rng = np.random.default_rng(17)
+    ks = rng.integers(d.p - 2, d.p + 1, (40, d.s))
+    results = []
+    for budget in (1, info._CHUNK_BYTES, 1 << 30):
+        monkeypatch.setattr(info, "_CHUNK_BYTES", budget)
+        heads.clear()
+        results.append(info.direct_info_patterns(d, ks))
+        assert heads == [len(ks)], budget
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
 
 
 def test_readme_python_api_runs():

@@ -180,12 +180,36 @@ def test_philox_stream_matches_numpy(seed, k):
         [0, 1, 2, 3, 17, 1091, 1092, 1093, 2048, 4999, 6552, 6553, 6554],
         dtype=np.uint64,
     )
-    u = sim_module._philox_uniforms(seed, rs, k)
-    assert u.shape == (rs.size, k)
-    for row, r in zip(u, rs):
+    x = sim_module._philox_uniforms(seed, rs, k)
+    assert x.shape == (rs.size, k) and x.dtype == np.uint64
+    assert (x < 2**53).all()
+    for row, r in zip(x * 2.0**-53, rs):
         key = np.array([seed, r], dtype=np.uint64)
         ref = np.random.Generator(np.random.Philox(key=key)).random(k)
         np.testing.assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_integer_hazard_compare_matches_float_compare(m):
+    # x 2**-53 < h against x < ceil(h 2**53): h = 0 never fires, h = 1
+    # always does, and on the 2**-53 grid a uniform equal to h does not
+    # fire, where <= would
+    grid = np.array([0, 1, 2, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    hazards_cases = [0.0, 1.0, 2.0**-53, 3 * 2.0**-53, 0.5, 1 - 2.0**-53, 0.3, 1e-300]
+    rng = np.random.default_rng(m)
+    for h in hazards_cases:
+        x = np.concatenate([grid, rng.integers(0, 2**53, 200, dtype=np.uint64)])
+        x = np.resize(x, (len(x) // m, 1, m))
+        hazards = np.full(m, h)
+        rows, inverse = sim_module._distinct_completions(x, hazards, m + 2)
+        fired = x * 2.0**-53 < hazards
+        want = np.where(fired.any(axis=2), 2 + fired.argmax(axis=2), m + 2)
+        assert np.array_equal(rows[inverse], want), h
+    # the grid points themselves: x = 2 fires at h = 3 2**-53, not at 2 2**-53
+    x = np.array([[[2]]], dtype=np.uint64)
+    for h, fires in ((2 * 2.0**-53, False), (3 * 2.0**-53, True)):
+        rows, _ = sim_module._distinct_completions(x, np.array([h]), 3)
+        assert rows[0, 0] == (2 if fires else 3)
 
 
 def _oracle_losses(design, model, n, seed):
@@ -424,8 +448,8 @@ def test_real_violation_is_counted(monkeypatch):
     model = DropoutModel(1, (0.3,))
     r = simulate(d, model, 50, seed=4)
     (row,) = first
-    u = sim_module._philox_uniforms(4, np.arange(50, dtype=np.uint64), d.s)
-    hits = int(((u < 0.3) == (row < d.p)).all(axis=1).sum())
+    x = sim_module._philox_uniforms(4, np.arange(50, dtype=np.uint64), d.s)
+    hits = int(((x * 2.0**-53 < 0.3) == (row < d.p)).all(axis=1).sum())
     assert hits >= 1
     assert r.ordering_violations == hits
 
@@ -450,7 +474,10 @@ def test_packed_keys_match_void_keys(m, s):
         u = rng.random((n, s, m))
         hazards = np.full(m, hazard)
         rows, ref, ref_inverse = _void_key_rows(u, hazards, p)
-        got, inverse = sim_module._distinct_completions(u, hazards, p)
+        # the generator's uniforms are multiples of 2**-53, so the
+        # scaled integers are exact
+        x = (u * 2.0**53).astype(np.uint64)
+        got, inverse = sim_module._distinct_completions(x, hazards, p)
         assert got.dtype == np.intp and inverse.shape == (n,)
         assert np.array_equal(got[inverse], rows)
         assert np.array_equal(ref[ref_inverse], rows)
