@@ -237,7 +237,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             report["type_w"] = _is_type_wm(design, m)
             b = bounds_report(design.t, m)
             report.update(uml=b.uml, uml_star=b.uml_star, el=b.el, el_star=b.el_star)
-            if not disconnected[1] and design.g is not None:
+            if not disconnected[1]:
                 report["eff_lower_bound"] = efficiency_lower_bound(
                     crit.trace_mp[1], design.t, m, design.g
                 )

@@ -424,7 +424,11 @@ def _classify(design: CrossoverDesign) -> str:
     # the maps from period p to period p-1 of the first two blocks
     tails = _pairs(squares[p - 1, :2], squares[p - 2, :2], t)
 
-    if (squares == squares[:, :1]).all() and cycle_type(tails[0]) == [t]:
+    # both classes copy Latin blocks, whose tail maps are permutations
+    latin = (_counts(squares[:, :2], t) == 1).all()
+    single_cycle = latin and cycle_type(tails[0]) == [t]
+
+    if (squares == squares[:, :1]).all() and single_cycle:
         return "ClassA-W1"
 
     if g % 2 == 0:
@@ -432,8 +436,7 @@ def _classify(design: CrossoverDesign) -> str:
         # the inverse of a single cycle is one too
         if (
             (pairs == pairs[:, :1]).all()
-            and (_counts(squares[:, :2], t) == 1).all()
-            and cycle_type(tails[0]) == [t]
+            and single_cycle
             and np.array_equal(tails[1], tails[0].T)
         ):
             return "ClassB-W1"

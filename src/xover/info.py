@@ -69,45 +69,55 @@ _CHUNK_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class JointInfo:
-    """Joint information for (direct, carryover) effects, 2t x 2t.
+    """Joint information for (direct, carryover) effects: the symmetric
+    2t x 2t matrix c = [[c11, c12], [c12', c22]], taken assembled and
+    kept symmetrized (exactly symmetric input keeps every bit) and
+    read-only.  The direct, cross and carryover blocks are views of it."""
 
-    c11 and c22 are the marginal blocks for direct and carryover
-    effects, c12 the cross block; c is the assembled symmetric matrix
-    [[c11, c12], [c12.T, c22]].
-    """
+    c: np.ndarray
 
-    c11: np.ndarray
-    c12: np.ndarray
-    c22: np.ndarray
+    def __post_init__(self) -> None:
+        c = symmetrize(self.c)
+        if c.ndim != 2 or len(c) % 2:
+            raise ValueError(f"expected a 2t x 2t matrix, got shape {c.shape}")
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
 
     @property
-    def c(self) -> np.ndarray:
-        top = np.hstack([self.c11, self.c12])
-        bot = np.hstack([self.c12.T, self.c22])
-        return np.vstack([top, bot])
+    def c11(self) -> np.ndarray:
+        t = len(self.c) // 2
+        return self.c[:t, :t]
+
+    @property
+    def c12(self) -> np.ndarray:
+        t = len(self.c) // 2
+        return self.c[:t, t:]
+
+    @property
+    def c22(self) -> np.ndarray:
+        t = len(self.c) // 2
+        return self.c[t:, t:]
 
 
 @dataclass(frozen=True)
-class MinimalClosedForm:
-    """Closed-form blocks for the truncated design of a balanced layout.
+class MinimalClosedForm(JointInfo):
+    """Closed-form joint information of the truncated design of a
+    balanced layout, with the companion of its carryover block.
 
     a_matrix is the completely symmetric companion of c22 (they differ
     by a multiple of the all-ones matrix), whose smallest eigenvalue
     lambda_min_a has an explicit formula.  When t >= 2m+2 the companion
     is nonsingular and its inverse serves as a generalized inverse of
-    c22; a_inverse is None otherwise.
+    c22; a_inverse is None otherwise.  joint is the closed form itself.
     """
 
-    c11: np.ndarray
-    c12: np.ndarray
-    c22: np.ndarray
     a_matrix: np.ndarray
     lambda_min_a: float
     a_inverse: np.ndarray | None
 
     @property
     def joint(self) -> JointInfo:
-        return JointInfo(c11=self.c11, c12=self.c12, c22=self.c22)
+        return self
 
 
 def _completion_rows(design: CrossoverDesign, completions) -> np.ndarray:
@@ -241,66 +251,47 @@ def joint_info_projection(
     dropping columns (see _joint_stack).  This is the B = 1 call of the
     stage that direct_info_patterns runs on whole batches.
     """
-    t = design.t
-    c = _joint_stack(_contrasts(design), _one_row(design, pattern))[0]
-    return JointInfo(c11=c[:t, :t], c12=c[:t, t:], c22=c[t:, t:])
+    return JointInfo(_joint_stack(_contrasts(design), _one_row(design, pattern))[0])
 
 
 def joint_info_orthogonal(design: CrossoverDesign) -> JointInfo:
-    """Joint information of a complete rectangular layout from counts.
+    """Joint information of a complete rectangular layout from counts,
+    in one formula over the columns [direct (t) | carryover (t)]:
 
-    With r the replication totals and N the incidence counts, each
-    block is the raw crossproduct corrected for subject and period
-    margins; the rank-one term with 1/(p*s) restores the intercept
-    shared by both margins:
+        c = X'X + r r'/(p s) - N_s N_s'/p - N_p N_p'/s,
 
-        c11 = diag(r_d) + r_d r_d'/(p s) - N_ds N_ds'/p - N_dp N_dp'/s
-
-    and c22, c12 follow the same shape with carryover counts.
+    X'X = [[diag r_d, n_dc], [n_dc', diag r_c]] the raw crossproduct, r
+    the replication totals and N_s, N_p the subject and period incidence
+    counts, direct rows over carryover rows.  The last two terms correct
+    for the margins and r r'/(p s) restores the intercept they share.
     """
     inc = incidences(design)
     p, s = design.p, design.s
-    r_d = inc.r_d.astype(float)
-    r_c = inc.r_c.astype(float)
-    n_ds = inc.n_ds.astype(float)
-    n_cs = inc.n_cs.astype(float)
-    n_dp = inc.n_dp.astype(float)
-    n_cp = inc.n_cp.astype(float)
-    c11 = (
-        np.diag(r_d)
-        + np.outer(r_d, r_d) / (p * s)
-        - (n_ds @ n_ds.T) / p
-        - (n_dp @ n_dp.T) / s
-    )
-    c22 = (
-        np.diag(r_c)
-        + np.outer(r_c, r_c) / (p * s)
-        - (n_cs @ n_cs.T) / p
-        - (n_cp @ n_cp.T) / s
-    )
-    c12 = (
-        inc.n_dc.astype(float)
-        + np.outer(r_d, r_c) / (p * s)
-        - (n_ds @ n_cs.T) / p
-        - (n_dp @ n_cp.T) / s
-    )
-    return JointInfo(c11=symmetrize(c11), c12=c12, c22=symmetrize(c22))
+    r = np.concatenate([inc.r_d, inc.r_c]).astype(float)
+    n_s = np.vstack([inc.n_ds, inc.n_cs]).astype(float)
+    n_p = np.vstack([inc.n_dp, inc.n_cp]).astype(float)
+    xtx = np.block([[np.diag(inc.r_d), inc.n_dc], [inc.n_dc.T, np.diag(inc.r_c)]])
+    c = xtx + np.outer(r, r) / (p * s) - (n_s @ n_s.T) / p - (n_p @ n_p.T) / s
+    return JointInfo(c)
 
 
 def direct_info(joint: JointInfo) -> np.ndarray:
     """Information for direct effects: c11 minus the c22 sweep.
 
-    Uses the Moore-Penrose inverse of c22; the result does not depend
-    on which generalized inverse is used, and is symmetric positive
+    The sweep is linalg.schur_complement: Cholesky on the Helmert
+    contrasts of c22 where a certificate allows, an eigh cut of its
+    spectrum elsewhere.  The result does not depend on which
+    generalized inverse of c22 is used, and is symmetric positive
     semidefinite with zero row sums.
     """
-    return schur_complement(joint.c, joint.c11.shape[0])
+    return schur_complement(joint.c, len(joint.c) // 2)
 
 
 def residual_info(joint: JointInfo) -> np.ndarray:
-    """Information for carryover effects: c22 minus the c11 sweep."""
-    swapped = np.block([[joint.c22, joint.c12.T], [joint.c12, joint.c11]])
-    return schur_complement(swapped, joint.c22.shape[0])
+    """Information for carryover effects: c22 minus the c11 sweep, on c
+    with its carryover rows and columns rolled in front."""
+    t = len(joint.c) // 2
+    return schur_complement(np.roll(joint.c, t, axis=(0, 1)), t)
 
 
 def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
@@ -350,9 +341,7 @@ def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
                 "companion inverse failed the generalized-inverse certificate"
             )
     return MinimalClosedForm(
-        c11=symmetrize(c11),
-        c12=c12,
-        c22=symmetrize(c22),
+        c=np.block([[c11, c12], [c12.T, c22]]),
         a_matrix=symmetrize(a_matrix),
         lambda_min_a=float(lambda_min_a),
         a_inverse=a_inverse,

@@ -26,8 +26,9 @@ from .linalg import SpectralSummary, spectral_cut, symmetrize
 
 
 @dataclass(frozen=True)
-class ACriterion:
-    """Harmonic-mean summary of a direct-effect information matrix.
+class ACriterion(SpectralSummary):
+    """Harmonic-mean summary of a direct-effect information matrix: its
+    spectrum (eigenvectors None) plus the verdict, so spectrum is itself.
 
     trace_mp is the trace of the Moore-Penrose inverse; h is the
     harmonic criterion (t-1)/trace_mp when all contrasts are estimable,
@@ -35,10 +36,11 @@ class ACriterion:
     """
 
     h: float
-    trace_mp: float
     connected: bool
-    rank: int
-    spectrum: SpectralSummary
+
+    @property
+    def spectrum(self) -> SpectralSummary:
+        return self
 
 
 @dataclass(frozen=True)
@@ -85,20 +87,14 @@ class ACriteria:
     threshold: np.ndarray
 
     def __getitem__(self, b: int) -> ACriterion:
-        rank, trace_mp = int(self.rank[b]), float(self.trace_mp[b])
-        spectrum = SpectralSummary(
+        return ACriterion(
             eigenvalues=self.eigenvalues[b],
             eigenvectors=None,
-            rank=rank,
-            trace_mp=trace_mp,
+            rank=int(self.rank[b]),
+            trace_mp=float(self.trace_mp[b]),
             threshold=float(self.threshold[b]),
-        )
-        return ACriterion(
             h=float(self.h[b]),
-            trace_mp=trace_mp,
             connected=bool(self.connected[b]),
-            rank=rank,
-            spectrum=spectrum,
         )
 
 
@@ -131,7 +127,7 @@ def a_criteria(c_d: np.ndarray, t: int) -> ACriteria:
 
 def a_criterion(c_d: np.ndarray, t: int) -> ACriterion:
     """A-criterion of one direct-effect information matrix: the B = 1
-    call of a_criteria.  Its spectrum carries eigenvalues only."""
+    call of a_criteria."""
     return a_criteria(np.asarray(c_d, dtype=float)[None], t)[0]
 
 
@@ -182,8 +178,11 @@ def against_plan(
     Validates the (B, s) completion rows, stacks the complete pattern
     (row 0) in front of them and evaluates them as one batch: returns the
     (B+1, t, t) information, its A-criteria, and each row's loss and
-    disconnected flag against row 0 (implemented_losses).
+    disconnected flag against row 0 (implemented_losses).  A single
+    treatment has no contrast to estimate, so t must be at least 2.
     """
+    if design.t < 2:
+        raise ValueError(f"requires t >= 2 treatments, got t={design.t}")
     plan = np.full((1, design.s), design.p)
     rows = _completion_rows(design, completions) if len(completions) else plan[:0]
     c = direct_info_patterns(design, np.concatenate([plan, rows]))

@@ -233,6 +233,23 @@ def test_evaluate_prints_structural_zero_eigenvalues_as_zero(tmp_path, capsys, d
     assert all(abs(v) > 1e-6 for v in report["eigenvalues"] if v != 0.0)
 
 
+@pytest.mark.parametrize("form", ["plain", "truncate", "pattern"])
+def test_evaluate_rejects_one_treatment_design(tmp_path, capsys, form):
+    f = tmp_path / "t1.txt"
+    f.write_text(f"{TEXT_FORMAT_HEADER}\nt=1 p=3 s=2\n0 0\n0 0\n0 0\n")
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("3 2\n")
+    extra = {
+        "plain": [],
+        "truncate": ["--truncate", "1"],
+        "pattern": ["--pattern", str(pattern)],
+    }[form]
+    assert main(["evaluate", str(f)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: requires t >= 2 treatments, got t=1\n"
+    assert captured.out == ""
+
+
 def test_evaluate_missing_pattern_file(tmp_path, capsys):
     f = _write(tmp_path, "d.txt", williams_pair(5))
     missing = str(tmp_path / "nothere.txt")

@@ -13,8 +13,16 @@ from xover.construct import (
     williams_pair,
     williams_square,
 )
-from xover.designs import CrossoverDesign, DropoutPattern, coincidence, truncate
+from xover.designs import (
+    CrossoverDesign,
+    DropoutPattern,
+    coincidence,
+    incidences,
+    truncate,
+    truncation,
+)
 from xover.info import (
+    JointInfo,
     direct_info,
     direct_info_complete,
     direct_info_minimal,
@@ -548,6 +556,88 @@ def test_minimal_closed_form_matches_pairwise_sums_bit_for_bit(m):
             assert getattr(cf, block).tobytes() == want.tobytes(), (name, block)
         checked += 1
     assert checked >= 8
+
+
+def _orthogonal_blocks_three_formulas(design):
+    """joint_info_orthogonal's blocks with the count formula written once
+    per block: the reference for the single stacked formula."""
+    inc = incidences(design)
+    p, s = design.p, design.s
+    r_d = inc.r_d.astype(float)
+    r_c = inc.r_c.astype(float)
+    n_ds = inc.n_ds.astype(float)
+    n_cs = inc.n_cs.astype(float)
+    n_dp = inc.n_dp.astype(float)
+    n_cp = inc.n_cp.astype(float)
+    c11 = (
+        np.diag(r_d)
+        + np.outer(r_d, r_d) / (p * s)
+        - (n_ds @ n_ds.T) / p
+        - (n_dp @ n_dp.T) / s
+    )
+    c22 = (
+        np.diag(r_c)
+        + np.outer(r_c, r_c) / (p * s)
+        - (n_cs @ n_cs.T) / p
+        - (n_cp @ n_cp.T) / s
+    )
+    c12 = (
+        inc.n_dc.astype(float)
+        + np.outer(r_d, r_c) / (p * s)
+        - (n_ds @ n_cs.T) / p
+        - (n_dp @ n_cp.T) / s
+    )
+    return symmetrize(c11), c12, symmetrize(c22)
+
+
+def _assembled(c11, c12, c22):
+    """The joint matrix assembled from its blocks, lower block c12'."""
+    return np.vstack([np.hstack([c11, c12]), np.hstack([c12.T, c22])])
+
+
+def _residual_by_block_swap(c11, c12, c22):
+    """residual_info on the swapped matrix assembled block by block."""
+    swapped = np.block([[c22, c12.T], [c12, c11]])
+    return schur_complement(swapped, c22.shape[0])
+
+
+@pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())
+def test_one_formula_joint_info_equals_three_block_forms_bit_for_bit(design):
+    t = design.t
+    for m in range(design.p - 1):
+        cut = truncate(design, m) if m else design
+        blocks = _orthogonal_blocks_three_formulas(cut)
+        joint = joint_info_orthogonal(cut)
+        assert np.array_equal(joint.c, _assembled(*blocks)), m
+        assert np.array_equal(residual_info(joint), _residual_by_block_swap(*blocks)), m
+        for name, block in zip(("c11", "c12", "c22"), blocks):
+            view = getattr(joint, name)
+            assert np.array_equal(view, block), (m, name)
+            assert np.shares_memory(view, joint.c) and not view.flags.writeable
+        proj = joint_info_projection(design, truncation(design, m) if m else None)
+        assert np.array_equal(proj.c, proj.c.T), m
+        if 1 <= m < t - 1:
+            closed = minimal_closed_form(design, m)
+            loops = _minimal_closed_form_by_loops(design, m)
+            want = (loops["c11"], loops["c12"], loops["c22"])
+            assert np.array_equal(closed.c, _assembled(*want)), m
+            assert closed.joint is closed
+            assert np.array_equal(
+                residual_info(closed), _residual_by_block_swap(*want)
+            ), m
+
+
+def test_joint_info_takes_one_symmetric_2t_matrix():
+    c = joint_info_orthogonal(fixture("d3plan")).c
+    assert c.shape == (10, 10) and not c.flags.writeable
+    odd = r"^expected a 2t x 2t matrix, got shape \(3, 3\)$"
+    with pytest.raises(ValueError, match=odd):
+        JointInfo(np.eye(3))
+    with pytest.raises(ValueError, match=r"^matrix is not symmetric"):
+        JointInfo(np.triu(np.ones((4, 4))))
+    mine = np.array(c)
+    JointInfo(mine)
+    assert mine.flags.writeable
 
 
 def test_minimal_closed_form_lambda_min():

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from xover.construct import fixture, replicate, union, williams_pair, williams_square
-from xover.designs import truncate
+from xover.designs import CrossoverDesign, truncate
 from xover.info import direct_info_complete
 from xover.metrics import (
     a_criterion,
@@ -25,6 +26,8 @@ from xover.metrics import (
     theta_lower_star,
     uml,
 )
+
+metrics_module = sys.modules["xover.metrics"]
 
 # Reference values computed independently with exact rational/trig
 # arithmetic and frozen here at 12 digits.
@@ -232,6 +235,26 @@ def test_against_plan_validates_rows_before_stacking():
     c, crit, losses, disconnected = against_plan(design, [])
     assert c.shape == (1, 5, 5)
     assert crit.rank[0] == 4 and losses[0] == 0.0 and not disconnected[0]
+
+
+def _one_treatment_design():
+    return CrossoverDesign(t=1, p=3, s=2, layout=np.zeros((3, 2), dtype=int))
+
+
+def test_against_plan_rejects_one_treatment_before_the_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(metrics_module, "direct_info_patterns", refuse)
+    design = _one_treatment_design()
+    for rows in ([], [[3, 2]], [[2, 2]]):
+        with pytest.raises(ValueError, match=r"^requires t >= 2 treatments, got t=1$"):
+            against_plan(design, rows)
+
+
+def test_max_loss_rejects_one_treatment():
+    with pytest.raises(ValueError, match=r"^requires t >= 2 treatments, got t=1$"):
+        max_loss(_one_treatment_design(), 1)
 
 
 def test_mtr_values():
