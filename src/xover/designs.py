@@ -305,7 +305,12 @@ def _short_int(v: int) -> str:
 
 
 def check_tail(design: CrossoverDesign, m: int) -> None:
-    """Reject a tail length m outside 1..p-2."""
+    """Reject a tail length m outside 1..p-2, which is empty when p <= 2."""
+    if design.p <= 2:
+        raise ValueError(
+            f"a design of p={design.p} periods has no tail to drop "
+            "(m must lie in 1..p-2)"
+        )
     if not 1 <= m < design.p - 1:
         raise ValueError(f"m={_short_int(m)} out of range 1..{design.p - 2}")
 

@@ -17,14 +17,15 @@ sweeping out subjects and periods:
   unscaled Helmert contrasts l = 1..k-1 remove the subject effect, and
   each carries exactly one period parameter, so centring contrast l
   over the n_l subjects that observe it removes the period effects:
-  C = sum_l (Z_l'Z_l - S_l S_l'/n_l) / (l(l+1)), Z_l the integer
-  contrast rows and S_l their sum, exact counts in float64.  The
-  carryover block is then swept out as a stacked Schur complement, by
-  Cholesky on the Helmert contrasts of the carryover effects where a
-  certificate allows and by eigh elsewhere (linalg.schur_complement).
-  Every verdict of the library reaches it through metrics.against_plan,
-  which stacks the plan in front of the patterns it judges.
-  direct_info_pattern and
+  C = sum_l (Z_l'D_lZ_l - S_l S_l'/n_l) / (l(l+1)), Z_l the integer
+  contrast rows, D_l the subjects observing them and S_l = D_lZ_l
+  their sum, exact counts in float64 taken for a whole chunk of
+  patterns in one 2-D GEMM per contrast.  The carryover block is then
+  swept out as a stacked Schur complement, by Cholesky on the Helmert
+  contrasts of the carryover effects where a certificate allows and by
+  eigh elsewhere (linalg.schur_complement).  Every verdict of the
+  library reaches it through metrics.against_plan, which stacks the
+  plan in front of the patterns it judges.  direct_info_pattern and
   joint_info_projection are its B = 1 calls, the public single-matrix
   API and the test oracles, and every row of a batch equals its B = 1
   call bit for bit;
@@ -48,6 +49,7 @@ from .designs import (
     CrossoverDesign,
     DropoutPattern,
     _check_completion,
+    _short_int,
     coincidence,
     incidences,
     require_ubrmd,
@@ -56,7 +58,7 @@ from .linalg import moore_penrose, schur_complement, symmetrize
 
 # Byte budget of each per-chunk temporary of direct_info_patterns: a batch
 # is evaluated in chunks of rows whose float arrays fit in it, at least one
-# row per chunk.  The largest are the masked contrast rows, (rows, s, 2t),
+# row per chunk.  The largest are the masked GEMM operand, (rows, 2t, s),
 # and the Grams, (rows, 2t, 2t): 16 t max(s, 2t) bytes a row; the
 # Cholesky sweep's (rows, t-1, t) factors and products are smaller.  The
 # contrasts every row observes are summed once per call, so a chunk forms
@@ -145,31 +147,48 @@ def _contrasts(design: CrossoverDesign) -> np.ndarray:
     """Unscaled Helmert contrasts of every subject's cell rows over the
     columns [direct (t) | carryover (t)], as a (p-1, s, 2t) array of
     integers: row l-1 is the sum of periods 1..l minus l times period
-    l+1.  Built by one running sum over periods: row l-1 is row l-2
-    plus l times period l minus l times period l+1."""
-    t, layout = design.t, design.layout
-    z = np.zeros((design.p - 1, design.s, 2 * t))
-    i = np.arange(design.s)
-    for l in range(1, design.p):
+    l+1.  Built by one running sum over periods on a flat (p-1, s 2t)
+    array, row l-1 being row l-2 plus l times period l minus l times
+    period l+1; a cell's column is its subject's offset 2t i plus the
+    treatment, plus t for carryover, so every update is 1-D indexing."""
+    t, p, s = design.t, design.p, design.s
+    z = np.zeros((p - 1, s * 2 * t))
+    direct = design.layout + 2 * t * np.arange(s)
+    carry = direct + t
+    for l in range(1, p):
         zl = z[l - 1]
         if l > 1:
             zl += z[l - 2]
-            zl[i, t + layout[l - 2]] += l
-        zl[i, layout[l - 1]] += l
-        zl[i, t + layout[l - 1]] -= l
-        zl[i, layout[l]] -= l
-    return z
+            zl[carry[l - 2]] += l
+        zl[direct[l - 1]] += l
+        zl[carry[l - 1]] -= l
+        zl[direct[l]] -= l
+    return z.reshape(p - 1, s, 2 * t)
 
 
-def _centred_gram(w: np.ndarray, n, l) -> np.ndarray:
-    """(W'W - S S'/n) / (l(l+1)) of a stack of contrast rows w, zero where
-    unobserved, S their sum and n the number observed, or 1 where none
-    is and S is zero."""
-    total = w.sum(axis=-2)
-    gram = np.swapaxes(w, -1, -2) @ w
-    gram -= total[..., :, None] * total[..., None, :] / n
+def _centred_gram(gram: np.ndarray, total: np.ndarray, n, l) -> np.ndarray:
+    """(Z'DZ - S S'/n) / (l(l+1)), in place on the integer Gram Z'DZ of a
+    stack of contrast rows Z restricted to the observing rows D, S =
+    total their sum and n the number observed, or 1 where none is and S
+    is zero."""
+    outer = total[..., :, None] * total[..., None, :]
+    outer /= n
+    gram -= outer
     gram /= l * (l + 1)
     return gram
+
+
+def _masked_gram(zl: np.ndarray, seen: np.ndarray, l: int) -> np.ndarray:
+    """(rows, 2t, 2t) centred Grams of contrast l, (s, 2t), over the
+    subjects each row of the (rows, s) boolean seen observes.  Z'DZ of
+    every row is one 2-D GEMM of the masked (rows 2t, s) operand with
+    zl, and S = D Z one GEMM of the masks."""
+    rows, s = seen.shape
+    mask = seen.astype(float)
+    operand = (zl.T * mask[:, None, :]).reshape(-1, s)
+    gram = np.matmul(operand, zl).reshape(rows, zl.shape[1], zl.shape[1])
+    n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
+    return _centred_gram(gram, mask @ zl, n, l)
 
 
 def _shared_head(z: np.ndarray, ks: np.ndarray) -> tuple[int, np.ndarray]:
@@ -178,7 +197,8 @@ def _shared_head(z: np.ndarray, ks: np.ndarray) -> tuple[int, np.ndarray]:
     in one stacked call."""
     k0 = int(ks.min())
     gram = np.zeros(z.shape[2:] * 2)
-    for term in _centred_gram(z[: k0 - 1], z.shape[1], np.arange(1, k0)[:, None, None]):
+    w, ls = z[: k0 - 1], np.arange(1, k0)[:, None, None]
+    for term in _centred_gram(np.swapaxes(w, 1, 2) @ w, w.sum(axis=1), z.shape[1], ls):
         gram += term
     return k0, gram
 
@@ -193,22 +213,24 @@ def _joint_stack(
     remove the subject effect.  Each carries one period parameter,
     shared by the n_l subjects observing it (k_i > l), so centring each
     contrast over them sweeps the periods out:
-    C = sum_l (Z_l'Z_l - S_l S_l'/n_l) / (l(l+1)), S_l the sum of those
-    rows and a zero n_l taking a zero S S'/n.  Z'Z, S and n are integer
-    counts, exact and symmetric in float64 whatever the BLAS blocking;
-    the only roundings are the two divisions, the subtraction and the
-    sum in ascending l.  head is the _shared_head of ks or of a batch
-    containing it, formed here when not given; the contrasts from its k0
-    on are masked row by row and added to it.  A masked contrast seen by
-    every subject gives the bits of its shared form, so every row comes
-    out the same in any batch, whatever k0 its head was formed at.
+    C = sum_l (Z_l'D_lZ_l - S_l S_l'/n_l) / (l(l+1)), D_l the 0/1 mask
+    of those rows, S_l = D_lZ_l their sum and a zero n_l taking a zero
+    S S'/n.  Every entry of Z is an integer with |z| <= p-1, so Z'DZ, S
+    and S S' are integers with |Z'DZ|, |S S'| <= s^2 (p-1)^2 < 2^53 (for
+    s(p-1) < 9.4e7; z alone would then take over 1.5 GB): exact and
+    symmetric in float64 whatever the BLAS blocking or FMA order.  The
+    only roundings are the two divisions, the subtraction and the sum
+    in ascending l.  head is the _shared_head of ks or of a batch
+    containing it, formed here when not given; each contrast from its
+    k0 on is masked for all rows at once (_masked_gram, one GEMM) and
+    added to it.  A masked contrast seen by every subject gives the
+    bits of its shared form, so every row comes out the same in any
+    batch, whatever k0 its head was formed at.
     """
     k0, gram = _shared_head(z, ks) if head is None else head
     gram = np.repeat(gram[None], len(ks), axis=0)
     for l in range(k0, len(z) + 1):
-        seen = ks > l
-        n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
-        gram += _centred_gram(z[l - 1] * seen[..., None], n, l)
+        gram += _masked_gram(z[l - 1], ks > l, l)
     return gram
 
 
@@ -306,7 +328,7 @@ def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
     require_ubrmd(design)
     t = design.t
     if not 1 <= m < t - 1:
-        raise ValueError(f"m={m} out of range 1..{t - 2}")
+        raise ValueError(f"m={_short_int(m)} out of range 1..{t - 2}")
     g = design.g
     assert g is not None
     eye = np.eye(t)

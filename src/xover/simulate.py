@@ -344,7 +344,7 @@ def enumerate_exact(
     means must approach.
     """
     if m != 1:
-        raise ValueError(f"exact enumeration requires m=1, got m={m}")
+        raise ValueError(f"exact enumeration requires m=1, got m={_short_int(m)}")
     if design.s > 20:
         raise ValueError(f"requires s <= 20, got s={design.s}")
     if not 0.0 <= hazard <= 1.0:

@@ -171,6 +171,23 @@ def test_evaluate_truncate_range_error(tmp_path, capsys):
     assert "out of range 1..3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--truncate", "1"], ["simulate", "--hazards", "0.1"]],
+    ids=["evaluate", "simulate"],
+)
+def test_two_period_design_has_no_tail_to_drop(tmp_path, capsys, argv):
+    f = tmp_path / "w2.txt"
+    f.write_text("# xover-design v1\nt=2 p=2 s=2\n0 1\n1 0\n")
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a design of p=2 periods has no tail to drop "
+        "(m must lie in 1..p-2)\n"
+    )
+
+
 def test_evaluate_pattern(tmp_path, capsys):
     f = _write(tmp_path, "d.txt", williams_pair(5))
     pat = tmp_path / "pattern.txt"

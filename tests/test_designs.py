@@ -369,6 +369,17 @@ def test_truncate_range():
         truncate(fixture("d2plan"), 0)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_truncate_of_two_period_design_has_no_tail(m):
+    # 1..p-2 is empty, so the message names no range, whatever m is
+    d = CrossoverDesign(t=2, p=2, s=2, layout=[[0, 1], [1, 0]])
+    with pytest.raises(ValueError) as info:
+        truncate(d, m)
+    assert str(info.value) == (
+        "a design of p=2 periods has no tail to drop (m must lie in 1..p-2)"
+    )
+
+
 def test_check_type_w1_d2plan():
     assert check_type_wm(fixture("d2plan"), 1).ok
 

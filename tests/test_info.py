@@ -420,6 +420,119 @@ def test_uncertified_rows_take_the_eigh_route_row_by_row(design, monkeypatch):
     )
 
 
+def _contrasts_by_loop(design):
+    """The contrasts by the former build: the same running sum over
+    periods, with four 2-D fancy-index updates per period."""
+    t, layout = design.t, design.layout
+    z = np.zeros((design.p - 1, design.s, 2 * t))
+    i = np.arange(design.s)
+    for l in range(1, design.p):
+        zl = z[l - 1]
+        if l > 1:
+            zl += z[l - 2]
+            zl[i, t + layout[l - 2]] += l
+        zl[i, layout[l - 1]] += l
+        zl[i, t + layout[l - 1]] -= l
+        zl[i, layout[l]] -= l
+    return z
+
+
+def _gram_by_batched_matmul(w, n, l):
+    """The former centred Gram of a masked (..., s, 2t) copy of the
+    contrast rows: one small matmul per row and a sum reduction."""
+    total = w.sum(axis=-2)
+    gram = np.swapaxes(w, -1, -2) @ w
+    gram -= total[..., :, None] * total[..., None, :] / n
+    gram /= l * (l + 1)
+    return gram
+
+
+def _joint_stack_by_batched_matmul(z, ks):
+    """The former _joint_stack: the shared head at ks.min() in one
+    stacked call, then each masked contrast as a (rows, s, 2t) copy."""
+    k0 = int(ks.min())
+    head = np.zeros(z.shape[2:] * 2)
+    ls = np.arange(1, k0)[:, None, None]
+    for term in _gram_by_batched_matmul(z[: k0 - 1], z.shape[1], ls):
+        head += term
+    gram = np.repeat(head[None], len(ks), axis=0)
+    for l in range(k0, len(z) + 1):
+        seen = ks > l
+        n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
+        gram += _gram_by_batched_matmul(z[l - 1] * seen[..., None], n, l)
+    return gram
+
+
+def _engine_rows(design, rng):
+    """The complete row, every truncation row down to one period, random
+    rows at every lower bound, a batch in which only the last row drops,
+    one of the plan and its full truncation alone, and plan rows alone
+    (no masked contrast)."""
+    p, s = design.p, design.s
+    rows = [np.full((p, s), np.arange(p, 0, -1)[:, None])]
+    rows += [rng.integers(low, p + 1, (4, s)) for low in range(1, p + 1)]
+    ks = np.vstack(rows)
+    dropping_last = np.full((4, s), p)
+    dropping_last[-1, 0] = max(1, p - 2)
+    ends = np.vstack([np.full(s, p), np.full(s, max(1, p - 2))])
+    return [ks, dropping_last, ends, np.full((2, s), p)]
+
+
+@pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())
+def test_engine_equals_the_batched_matmul_engine_bit_for_bit(design, monkeypatch):
+    # the flat-index contrasts and the one-GEMM masked step give the
+    # former engine's bits at every chunk budget, plan-only chunks and
+    # chunks with n_l = 0 (the full truncation) included
+    t = design.t
+    z = info_module._contrasts(design)
+    assert np.array_equal(z, _contrasts_by_loop(design))
+    rng = np.random.default_rng(20071024)
+    for ks in _engine_rows(design, rng):
+        want = _joint_stack_by_batched_matmul(z, ks)
+        assert np.array_equal(info_module._joint_stack(z, ks), want)
+        want = schur_complement(want, t)
+        for budget in (1, info_module._CHUNK_BYTES, 1 << 30):
+            monkeypatch.setattr(info_module, "_CHUNK_BYTES", budget)
+            assert np.array_equal(direct_info_patterns(design, ks), want), budget
+    empty = np.zeros((0, design.s), dtype=int)
+    assert direct_info_patterns(design, empty).shape == (0, t, t)
+    assert info_module._masked_gram(z[0], empty > 0, 1).shape == (0, 2 * t, 2 * t)
+
+
+@pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())
+def test_masked_integer_parts_are_exact(design, monkeypatch):
+    # every entry of Z is an integer with |z| <= p-1, so Z'DZ and S are
+    # integers with |Z'DZ|, |S S'| <= s^2 (p-1)^2 < 2^53: the engine's
+    # float GEMMs equal the int64 products whatever the BLAS blocking
+    p, s = design.p, design.s
+    z = info_module._contrasts(design)
+    assert np.abs(z).max() <= p - 1
+    assert (s * (p - 1)) ** 2 < 2**53
+    zi = z.astype(np.int64)
+    assert np.array_equal(zi, z)
+    parts = []
+    centred_gram = info_module._centred_gram
+
+    def recording(gram, total, n, l):
+        parts.append((gram.copy(), total.copy()))
+        return centred_gram(gram, total, n, l)
+
+    monkeypatch.setattr(info_module, "_centred_gram", recording)
+    rng = np.random.default_rng(20071025)
+    for l in range(1, p):
+        seen = rng.random((5, s)) < rng.random((5, 1))
+        parts.clear()
+        info_module._masked_gram(z[l - 1], seen, l)
+        [(gram, total)] = parts
+        mask = seen.astype(np.int64)
+        want_gram = (zi[l - 1].T * mask[:, None, :]) @ zi[l - 1]
+        want_total = mask @ zi[l - 1]
+        assert np.array_equal(gram, np.round(gram))
+        assert np.array_equal(total, np.round(total))
+        assert (gram.astype(np.int64) == want_gram).all()
+        assert (total.astype(np.int64) == want_total).all()
+
+
 def test_orthogonal_d3plan_complete_symmetric():
     cd = direct_info_complete(fixture("d3plan"))
     np.testing.assert_allclose(cd, _complete_symmetric_plan(5, 2), atol=1e-9)
@@ -673,6 +786,20 @@ def test_minimal_closed_form_range_checks():
     with pytest.raises(ValueError, match="uniform-balanced"):
         layout = np.zeros((3, 3), dtype=int)
         minimal_closed_form(CrossoverDesign(t=3, p=3, s=3, layout=layout), 1)
+
+
+@pytest.mark.parametrize(
+    "m, shown",
+    [
+        (10**30, "1" + "0" * 19 + "... (31 digits)"),
+        (10**5000, "... (more than 4300 digits)"),
+    ],
+    ids=["31-digits", "5001-digits"],
+)
+def test_minimal_closed_form_range_error_is_short(m, shown):
+    with pytest.raises(ValueError) as info:
+        minimal_closed_form(fixture("d2plan"), m)
+    assert str(info.value) == f"m={shown} out of range 1..2"
 
 
 def test_residual_minimal_m1_exact_small_case():

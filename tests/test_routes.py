@@ -43,6 +43,7 @@ SINGLE_MATRIX_API = (
 
 # p = t = 2: uniform-balanced, but no tail length 1 <= m <= p-2 exists
 P2 = CrossoverDesign(t=2, p=2, s=2, layout=[[0, 1], [1, 0]])
+NO_TAIL = "a design of p=2 periods has no tail to drop (m must lie in 1..p-2)"
 
 
 def _evaluate_argvs(tmp_path, d):
@@ -76,24 +77,30 @@ def test_truncation_is_the_full_tail_pattern():
     "design, m", [(williams_pair(5), 4), (williams_square(4), 3), (P2, 1)]
 )
 def test_tail_range_errors(design, m):
-    message = f"m={m} out of range 1..{design.p - 2}"
+    # a design of p <= 2 periods has no tail length at all, so its
+    # message names no range, whatever m is
+    def message(m):
+        if design.p <= 2:
+            return NO_TAIL
+        return f"m={m} out of range 1..{design.p - 2}"
+
     for call in (
         lambda: max_loss(design, m),
         lambda: simulate(design, DropoutModel(m, (0.5,) * m), 10),
     ):
         with pytest.raises(ValueError) as info:
             call()
-        assert str(info.value) == message
+        assert str(info.value) == message(m)
     with pytest.raises(ValueError) as info:
         max_loss(design, 0)
-    assert str(info.value) == f"m=0 out of range 1..{design.p - 2}"
+    assert str(info.value) == message(0)
 
 
 def test_enumerate_exact_rejects_two_period_design():
     # enumeration has no m of its own to check: the truncation must raise
     with pytest.raises(ValueError) as info:
         enumerate_exact(P2, 0.5)
-    assert str(info.value) == "m=1 out of range 1..0"
+    assert str(info.value) == NO_TAIL
 
 
 def test_production_never_calls_the_count_route(monkeypatch, tmp_path, capsys):
@@ -388,6 +395,50 @@ def test_shared_head_is_summed_once_per_engine_call(monkeypatch):
         assert heads == [len(ks)], budget
     for got in results[1:]:
         assert np.array_equal(got, results[0])
+
+
+def test_masked_step_is_one_gemm_per_contrast_and_chunk(monkeypatch):
+    # each chunk forms its masked contrasts l >= k0 through one helper
+    # call each, in ascending l, and the helper's GEMM is one 2-D
+    # (rows 2t, s) by (s, 2t) product, with no per-row matmul
+    info = sys.modules["xover.info"]
+    events, gemms = [], []
+    masked_gram, schur, matmul = info._masked_gram, info.schur_complement, np.matmul
+
+    def recording_masked(zl, seen, l):
+        gemms.clear()
+        out = masked_gram(zl, seen, l)
+        events.append((l, len(seen), list(gemms)))
+        return out
+
+    def recording_matmul(a, b, *args, **kwargs):
+        gemms.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    def recording_schur(m, k):
+        events.append(("schur", len(m)))
+        return schur(m, k)
+
+    monkeypatch.setattr(info, "_masked_gram", recording_masked)
+    monkeypatch.setattr(info, "schur_complement", recording_schur)
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    d = williams_pair(15)
+    t2, s = 2 * d.t, d.s
+    rng = np.random.default_rng(18)
+    ks = rng.integers(d.p - 2, d.p + 1, (20, d.s))
+    k0 = int(ks.min())
+    for budget, n_chunks in ((1 << 30, 1), (1, len(ks)), (info._CHUNK_BYTES, None)):
+        monkeypatch.setattr(info, "_CHUNK_BYTES", budget)
+        events.clear()
+        info.direct_info_patterns(d, ks)
+        schurs = [e[1] for e in events if e[0] == "schur"]
+        assert sum(schurs) == len(ks)
+        assert n_chunks is None or len(schurs) == n_chunks
+        want = []
+        for n in schurs:
+            want += [(l, n, [((n * t2, s), (s, t2))]) for l in range(k0, d.p)]
+            want.append(("schur", n))
+        assert events == want, budget
 
 
 def test_readme_python_api_runs():

@@ -302,6 +302,20 @@ def test_enumerate_exact_skewed_hazard():
     assert 0.0 < ex.mean_loss < 1.0
 
 
+@pytest.mark.parametrize(
+    "m, shown",
+    [
+        (10**30, "1" + "0" * 19 + "... (31 digits)"),
+        (10**5000, "... (more than 4300 digits)"),
+    ],
+    ids=["31-digits", "5001-digits"],
+)
+def test_enumerate_exact_m_error_is_short(m, shown):
+    with pytest.raises(ValueError) as info:
+        enumerate_exact(fixture("d2plan"), 0.5, m=m)
+    assert str(info.value) == f"exact enumeration requires m=1, got m={shown}"
+
+
 def test_enumerate_exact_errors():
     with pytest.raises(ValueError, match="requires m=1"):
         enumerate_exact(fixture("d2plan"), 0.5, m=2)
