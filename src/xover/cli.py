@@ -30,12 +30,12 @@ import numpy as np
 from . import construct as con
 from .designs import (
     CrossoverDesign,
-    _classify,
     _is_type_wm,
     _pattern_row,
     _short_int,
     _short_token,
     check_tail,
+    classify,
     parse_design,
     validate_ubrmd,
     write_design,
@@ -180,7 +180,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     for failure in report.failures:
         summary_lines.append(f"  {failure}")
     if report.ok:
-        summary_lines.append(f"classification: {_classify(design)}")
+        summary_lines.append(f"classification: {classify(design)}")
     # the summary goes wherever the design text does not
     _write(text, args.output)
     (sys.stdout if args.output else sys.stderr).write("\n".join(summary_lines) + "\n")
@@ -215,7 +215,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "s": design.s,
         "g": design.g,
         "ubrmd": validation.ok,
-        "classification": _classify(design) if validation.ok else "not-UBRMD",
+        "classification": classify(design),
     }
     # the (B, s) completion rows evaluated against the plan, B = 0 or 1
     rows = np.empty((0, design.s), dtype=np.int64)

@@ -91,6 +91,40 @@ class CrossoverDesign:
         index.setflags(write=False)
         return index
 
+    @functools.cached_property
+    def _validation(self) -> ValidationReport:
+        """validate_ubrmd's report, made once per design."""
+        t, p, s = self.t, self.p, self.s
+        failures: list[str] = []
+        if p != t:
+            failures.append(f"period count p={p} differs from treatment count t={t}")
+        if s % t != 0:
+            failures.append(f"subject count s={s} is not a multiple of t={t}")
+            return ValidationReport(False, tuple(failures))
+        g = s // t
+        layout = self.layout
+        if p == t:
+            columns = _counts(layout.T, t)
+            for i in np.flatnonzero((columns != 1).any(axis=1)):
+                failures.append(
+                    f"non-uniform column {i}: treatment counts {columns[i].tolist()}"
+                )
+        rows = _counts(layout, t)
+        for j in np.flatnonzero((rows != g).any(axis=1)):
+            failures.append(f"non-uniform row {j + 1}: treatment counts {rows[j].tolist()}")
+        # prec[a, b] counts a given right after b; each treatment's
+        # self-precedence is reported before its pairs
+        prec = _pairs(layout[1:].ravel(), layout[:-1].ravel(), t)
+        wrong = zip(*np.nonzero(prec != g * (1 - np.eye(t, dtype=int))))
+        for a, b in sorted(wrong, key=lambda ab: (ab[0], ab[0] != ab[1])):
+            if a == b:
+                failures.append(f"self-precedence for treatment {a}: count {prec[a, a]}")
+            else:
+                failures.append(
+                    f"precedence count != g for pair ({a} after {b}): {prec[a, b]}"
+                )
+        return ValidationReport(not failures, tuple(failures))
+
 
 @dataclass(frozen=True)
 class DropoutPattern:
@@ -158,38 +192,10 @@ class TypeWReport:
 def validate_ubrmd(design: CrossoverDesign) -> ValidationReport:
     """Check uniform balance: p = t, every treatment once per subject,
     g times per period, and every ordered treatment pair in consecutive
-    periods realized exactly g times with no self-precedence.
+    periods realized exactly g times with no self-precedence.  The report
+    is made once per design (CrossoverDesign._validation) and kept.
     """
-    t, p, s = design.t, design.p, design.s
-    failures: list[str] = []
-    if p != t:
-        failures.append(f"period count p={p} differs from treatment count t={t}")
-    if s % t != 0:
-        failures.append(f"subject count s={s} is not a multiple of t={t}")
-        return ValidationReport(False, tuple(failures))
-    g = s // t
-    layout = design.layout
-    if p == t:
-        columns = _counts(layout.T, t)
-        for i in np.flatnonzero((columns != 1).any(axis=1)):
-            failures.append(
-                f"non-uniform column {i}: treatment counts {columns[i].tolist()}"
-            )
-    rows = _counts(layout, t)
-    for j in np.flatnonzero((rows != g).any(axis=1)):
-        failures.append(f"non-uniform row {j + 1}: treatment counts {rows[j].tolist()}")
-    # prec[a, b] counts a given right after b; each treatment's
-    # self-precedence is reported before its pairs
-    prec = _pairs(layout[1:].ravel(), layout[:-1].ravel(), t)
-    wrong = zip(*np.nonzero(prec != g * (1 - np.eye(t, dtype=int))))
-    for a, b in sorted(wrong, key=lambda ab: (ab[0], ab[0] != ab[1])):
-        if a == b:
-            failures.append(f"self-precedence for treatment {a}: count {prec[a, a]}")
-        else:
-            failures.append(
-                f"precedence count != g for pair ({a} after {b}): {prec[a, b]}"
-            )
-    return ValidationReport(not failures, tuple(failures))
+    return design._validation
 
 
 def _counts(rows: np.ndarray, t: int) -> np.ndarray:
@@ -202,14 +208,15 @@ def _counts(rows: np.ndarray, t: int) -> np.ndarray:
 
 
 def _pairs(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
-    """Counts of treatment pairs along the last axis: out[..., x, y]
-    counts the positions where a holds x and b holds y."""
-    return _counts(a * t + b, t * t).reshape(*a.shape[:-1], t, t)
+    """Counts of treatment pairs along the last axis of broadcast a, b:
+    out[..., x, y] counts the positions where a holds x and b holds y."""
+    keys = a * t + b
+    return _counts(keys, t * t).reshape(*keys.shape[:-1], t, t)
 
 
 def require_ubrmd(design: CrossoverDesign) -> None:
-    """Raise ValueError listing the failures of a design that is not a UBRMD."""
-    report = validate_ubrmd(design)
+    """Raise ValueError listing the failures of validate_ubrmd's report."""
+    report = design._validation
     if not report.ok:
         raise ValueError("design is not uniform-balanced: " + "; ".join(report.failures))
 
@@ -409,20 +416,13 @@ def classify(design: CrossoverDesign) -> str:
     copies of one balanced square with a single-cycle tail map), or
     "ClassB-W1" (identical copies of a two-square array whose tail maps
     are mutually transposed single cycles).  The result is unchanged by
-    relabeling the treatments.
+    relabeling the treatments.  It reads validate_ubrmd's report, made
+    once per design.  Uniform balance makes the copied square of ClassA,
+    or the copied pair of ClassB, balanced itself: the design's
+    precedence and period counts are the copy's times the copies.
     """
-    if not validate_ubrmd(design).ok:
+    if not design._validation.ok:
         return "not-UBRMD"
-    return _classify(design)
-
-
-def _classify(design: CrossoverDesign) -> str:
-    """classify for a design already known to be uniform-balanced.
-
-    Uniform balance makes the copied square of ClassA, or the copied pair
-    of ClassB, balanced itself: the design's precedence and period counts
-    are the copy's times the number of copies.
-    """
     t, p = design.t, design.p
     squares = design.layout[:, design._block_index]  # (p, g, t)
     g = squares.shape[1]

@@ -49,8 +49,8 @@ from .designs import (
     CrossoverDesign,
     DropoutPattern,
     _check_completion,
-    _short_int,
-    coincidence,
+    _pairs,
+    check_tail,
     incidences,
     require_ubrmd,
 )
@@ -319,29 +319,28 @@ def residual_info(joint: JointInfo) -> np.ndarray:
 def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
     """Closed-form information blocks after dropping the last m periods.
 
-    design must be uniform-balanced with 1 <= m < t-1.  The blocks are
-    assembled from the coincidence matrices U_jk of the planned design's
-    last m+1 periods.  The companion matrix a_matrix is nonsingular
+    design must be uniform-balanced, and m in check_tail's range (p = t,
+    so 1 <= m < t-1).  The blocks are assembled from the coincidence
+    matrices U_jk of the planned design's last m+1 periods, all counted
+    by one _pairs call.  The companion matrix a_matrix is nonsingular
     exactly when t >= 2m+2; its inverse is then certified as a
     generalized inverse of c22 before being returned.
     """
     require_ubrmd(design)
-    t = design.t
-    if not 1 <= m < t - 1:
-        raise ValueError(f"m={_short_int(m)} out of range 1..{t - 2}")
-    g = design.g
+    check_tail(design, m)
+    t, g = design.t, design.g
     assert g is not None
     eye = np.eye(t)
     ones = np.ones((t, t))
     # u[j, k] = U_jk for j != k in 0..m, zero for j = k: every sum below is
     # over pairs j != k, and exact, since the counts are integers
-    tail = range(m + 1)
-    u = np.array([[coincidence(design, j, k) for k in tail] for j in tail], float)
-    u[tail, tail] = 0
+    rows = design.layout[::-1][: m + 1]  # row j: period p-j
+    u = _pairs(rows[:, None], rows[None], t).astype(float)
+    u[np.diag_indices(m + 1)] = 0
     sum_full = u.sum(axis=(0, 1))  # j, k drawn from 0..m
     sum_low = u[:m, :m].sum(axis=(0, 1))  # j, k from 0..m-1
     sum_cross = u[:m].sum(axis=(0, 1))  # j from 0..m-1, any k
-    sum_adj = u[tail[:-1], tail[1:]].sum(axis=0)  # k = j+1
+    sum_adj = u[range(m), range(1, m + 1)].sum(axis=0)  # k = j+1
 
     q = t - m
     c11 = (g * (q * q - m) / q) * eye - (g * (t - 2 * m) / q) * ones - sum_low / q
@@ -373,20 +372,19 @@ def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
 def residual_info_minimal_m1(design: CrossoverDesign) -> np.ndarray:
     """Carryover information of the one-period-truncated design, closed form.
 
-    Valid for uniform-balanced designs with t >= 3.  Written in terms of
-    U, the coincidence matrix of the planned design's last two periods:
-    a completely symmetric lead term, a correction along U + U', a U'U
-    term, and a constant shift.
+    Valid for uniform-balanced designs with m = 1 in check_tail's range
+    (t = p >= 3).  Written in terms of U, the coincidence matrix of the
+    planned design's last two periods (one _pairs call): a completely
+    symmetric lead term, a correction along U + U', a U'U term, and a
+    constant shift.
     """
     require_ubrmd(design)
-    t = design.t
-    if t < 3:
-        raise ValueError(f"requires t >= 3, got t={t}")
-    g = design.g
+    check_tail(design, 1)
+    t, g = design.t, design.g
     assert g is not None
     eye = np.eye(t)
     ones = np.ones((t, t))
-    u = coincidence(design, 0, 1).astype(float)
+    u = _pairs(design.layout[-1], design.layout[-2], t).astype(float)
     cr = (
         (g * t * (t * t - 5 * t + 5) / ((t - 1) * (t - 2))) * (eye - ones / t)
         - (2.0 / (t - 2)) * (u + u.T)

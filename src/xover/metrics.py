@@ -146,28 +146,27 @@ def loss(plan_trace_mp: float, imp_trace_mp: float | np.ndarray) -> float | np.n
 
 def implemented_losses(
     plan_trace_mp: float, trace_mp: np.ndarray, connected: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loss of each implemented design of a stack against the plan, and
-    whether it is disconnected.
+) -> np.ndarray:
+    """Loss of each implemented design of a stack against the plan.
 
-    A disconnected design is reported as loss 1.0 with the flag set
-    rather than an error, so sweeping over many patterns or (t, m) never
-    aborts.  Losses below 1e-12 in magnitude are no-dropout roundoff and
-    snap to 0.0.
+    A disconnected design is reported as loss 1.0 (its flag is the
+    caller's ~connected) rather than an error, so sweeping over many
+    patterns or (t, m) never aborts.  Losses below 1e-12 in magnitude
+    are no-dropout roundoff and snap to 0.0.
     """
     val = np.ones(trace_mp.shape)
     if connected.any():
         val[connected] = loss(plan_trace_mp, trace_mp[connected])
     val[np.abs(val) < 1e-12] = 0.0
-    return val, ~connected
+    return val
 
 
 def implemented_loss(plan: ACriterion, imp: ACriterion) -> tuple[float, bool]:
-    """implemented_losses for one implemented design."""
-    val, disconnected = implemented_losses(
+    """implemented_losses for one implemented design, and ~imp.connected."""
+    val = implemented_losses(
         plan.trace_mp, np.array([imp.trace_mp]), np.array([imp.connected])
     )
-    return float(val[0]), bool(disconnected[0])
+    return float(val[0]), not imp.connected
 
 
 def against_plan(
@@ -177,9 +176,9 @@ def against_plan(
 
     Validates the (B, s) completion rows, stacks the complete pattern
     (row 0) in front of them and evaluates them as one batch: returns the
-    (B+1, t, t) information, its A-criteria, and each row's loss and
-    disconnected flag against row 0 (implemented_losses).  A single
-    treatment has no contrast to estimate, so t must be at least 2.
+    (B+1, t, t) information, its A-criteria, each row's loss against row
+    0 (implemented_losses) and its disconnected flag, ~crit.connected.  A
+    single treatment has no contrast to estimate, so t must be at least 2.
     """
     if design.t < 2:
         raise ValueError(f"requires t >= 2 treatments, got t={design.t}")
@@ -187,10 +186,8 @@ def against_plan(
     rows = _completion_rows(design, completions) if len(completions) else plan[:0]
     c = direct_info_patterns(design, np.concatenate([plan, rows]))
     crit = a_criteria(c, design.t)
-    losses, disconnected = implemented_losses(
-        crit.trace_mp[0], crit.trace_mp, crit.connected
-    )
-    return c, crit, losses, disconnected
+    losses = implemented_losses(crit.trace_mp[0], crit.trace_mp, crit.connected)
+    return c, crit, losses, ~crit.connected
 
 
 def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:

@@ -39,8 +39,9 @@ from .linalg import is_psd
 from .metrics import against_plan
 
 ORDER_TOL = 1e-9
-# The most replicates one call draws: simulate keeps three arrays of n
-# entries (100 MB at this n), and n sizes them before any is drawn.
+# The most replicates one call draws: n sizes simulate's one float64 array
+# of losses (80 MB at this n) before any is drawn; keep_losses=True adds a
+# tuple of n Python floats, about 32 bytes each (320 MB at this n).
 MAX_N = 10**7
 # Uniforms drawn per vectorized chunk: 2**16 keeps every uint64 temporary
 # of the Philox rounds at 128 KiB whatever the design's size.
@@ -281,17 +282,20 @@ def simulate(
     n must lie in 1..MAX_N.  Deterministic for a fixed seed in
     0..2**64-1: replicate r draws from the Philox stream keyed by
     (seed, r), under the sampling contract of the module docstring.
-    ordering_violations counts replicates where
-    the information matrices fail the expected sandwich (plan
-    above implemented above truncated, as positive-semidefinite
-    differences at tolerance 1e-9); a violation would falsify the
-    worst-case analysis, so it is surfaced prominently.  Each chunk
+    ordering_violations counts replicates where the information matrices
+    fail the expected sandwich (plan above implemented above truncated,
+    as positive-semidefinite differences at tolerance 1e-9); a violation
+    would falsify the worst-case analysis, so it is surfaced
+    prominently.  Each chunk of _CHUNK_UNIFORMS // (s m) replicates
     deduplicates its completion rows on packed integer keys
-    (_distinct_completions) and evaluates the distinct ones in one
-    against_plan stack.  Both halves of the sandwich are certified from
-    that stack's spectra by Weyl's inequality (_loewner_certified), and
-    the differences left open go through at most one stacked is_psd
-    call, which gives the same verdict as is_psd on every difference.
+    (_distinct_completions), evaluates the distinct ones in one
+    against_plan stack, and counts each one's verdicts once, weighted by
+    its replicates (a pattern drawn in two chunks is evaluated in both).
+    keep_losses=True adds the losses as n Python floats, about 32 bytes
+    each.  Both halves of the sandwich are certified from that stack's
+    spectra by Weyl's inequality (_loewner_certified), and the
+    differences left open go through at most one stacked is_psd call,
+    which gives the same verdict as is_psd on every difference.
     """
     require_ubrmd(design)
     if n < 1:
@@ -303,8 +307,7 @@ def simulate(
     s, p, m = design.s, design.p, model.m
     hazards = np.array(model.hazards)
     losses = np.empty(n)
-    disconnected = np.empty(n, dtype=bool)
-    ordering_ok = np.empty(n, dtype=bool)
+    disconnected = violations = 0
     step = max(1, _CHUNK_UNIFORMS // (s * m))
     for start in range(0, n, step):
         stop = min(n, start + step)
@@ -316,8 +319,9 @@ def simulate(
         )
         ok = _ordering_ok(c, crit.eigenvalues)
         losses[start:stop] = chunk_losses[2:][inverse]
-        disconnected[start:stop] = chunk_disconnected[2:][inverse]
-        ordering_ok[start:stop] = ok[inverse]
+        drawn = np.bincount(inverse, minlength=len(distinct))
+        disconnected += int(drawn[chunk_disconnected[2:]].sum())
+        violations += int(drawn[~ok].sum())
     qs = (0.5, 0.9, 0.99)
     quantiles = tuple(zip(qs, np.quantile(losses, qs).tolist()))
     return SimulationResult(
@@ -325,11 +329,11 @@ def simulate(
         mean_loss=float(losses.mean()),
         max_loss=float(losses.max()),
         quantiles=quantiles,
-        p_disconnect=int(disconnected.sum()) / n,
-        ordering_violations=int(n - ordering_ok.sum()),
+        p_disconnect=disconnected / n,
+        ordering_violations=violations,
         ml=float(chunk_losses[1]),
         ml_disconnected=bool(chunk_disconnected[1]),
-        losses=tuple(float(x) for x in losses) if keep_losses else None,
+        losses=tuple(losses.tolist()) if keep_losses else None,
     )
 
 

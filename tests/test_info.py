@@ -16,10 +16,12 @@ from xover.construct import (
 from xover.designs import (
     CrossoverDesign,
     DropoutPattern,
+    check_tail,
     coincidence,
     incidences,
     truncate,
     truncation,
+    validate_ubrmd,
 )
 from xover.info import (
     JointInfo,
@@ -800,6 +802,71 @@ def test_minimal_closed_form_range_error_is_short(m, shown):
     with pytest.raises(ValueError) as info:
         minimal_closed_form(fixture("d2plan"), m)
     assert str(info.value) == f"m={shown} out of range 1..2"
+
+
+def _minimal_closed_form_by_coincidence(design, m):
+    """The former minimal_closed_form, one coincidence call per pair of
+    tail indices, (m+1)^2 in all: the reference for its one _pairs call."""
+    t, g = design.t, design.g
+    eye = np.eye(t)
+    ones = np.ones((t, t))
+    tail = range(m + 1)
+    u = np.array([[coincidence(design, j, k) for k in tail] for j in tail], float)
+    u[tail, tail] = 0
+    sum_full = u.sum(axis=(0, 1))
+    sum_low = u[:m, :m].sum(axis=(0, 1))
+    sum_cross = u[:m].sum(axis=(0, 1))
+    sum_adj = u[tail[:-1], tail[1:]].sum(axis=0)
+    q = t - m
+    c11 = (g * (q * q - m) / q) * eye - (g * (t - 2 * m) / q) * ones - sum_low / q
+    c22 = (g / q) * (
+        (q * q - (t + 1)) * eye
+        - ((q * q - (t + 1) - m * (m + 1)) / t) * ones
+    ) - sum_full / q
+    c12 = (g / q) * ((m + 1) * ones - t * eye) - sum_adj - sum_cross / q
+    a_matrix = (g / q) * (q * q - (t + 1)) * eye - sum_full / q
+    return {
+        "c": symmetrize(np.block([[c11, c12], [c12.T, c22]])),
+        "a_matrix": symmetrize(a_matrix),
+        "lambda_min_a": float((g / q) * (q * q - (t + 1) - m * (m + 1))),
+        "a_inverse": np.linalg.inv(a_matrix) if t >= 2 * m + 2 else None,
+    }
+
+
+UBRMD_SWEEP = {k: d for k, d in SWEEP_CORPUS.items() if validate_ubrmd(d).ok}
+
+
+@pytest.mark.parametrize("design", UBRMD_SWEEP.values(), ids=UBRMD_SWEEP.keys())
+def test_minimal_closed_form_equals_coincidence_loop_bit_for_bit(design):
+    # the tail counts are integers, so one stacked _pairs count moves no
+    # bit of any field, at every tail length
+    assert len(UBRMD_SWEEP) == len(SWEEP_CORPUS)
+    for m in range(1, design.p - 1):
+        cf = minimal_closed_form(design, m)
+        want = _minimal_closed_form_by_coincidence(design, m)
+        assert np.array_equal(cf.c, want["c"]), m
+        assert np.array_equal(cf.a_matrix, want["a_matrix"]), m
+        assert cf.lambda_min_a == want["lambda_min_a"], m
+        if want["a_inverse"] is None:
+            assert cf.a_inverse is None, m
+        else:
+            assert np.array_equal(cf.a_inverse, want["a_inverse"]), m
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [lambda d: minimal_closed_form(d, 1), residual_info_minimal_m1],
+    ids=["minimal_closed_form", "residual_info_minimal_m1"],
+)
+def test_closed_forms_word_a_missing_tail_as_check_tail(closed_form):
+    # a uniform-balanced design of two periods has no tail to drop
+    p2 = CrossoverDesign(t=2, p=2, s=2, layout=[[0, 1], [1, 0]])
+    assert validate_ubrmd(p2).ok
+    with pytest.raises(ValueError) as want:
+        check_tail(p2, 1)
+    with pytest.raises(ValueError) as info:
+        closed_form(p2)
+    assert str(info.value) == str(want.value)
 
 
 def test_residual_minimal_m1_exact_small_case():

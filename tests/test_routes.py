@@ -6,6 +6,7 @@ joint_info_orthogonal, direct_info_complete) is kept only as an
 independent reference, and these tests use it as one.
 """
 
+import functools
 import json
 import re
 import sys
@@ -24,12 +25,22 @@ from xover.construct import (
 )
 from xover.designs import (
     CrossoverDesign,
+    check_tail,
+    check_type_wm,
+    classify,
     parse_pattern,
+    require_ubrmd,
     truncate,
     truncation,
+    validate_ubrmd,
     write_design,
 )
-from xover.info import direct_info_complete, direct_info_pattern
+from xover.info import (
+    direct_info_complete,
+    direct_info_pattern,
+    minimal_closed_form,
+    residual_info_minimal_m1,
+)
 from xover.metrics import a_criterion, implemented_loss, max_loss
 from xover.simulate import DropoutModel, enumerate_exact, simulate
 
@@ -101,6 +112,68 @@ def test_enumerate_exact_rejects_two_period_design():
     with pytest.raises(ValueError) as info:
         enumerate_exact(P2, 0.5)
     assert str(info.value) == NO_TAIL
+
+
+# Every entry that takes a tail length, called on a design and an m
+# outside check_tail's range; the one-period entries run at m = 1 only.
+TAIL_ENTRIES = {
+    "check_tail": check_tail,
+    "truncation": truncation,
+    "truncate": truncate,
+    "check_type_wm": check_type_wm,
+    "minimal_closed_form": minimal_closed_form,
+    "max_loss": max_loss,
+    "simulate": lambda d, m: simulate(d, DropoutModel(m, (0.5,) * m), 10),
+}
+ONE_PERIOD_ENTRIES = {
+    "residual_info_minimal_m1": residual_info_minimal_m1,
+    "enumerate_exact": lambda d: enumerate_exact(d, 0.5, m=1),
+}
+OUT_OF_TAIL = {"p2-m1": (P2, 1), "square4-m3": (williams_square(4), 3)}
+
+
+def _tail_message(design, m):
+    with pytest.raises(ValueError) as info:
+        check_tail(design, m)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [(e, c) for e in TAIL_ENTRIES for c in OUT_OF_TAIL]
+    + [(e, "p2-m1") for e in ONE_PERIOD_ENTRIES],
+)
+def test_every_tail_entry_raises_check_tails_message(entry, case):
+    # check_tail owns the range verdict: a copy of it that words the
+    # range another way fails here
+    design, m = OUT_OF_TAIL[case]
+    if entry in TAIL_ENTRIES:
+        call = functools.partial(TAIL_ENTRIES[entry], design, m)
+    else:
+        call = functools.partial(ONE_PERIOD_ENTRIES[entry], design)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == _tail_message(design, m)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("case", OUT_OF_TAIL)
+def test_cli_tail_arguments_raise_check_tails_message(
+    command, case, tmp_path, capsys
+):
+    design, m = OUT_OF_TAIL[case]
+    path = tmp_path / "d.txt"
+    path.write_text(write_design(design))
+    if command == "evaluate":
+        argv = ["evaluate", str(path), "--truncate", str(m)]
+    else:
+        hazards = ",".join(["0.5"] * m)
+        argv = ["simulate", str(path), "--m", str(m), "--hazards", hazards]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {_tail_message(design, m)}\n"
 
 
 def test_production_never_calls_the_count_route(monkeypatch, tmp_path, capsys):
@@ -240,6 +313,88 @@ def test_evaluate_validates_two_group_layout_once(monkeypatch, tmp_path, capsys)
             assert main(argv) == 0
             assert calls == [design.s], argv
             assert f'"classification": "{klass}"' in capsys.readouterr().out
+
+
+def test_balance_report_is_made_once_per_design(monkeypatch):
+    # validate_ubrmd's report is a cached property of the design: every
+    # balance verdict of one design object reads the one report
+    made = []
+    report = CrossoverDesign._validation.func
+
+    def counting(design):
+        made.append(design.s)
+        return report(design)
+
+    validation = functools.cached_property(counting)
+    validation.__set_name__(CrossoverDesign, "_validation")
+    monkeypatch.setattr(CrossoverDesign, "_validation", validation)
+    d = fixture("d3plan")
+    first = validate_ubrmd(d)
+    require_ubrmd(d)
+    assert classify(d) == "ClassB-W1"
+    assert check_type_wm(d, 1).ok
+    assert simulate(d, DropoutModel(1, (0.3,)), 20, seed=1).replicates == 20
+    minimal_closed_form(d, 1)
+    assert validate_ubrmd(d) is first
+    assert made == [d.s]
+    # another object of the same layout makes its own report
+    assert classify(fixture("d3plan")) == "ClassB-W1"
+    assert made == [d.s, d.s]
+
+
+def test_cli_classifies_through_the_public_classify(monkeypatch, tmp_path, capsys):
+    # construct and evaluate name the class through designs.classify, so
+    # a tracer of the public verdicts sees the time spent on it
+    cli = sys.modules["xover.cli"]
+    assert not hasattr(sys.modules["xover.designs"], "_classify")
+    calls = []
+    classify_ = cli.classify
+
+    def counting(design):
+        calls.append(design.s)
+        return classify_(design)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    d = fixture("d3plan")
+    out = tmp_path / "out.txt"
+    assert main(["construct", "--fixture", "d3plan", "-o", str(out)]) == 0
+    assert calls == [d.s]
+    for argv in _evaluate_argvs(tmp_path, d):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [d.s], argv
+    capsys.readouterr()
+
+
+def test_closed_forms_count_the_tail_in_one_pairs_call(monkeypatch):
+    # minimal_closed_form counts every coincidence matrix of the tail in
+    # one stacked _pairs call, and calls coincidence not at all
+    info = sys.modules["xover.info"]
+
+    def _coincidence(*args, **kwargs):
+        raise AssertionError("coincidence was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "xover" or name.startswith("xover."):
+            if hasattr(module, "coincidence"):
+                monkeypatch.setattr(module, "coincidence", _coincidence)
+    shapes = []
+    pairs = info._pairs
+
+    def counting(a, b, t):
+        out = pairs(a, b, t)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(info, "_pairs", counting)
+    for d in (fixture("d3plan"), williams_pair(7), extreme_design(5)):
+        for m in range(1, d.p - 1):
+            shapes.clear()
+            minimal_closed_form(d, m)
+            assert shapes == [(m + 1, m + 1, d.t, d.t)], (d.t, m)
+        shapes.clear()
+        residual_info_minimal_m1(d)
+        assert shapes == [(d.t, d.t)]
 
 
 def test_cli_bounds_come_from_one_report_per_t(monkeypatch, tmp_path, capsys):

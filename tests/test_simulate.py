@@ -12,7 +12,7 @@ from xover.construct import (
     williams_pair,
     williams_square,
 )
-from xover.designs import CrossoverDesign
+from xover.designs import CrossoverDesign, truncation
 from xover.info import direct_info_pattern
 from xover.linalg import is_psd
 from xover.metrics import a_criterion, against_plan, implemented_loss, max_loss
@@ -466,6 +466,77 @@ def test_real_violation_is_counted(monkeypatch):
     hits = int(((x * 2.0**-53 < 0.3) == (row < d.p)).all(axis=1).sum())
     assert hits >= 1
     assert r.ordering_violations == hits
+
+
+def _verdict_counts_per_replicate(design, model, n, seed):
+    """p_disconnect and ordering_violations as the former simulate counted
+    them: each distinct pattern's verdicts copied into two n-long arrays
+    of per-replicate flags, then summed."""
+    sim = sim_module
+    tail = np.array([truncation(design, model.m).completion])
+    s, p, m = design.s, design.p, model.m
+    disconnected = np.empty(n, dtype=bool)
+    ordering_ok = np.empty(n, dtype=bool)
+    step = max(1, sim._CHUNK_UNIFORMS // (s * m))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        rs = np.arange(start, stop, dtype=np.uint64)
+        x = sim._philox_uniforms(seed, rs, s * m).reshape(-1, s, m)
+        distinct, inverse = sim._distinct_completions(x, np.array(model.hazards), p)
+        c, crit, _, chunk_disconnected = sim.against_plan(
+            design, np.concatenate([tail, distinct])
+        )
+        disconnected[start:stop] = chunk_disconnected[2:][inverse]
+        ordering_ok[start:stop] = sim._ordering_ok(c, crit.eigenvalues)[inverse]
+    return int(disconnected.sum()) / n, int(n - ordering_ok.sum())
+
+
+def _plan_above_first_pattern(against):
+    """against_plan with each chunk's first distinct pattern replaced by
+    the plan pushed 1e-6 above itself along a contrast: an ordering
+    violation for every replicate that drew it."""
+
+    def raised(design, rows):
+        c, crit, losses, disconnected = against(design, rows)
+        v = np.zeros(design.t)
+        v[:2] = (1.0, -1.0)
+        c = c.copy()
+        c[2] = c[0] + 1e-6 * np.outer(v, v) / 2
+        crit = dataclasses.replace(crit, eigenvalues=np.linalg.eigvalsh(c))
+        return c, crit, losses, disconnected
+
+    return raised
+
+
+@pytest.mark.parametrize("budget", [50, sim_module._CHUNK_UNIFORMS, 1 << 30])
+@pytest.mark.parametrize(
+    "name, model, n, raise_first",
+    [
+        ("d2plan", DropoutModel(1, (0.5,)), 300, False),
+        ("d2plan", DropoutModel(1, (1.0,)), 300, False),
+        ("pair5", DropoutModel(2, (0.2, 0.3)), 300, False),
+        ("pair5", DropoutModel(1, (0.3,)), 300, True),
+        ("d3plan", DropoutModel(1, (0.05,)), 20000, False),
+    ],
+    ids=["d2plan-h05", "d2plan-h1", "pair5-m2", "pair5-violations", "d3plan-n20000"],
+)
+def test_verdict_counts_equal_per_replicate_oracle(
+    name, model, n, raise_first, budget, monkeypatch
+):
+    # each distinct pattern's flags, counted once and weighted by its
+    # replicates, give the per-replicate arrays' sums at every chunking
+    design = williams_pair(5) if name == "pair5" else fixture(name)
+    monkeypatch.setattr(sim_module, "_CHUNK_UNIFORMS", budget)
+    if raise_first:
+        raised = _plan_above_first_pattern(sim_module.against_plan)
+        monkeypatch.setattr(sim_module, "against_plan", raised)
+    got = simulate(design, model, n, seed=3)
+    p_disconnect, violations = _verdict_counts_per_replicate(design, model, n, 3)
+    assert got.p_disconnect == p_disconnect
+    assert got.ordering_violations == violations
+    if name == "d2plan":
+        assert p_disconnect > 0
+    assert (violations > 0) == raise_first
 
 
 def _void_key_rows(u, hazards, p):
