@@ -188,14 +188,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _spectrum_block(crit: ACriteria, b: int) -> dict[str, Any]:
-    # eigenvalues within the rank threshold are structural zeros; their
-    # roundoff digits would change with every change of arithmetic order
+    # 0.0 leads for the constant vector's structural zero; contrast
+    # eigenvalues within the rank threshold print 0.0, roundoff digits unshown
     return {
         "rank": crit.rank[b],
         "connected": crit.connected[b],
-        "eigenvalues": [
-            0.0 if abs(v) <= crit.threshold[b] else _f(v) for v in crit.eigenvalues[b]
-        ],
+        "eigenvalues": [0.0]
+        + [0.0 if abs(v) <= crit.threshold[b] else _f(v) for v in crit.eigenvalues[b]],
         "h": crit.h[b],
         "trace_mp": crit.trace_mp[b],
     }

@@ -62,10 +62,11 @@ from .linalg import moore_penrose, schur_complement, symmetrize
 # and the Grams, (rows, 2t, 2t): 16 t max(s, 2t) bytes a row; the
 # Cholesky sweep's (rows, t-1, t) factors and products are smaller.  The
 # contrasts every row observes are summed once per call, so a chunk forms
-# only its masked contrasts.  128 KiB keeps every such temporary under
-# glibc's default 128 KiB mmap threshold, so it is reused from the heap
-# instead of being mapped and faulted in afresh; budgets of 256 KiB to
-# 4 MiB measured slower on simulate of williams_pair(15).
+# only its masked contrasts.  128 KiB suits small s: a chunk holds many
+# rows, reused from the heap under glibc's 128 KiB mmap threshold, and
+# 256 KiB to 4 MiB measured slower on williams_pair(15).  Large s gets one
+# row a chunk from s = 683 at t = 6 (slower on extreme_design(6) than
+# 4 MiB chunks), and from s = 1366 that row alone passes the threshold.
 _CHUNK_BYTES = 1 << 17
 
 

@@ -138,6 +138,13 @@ def _helmert(n: int) -> np.ndarray:
     return h
 
 
+def _contrast_part(m: np.ndarray) -> np.ndarray:
+    """H'mH for each n x n matrix m of a stack, H = _helmert(n): m on its
+    contrasts, without the constant vector's zero if m has zero row sums."""
+    h = _helmert(m.shape[-1])
+    return h.T @ (m @ h)
+
+
 def _factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of a stack of matrices, and which exist.
 

@@ -22,13 +22,13 @@ import numpy as np
 
 from .designs import CrossoverDesign, _short_int, truncation
 from .info import _completion_rows, direct_info_patterns
-from .linalg import SpectralSummary, spectral_cut, symmetrize
+from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
 
 @dataclass(frozen=True)
 class ACriterion(SpectralSummary):
-    """Harmonic-mean summary of a direct-effect information matrix: its
-    spectrum (eigenvectors None) plus the verdict, so spectrum is itself.
+    """A-criterion of one direct-effect information matrix: its t-1 contrast
+    eigenvalues (eigenvectors None) plus the verdict; spectrum is itself.
 
     trace_mp is the trace of the Moore-Penrose inverse; h is the
     harmonic criterion (t-1)/trace_mp when all contrasts are estimable,
@@ -76,7 +76,7 @@ class ACriteria:
     """A-criteria of a stack of direct-effect information matrices.
 
     Entry b of each array belongs to matrix b; indexing gives that
-    matrix's ACriterion.
+    matrix's ACriterion, whose eigenvalues are those of its t-1 contrasts.
     """
 
     h: np.ndarray
@@ -101,13 +101,15 @@ class ACriteria:
 def a_criteria(c_d: np.ndarray, t: int) -> ACriteria:
     """A-criteria of a (B, t, t) stack of direct-effect information matrices.
 
-    Each matrix is connected (all treatment contrasts estimable) exactly
-    when its rank is t-1; the harmonic criterion is then
-    (t-1)/trace_mp, and 0.0 with a disconnected flag otherwise.  Rank
-    and trace_mp follow the threshold of linalg.spectral_cut, on one
-    stacked eigvalsh.
+    An information matrix C maps the constant vector to 0, so one stacked
+    eigvalsh takes only the t-1 eigenvalues of C on its orthonormal
+    Helmert contrasts (linalg._contrast_part).  C is connected (all
+    treatment contrasts estimable) exactly when all are nonzero, rank t-1;
+    the harmonic criterion is then (t-1)/trace_mp, and 0.0 with a
+    disconnected flag otherwise.  Rank and trace_mp follow spectral_cut.
     """
-    vals = np.linalg.eigvalsh(symmetrize(c_d))
+    # eigvalsh reads one triangle, so the projection is not averaged again
+    vals = np.linalg.eigvalsh(_contrast_part(symmetrize(c_d)))
     threshold, keep, inv = spectral_cut(vals)
     trace_mp = inv.sum(axis=-1)
     rank = np.count_nonzero(keep, axis=-1)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
 from .designs import _short_int, check_tail, truncation
-from .linalg import is_psd
+from .linalg import _contrast_part, is_psd
 from .metrics import against_plan
 
 ORDER_TOL = 1e-9
@@ -43,8 +43,11 @@ ORDER_TOL = 1e-9
 # of losses (80 MB at this n) before any is drawn; keep_losses=True adds a
 # tuple of n Python floats, about 32 bytes each (320 MB at this n).
 MAX_N = 10**7
-# Uniforms drawn per vectorized chunk: 2**16 keeps every uint64 temporary
-# of the Philox rounds at 128 KiB whatever the design's size.
+# Uniforms drawn per vectorized chunk.  A full chunk holds 2**16 // (s m)
+# replicates of ceil(s m / 4) Philox blocks, so each (2, blocks) uint64
+# temporary of the rounds takes about 256 KiB where 4 divides s m, and
+# more where a replicate's last block is part-used: 307 KiB on d3plan
+# (6553 replicates of 3 blocks).
 _CHUNK_UNIFORMS = 1 << 16
 
 # Philox4x64-10 multipliers, as a column for the (c0, c2) rows, and Weyl
@@ -199,74 +202,60 @@ def _distinct_completions(
 
 
 def _loewner_certified(
-    vals: np.ndarray, rho: np.ndarray, upper: np.ndarray, lower: np.ndarray
+    vals: np.ndarray, upper: np.ndarray, lower: np.ndarray
 ) -> np.ndarray:
     """Which pairs A = upper, B = lower of a stack are certified A >= B.
 
-    vals holds the ascending eigenvalues that eigvalsh computed for each
-    (t, t) matrix of the stack, rho the row-sum residuals |X 1| / sqrt(t);
-    upper and lower index pairs of it.  A pair is certified when
+    vals holds the ascending eigenvalues that eigvalsh computed for the
+    n = t-1 Helmert contrasts H'XH of each (t, t) matrix X of the stack
+    (metrics.a_criteria); upper and lower index pairs of it.  A pair is
+    certified when
 
-        |lam_1(A)| <= delta_A,
-        lam_2(A) - lam_max(B) >= -ORDER_TOL + 4 delta_A + 2 delta_B,
-        delta_A + delta_B <= ORDER_TOL,
+        lam_1(A) - lam_max(B) >= -ORDER_TOL + 2 delta_A + 2 delta_B,
 
-    with delta_X = 8 t eps max|lam(X)| + 2 rho_X, lam the computed
-    eigenvalues.  A certified pair passes is_psd(A - B, ORDER_TOL).
+    with delta_X = 8 n eps max|lam(X)|, lam the computed eigenvalues.  A
+    certified pair passes is_psd(H'(A - B)H, ORDER_TOL).
 
-    Proof.  Take eigvalsh on a symmetric n x n matrix X to be accurate
-    within E(X) = 4 n eps |X|_2 (LAPACK's backward-stable bound, with a
-    factor 4n where its guide's estimate takes 1), so
-    E(X) <= 4.04 t eps max|lam(X)| <= delta_X.  Let u be the unit
-    constant vector, P = I - uu' and X' = PXP.  In a basis {u, u-perp}, X - X' is
-    [[u'r, (Pr)'], [Pr, 0]] with r = Xu, of norm at most
-    |u'r| + |Pr| <= sqrt(2) rho_X, so by Weyl every eigenvalue of X' lies
-    within e_X = E(X) + sqrt(2) rho_X <= delta_X of the computed one.
-    X' maps u to 0, so its spectrum is 0 together with that of X' on
-    u-perp.  Let mu be the smallest eigenvalue of A' on u-perp.  If
-    mu >= 0, it is the second eigenvalue of A', so mu >= lam_2(A) - e_A.
-    If mu < 0, it is the first, so mu >= lam_1(A) - e_A >= -delta_A - e_A,
-    and the second eigenvalue of A' is the smaller of 0 and the next one
-    on u-perp, so lam_2(A) <= e_A; either way mu >= lam_2(A) - 3 delta_A.  On u-perp,
-    v'B'v = v'Bv <= lam_max(B) + E(B).  A' - B' vanishes on u and has no
-    cross terms with it, so its smallest eigenvalue is at least
-    min(0, mu - lam_max(B) - E(B)) >= min(0, L - 3 delta_A - delta_B),
-    L = lam_2(A) - lam_max(B).  Then A - B = (A' - B') + (A - A') -
-    (B - B') loses at most sqrt(2) (rho_A + rho_B).  is_psd rounds the
-    subtraction (error at most eps sqrt(t) |A - B|_2 in norm; A and B
-    are exactly symmetric, so symmetrize keeps the difference) and runs
-    eigvalsh (error E), together at most 5.1 t eps (max|lam(A)| +
-    max|lam(B)|), so the computed smallest eigenvalue is at least
-    min(0, L - 3 delta_A - delta_B) - (delta_A + delta_B).  The second
-    and third conditions put that at -ORDER_TOL or above.
+    Proof.  Take the projection and eigvalsh together to be accurate
+    within E(X) = 4 n eps |H'XH|_2 on an exactly symmetric X (LAPACK's
+    backward-stable bound, with a factor 4n where its guide's estimate
+    takes 1); then E(X) <= 4 n eps (max|lam(X)| + E(X)), so
+    E(X) <= delta_X / 2 up to a factor 1 + O(n eps).  By Weyl,
+    lam_min(H'(A - B)H) >= lam_min(H'AH) - lam_max(H'BH)
+    >= L - (delta_A + delta_B) / 2, with L = lam_1(A) - lam_max(B).
+    is_psd gets the rounded difference A - B + F, with
+    |F|_2 <= eps |A - B|_F <= sqrt(t) eps |A - B|_2 and sqrt(t) <= 1.5 n,
+    and projects it and runs eigvalsh within E.  A and B map the
+    constant vector to 0 up to rounding, so |A - B|_2 <= |H'AH|_2 +
+    |H'BH|_2 to first order, and the two cost at most
+    0.7 (delta_A + delta_B).  So the computed smallest eigenvalue is at
+    least L - 1.2 (delta_A + delta_B), which the condition puts at
+    -ORDER_TOL or above.
     """
-    t = vals.shape[-1]
-    delta = 8 * t * np.finfo(float).eps * np.abs(vals[:, [0, -1]]).max(axis=1)
-    delta += 2 * rho
-    da, db = delta[upper], delta[lower]
-    return (
-        (np.abs(vals[upper, 0]) <= da)
-        & (vals[upper, 1] - vals[lower, -1] >= -ORDER_TOL + 4 * da + 2 * db)
-        & (da + db <= ORDER_TOL)
-    )
+    n = vals.shape[-1]
+    delta = 8 * n * np.finfo(float).eps * np.abs(vals[:, [0, -1]]).max(axis=1)
+    margin = 2 * (delta[upper] + delta[lower])
+    return vals[upper, 0] - vals[lower, -1] >= -ORDER_TOL + margin
 
 
 def _ordering_ok(c: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Whether plan >= pattern >= truncation holds for each pattern of an
     against_plan stack: plan at row 0, truncation at row 1, patterns
-    after, vals their computed spectra.  The two halves of every
-    pattern's sandwich are certified by _loewner_certified where it can;
-    the differences it leaves open go through one stacked is_psd.
+    after, vals their computed contrast spectra (metrics.a_criteria).
+    Both halves of every pattern's sandwich are certified by
+    _loewner_certified where it can; the differences it leaves open go
+    through one stacked is_psd on their Helmert contrasts H'(A - B)H,
+    where the constant vector, which every information matrix maps to
+    0, cannot weigh in.
     """
     d = len(c) - 2
     patterns = np.arange(2, d + 2)
     upper = np.concatenate([np.zeros(d, dtype=np.intp), patterns])
     lower = np.concatenate([patterns, np.ones(d, dtype=np.intp)])
-    rho = np.linalg.norm(c.sum(axis=-1), axis=-1) / np.sqrt(c.shape[-1])
-    ok = _loewner_certified(vals, rho, upper, lower)
+    ok = _loewner_certified(vals, upper, lower)
     left = ~ok
     if left.any():
-        ok[left] = is_psd(c[upper[left]] - c[lower[left]], ORDER_TOL)
+        ok[left] = is_psd(_contrast_part(c[upper[left]] - c[lower[left]]), ORDER_TOL)
     return ok[:d] & ok[d:]
 
 

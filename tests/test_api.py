@@ -52,6 +52,7 @@ def test_result_types_keep_their_attributes():
     assert crit.connected is True and crit.rank == t - 1
     assert crit.h == (t - 1) / crit.trace_mp
     assert crit.trace_mp == pytest.approx(float(np.sum(1.0 / crit.spectrum.nonzero)))
-    assert crit.eigenvalues.shape == (t,)
+    # the spectrum of the t-1 contrasts, without the structural zero
+    assert crit.eigenvalues.shape == (t - 1,)
     assert crit.spectrum.nonzero.shape == (t - 1,)
     assert isinstance(crit.threshold, float) and crit.threshold > 0

@@ -446,9 +446,10 @@ def test_bounds_report_checks_t_m_once(monkeypatch):
 
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
-    # at most one stacked is_psd call per chunk, on exactly the
-    # differences the spectral certificate leaves open: plan minus each
-    # pattern, then each pattern minus the truncation, in stack order
+    # at most one stacked is_psd call per chunk, on the Helmert contrasts
+    # of exactly the differences the spectral certificate leaves open:
+    # plan minus each pattern, then each pattern minus the truncation, in
+    # stack order
     sim = sys.modules["xover.simulate"]
     events = []
     against_plan, is_psd = sim.against_plan, sim.is_psd
@@ -480,13 +481,14 @@ def test_simulate_chunk_makes_one_ordering_check(monkeypatch, chunks):
         b = len(c) - 2
         upper = np.r_[np.zeros(b, dtype=int), np.arange(2, b + 2)]
         lower = np.r_[np.arange(2, b + 2), np.ones(b, dtype=int)]
-        rho = np.sqrt((c.sum(axis=2) ** 2).sum(axis=1) / d.t)
-        left = ~sim._loewner_certified(crit.eigenvalues, rho, upper, lower)
+        left = ~sim._loewner_certified(crit.eigenvalues, upper, lower)
         if not left.any():
             assert checks == []
             continue
         assert len(checks) == 1
-        assert np.array_equal(checks[0], c[upper[left]] - c[lower[left]])
+        h = sys.modules["xover.linalg"]._helmert(d.t)
+        diffs = h.T @ ((c[upper[left]] - c[lower[left]]) @ h)
+        assert np.array_equal(checks[0], diffs)
         checked += 1
     # seed 1 leaves some pattern-minus-truncation differences open in
     # every chunk, so the single check is exercised

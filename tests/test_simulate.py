@@ -14,8 +14,14 @@ from xover.construct import (
 )
 from xover.designs import CrossoverDesign, truncation
 from xover.info import direct_info_pattern
-from xover.linalg import is_psd
-from xover.metrics import a_criterion, against_plan, implemented_loss, max_loss
+from xover.linalg import _helmert, is_psd
+from xover.metrics import (
+    a_criteria,
+    a_criterion,
+    against_plan,
+    implemented_loss,
+    max_loss,
+)
 from xover.simulate import (
     MAX_N,
     ORDER_TOL,
@@ -376,53 +382,84 @@ def _stack_for(design, m, hazards, n, seed):
     return against_plan(design, np.concatenate([tail, rows])), inverse
 
 
-def test_ordering_certificate_matches_is_psd_on_corpus():
-    certified = pairs = 0
+def _corpus_stacks():
+    """The against_plan stack of every CORPUS design, m = 1..3 and hazard
+    chain k, over 30 replicates of seed k, with each replicate's row."""
     for design in CORPUS:
         for m in range(1, min(3, design.p - 2) + 1):
             for k, hazards in enumerate(HAZARDS):
                 (c, crit, _, _), inverse = _stack_for(design, m, hazards, 30, k)
-                expected = _sandwich_by_is_psd(c)
-                got = sim_module._ordering_ok(c, crit.eigenvalues)
-                assert np.array_equal(got, expected), (design.s, m, hazards)
-                result = simulate(design, DropoutModel(m, hazards[:m]), 30, seed=k)
-                assert result.ordering_violations == int((~expected[inverse]).sum())
-                b = len(c) - 2
-                upper = np.r_[np.zeros(b, dtype=int), np.arange(2, b + 2)]
-                lower = np.r_[np.arange(2, b + 2), np.ones(b, dtype=int)]
-                rho = np.linalg.norm(c.sum(axis=2), axis=1) / np.sqrt(design.t)
-                ok = sim_module._loewner_certified(
-                    crit.eigenvalues, rho, upper, lower
-                )
-                # a certified difference is one is_psd passes
-                assert is_psd(c[upper[ok]] - c[lower[ok]], ORDER_TOL).all()
-                certified += int(ok.sum())
-                pairs += ok.size
+                yield design, m, k, c, crit, inverse
+
+
+def _sandwich_pairs(c):
+    """upper and lower rows of both halves of every pattern's sandwich."""
+    b = len(c) - 2
+    upper = np.r_[np.zeros(b, dtype=int), np.arange(2, b + 2)]
+    lower = np.r_[np.arange(2, b + 2), np.ones(b, dtype=int)]
+    return upper, lower
+
+
+def _certified_pass_is_psd(c, vals):
+    """How many differences _loewner_certified certifies, asserting that
+    each passes is_psd on its Helmert contrasts, and how many it saw."""
+    upper, lower = _sandwich_pairs(c)
+    ok = sim_module._loewner_certified(vals, upper, lower)
+    h = _helmert(c.shape[-1])
+    assert is_psd(h.T @ ((c[upper[ok]] - c[lower[ok]]) @ h), ORDER_TOL).all()
+    return int(ok.sum()), ok.size
+
+
+def test_ordering_certificate_matches_is_psd_on_corpus():
+    certified = pairs = 0
+    for design, m, k, c, crit, inverse in _corpus_stacks():
+        hazards = HAZARDS[k]
+        expected = _sandwich_by_is_psd(c)
+        got = sim_module._ordering_ok(c, crit.eigenvalues)
+        assert np.array_equal(got, expected), (design.s, m, hazards)
+        result = simulate(design, DropoutModel(m, hazards[:m]), 30, seed=k)
+        assert result.ordering_violations == int((~expected[inverse]).sum())
+        # a certified difference is one is_psd passes
+        ok, seen = _certified_pass_is_psd(c, crit.eigenvalues)
+        certified += ok
+        pairs += seen
     # the certificate settles most differences by itself
     assert certified > pairs // 2
 
 
+@pytest.mark.parametrize("g", [1, 100, 10**4])
+def test_ordering_certificate_holds_at_large_g(g):
+    # the corpus stacks scaled as g replicates of each design scale them:
+    # the certificate's margins scale with the spectra, so it certifies
+    # as much at g = 10**4 as at g = 1, and stays sound
+    certified = pairs = 0
+    for design, m, k, c, _, _ in _corpus_stacks():
+        c = g * c
+        vals = a_criteria(c, design.t).eigenvalues
+        got = sim_module._ordering_ok(c, vals)
+        assert np.array_equal(got, _sandwich_by_is_psd(c)), (design.s, m, k)
+        ok, seen = _certified_pass_is_psd(c, vals)
+        certified += ok
+        pairs += seen
+    assert certified > pairs // 2
+
+
 def _near_tolerance_stack(design, lows):
-    """Plan, truncation and three patterns per entry x of lows, each
+    """Plan, truncation and two patterns per entry x of lows, each
     with the plan minus it having smallest eigenvalue -x."""
     (c, _, _, _), _ = _stack_for(design, 1, (1.0,), 1, 0)
     plan, tail = c[0], c[1]
     t = design.t
-    ones = np.ones(t) / np.sqrt(t)
+    h = _helmert(t)
     v = np.zeros(t)
     v[:2] = (1.0, -1.0)
-    v /= np.linalg.norm(v)
-    vv, coupled = np.outer(v, v), np.outer(ones, v) + np.outer(v, ones)
-    beta = 0.45 * ORDER_TOL
+    dense = h.sum(axis=1)
     patterns = []
     for x in lows:
-        # above the plan along a contrast v; coupling the constant
-        # direction to v, which keeps lam_2(plan) - lam_max(pattern)
-        # near 0; and both, with a row-sum residual small enough for the
-        # certificate to weigh it: on (1, v) the plan minus the last is
-        # -[[0, beta], [beta, y]], with y = (x^2 - beta^2) / x
-        for bump in (x * vv, x * coupled, (x * x - beta * beta) / x * vv + beta * coupled):
-            b = plan + bump
+        # above the plan along a contrast: the first two treatments' one,
+        # and the sum of all Helmert contrasts, which touches every entry
+        for w in (v, dense):
+            b = plan + x * np.outer(w, w) / (w @ w)
             patterns.append((b + b.T) / 2)
     return np.stack([plan, tail, *patterns])
 
@@ -437,7 +474,8 @@ def test_ordering_certificate_near_tolerance(design):
     low = np.linalg.eigvalsh(c[0] - c[2:])[:, 0]
     assert np.abs(low + ORDER_TOL).max() <= 1e-12 + 1e-15
     assert (low < -ORDER_TOL).any() and (low >= -ORDER_TOL).any()
-    vals = np.linalg.eigvalsh(c)
+    h = _helmert(design.t)
+    vals = np.linalg.eigvalsh(h.T @ c @ h)
     assert np.array_equal(sim_module._ordering_ok(c, vals), _sandwich_by_is_psd(c))
 
 
