@@ -16,8 +16,11 @@ replicate's s*m uniforms are read as an s x m array in row-major order,
 and subject i stops before period p-m+j+1 at the first j whose uniform
 falls below h_{j+1}.  That compare is made on the 53-bit integers x:
 x 2**-53 < h exactly when x < ceil(h 2**53), both sides exact in
-uint64.  The seed must lie in 0..2**64-1.  Replicates are
-drawn in vectorized chunks.  A chunk's completion rows are deduplicated
+uint64.  The seed must be an integer in 0..2**64-1.  Replicates are
+drawn in vectorized chunks, whose Philox rounds run in place in uint64
+buffers that each thread keeps for its lifetime (_philox_uniforms): 104
+bytes per Philox block of the largest chunk the thread has drawn, 2.0 MiB
+after a full d3plan chunk.  A chunk's completion rows are deduplicated
 on packed integer keys, and its distinct patterns go through
 metrics.against_plan in one stack behind the plan and the truncation,
 so results are bit-identical for a fixed seed regardless of chunking or
@@ -29,12 +32,13 @@ take an eigenvalue computation of their own.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
-from .designs import _short_int, check_tail, truncation
+from .designs import _short_int, check_tail
 from .linalg import _contrast_part, is_psd
 from .metrics import against_plan
 
@@ -44,11 +48,14 @@ ORDER_TOL = 1e-9
 # tuple of n Python floats, about 32 bytes each (320 MB at this n).
 MAX_N = 10**7
 # Uniforms drawn per vectorized chunk.  A full chunk holds 2**16 // (s m)
-# replicates of ceil(s m / 4) Philox blocks, so each (2, blocks) uint64
-# temporary of the rounds takes about 256 KiB where 4 divides s m, and
-# more where a replicate's last block is part-used: 307 KiB on d3plan
-# (6553 replicates of 3 blocks).
+# replicates of ceil(s m / 4) Philox blocks, so each of the six (2, blocks)
+# uint64 round buffers of _philox_uniforms takes about 256 KiB where 4
+# divides s m, and more where a replicate's last block is part-used:
+# 307 KiB on d3plan (6553 replicates of 3 blocks).  A thread keeps its
+# buffers for its lifetime: 2.0 MiB after a full d3plan chunk.
 _CHUNK_UNIFORMS = 1 << 16
+# Each thread's workspace for the Philox rounds (_philox_uniforms).
+_WORKSPACE = threading.local()
 
 # Philox4x64-10 multipliers, as a column for the (c0, c2) rows, and Weyl
 # key increments (Salmon et al., SC'11).
@@ -67,6 +74,7 @@ class DropoutModel:
     hazards: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _check_integer("m", self.m))
         object.__setattr__(self, "hazards", tuple(float(h) for h in self.hazards))
         if self.m < 1:
             raise ValueError(f"requires m >= 1, got m={_short_int(self.m)}")
@@ -103,30 +111,32 @@ class ExactDistribution:
     p_disconnect: float
 
 
-def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(
+    x: np.ndarray, lo: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarray
+) -> None:
     """High and low words of the 128-bit products _PHILOX_M * x, row by
-    row, by 32-bit halves.  The high words overwrite x.
+    row, by 32-bit halves, in place: the low words go to lo, the high
+    words overwrite x, and t, u, w are scratch of x's shape.
 
     With x = x_hi 2**32 + x_lo and a likewise, the partial sums
     x_hi a_lo + (x_lo a_lo >> 32) and (that & mask) + x_lo a_hi stay
     below 2**64, so no carry is lost.
     """
-    lo = x * _PHILOX_M
-    x_lo = x & _MASK32
+    np.multiply(x, _PHILOX_M, out=lo)
+    np.bitwise_and(x, _MASK32, out=u)
     x >>= 32
-    t = x_lo * _M_LO
+    np.multiply(u, _M_LO, out=t)
     t >>= 32
-    w = x * _M_LO
+    np.multiply(x, _M_LO, out=w)
     t += w
     np.bitwise_and(t, _MASK32, out=w)
     t >>= 32
-    x_lo *= _M_HI
-    w += x_lo
+    u *= _M_HI
+    w += u
     w >>= 32
     x *= _M_HI
     x += t
     x += w
-    return x, lo
 
 
 def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
@@ -138,28 +148,57 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
     blocks use counters 1..ceil(k/4) in the low word.  The words are
     held as x = (c0, c2) and y = (c1, c3), so every round of all streams
     is one _mulhilo pass over both multipliers and a few in-place uint64
-    array ops: x, y = (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1), (lo1, lo0).
+    array ops: x, y = (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1), (lo1, lo0).  Round
+    0 sees only the counter and zero words, so it is computed once per
+    block counter and broadcast over the streams.
+
+    The rounds allocate nothing.  They run in the calling thread's
+    workspace, which grows to the largest call made in that thread and is
+    never freed, 104 bytes per block: six contiguous (2, blocks) buffers,
+    through three of which x, y and the low words rotate while the other
+    three are _mulhilo's scratch, and the key words r, one per block.
     """
-    blocks = -(-k // 4)
-    x = np.zeros((2, rs.size * blocks), dtype=np.uint64)
-    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rs.size)
-    y = np.zeros_like(x)
-    k0, k1 = int(seed), np.repeat(rs, blocks)
-    for rnd in range(10):
-        if rnd:
-            k0 = (k0 + _PHILOX_W[0]) % _U64
-            k1 += np.uint64(_PHILOX_W[1])
-        hi, lo = _mulhilo(x)
-        x = np.bitwise_xor(hi[::-1], y, out=y)
-        x[0] ^= np.uint64(k0)
-        x[1] ^= k1
-        y = lo[::-1]
-    words = np.stack((x[0], y[0], x[1], y[1]), axis=1).reshape(rs.size, 4 * blocks)
-    return words[:, :k] >> 11
+    n, blocks = rs.size, -(-k // 4)
+    size = n * blocks
+    words = getattr(_WORKSPACE, "words", None)
+    if words is None or words.size < 13 * size:
+        words = _WORKSPACE.words = np.empty(13 * size, dtype=np.uint64)
+    x, y, lo, t, u, w = buffers = words[: 12 * size].reshape(6, 2, size)
+    k1 = words[12 * size : 13 * size]
+    # round 0 multiplies the counters 1..blocks in c0 and zeros in c2
+    first = np.zeros((5, 2, blocks), dtype=np.uint64)
+    first[0, 0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    _mulhilo(*first)
+    k0 = int(seed)
+    k1.reshape(n, blocks)[:] = rs[:, None]
+    x[0] = k0
+    np.bitwise_xor(k1.reshape(n, blocks), first[0, 0], out=x[1].reshape(n, blocks))
+    y[0] = 0
+    y[1].reshape(n, blocks)[:] = first[1, 0]
+    for _ in range(9):
+        k0 = (k0 + _PHILOX_W[0]) % _U64
+        k1 += np.uint64(_PHILOX_W[1])
+        _mulhilo(x, lo, t, u, w)
+        np.bitwise_xor(x[::-1], y, out=y)
+        y[0] ^= np.uint64(k0)
+        y[1] ^= k1
+        x, y, lo = y, lo[::-1], x
+    out = buffers[3:5].reshape(size, 4)
+    np.stack((x[0], y[0], x[1], y[1]), axis=1, out=out)
+    return out.reshape(n, 4 * blocks)[:, :k] >> 11
+
+
+def _check_integer(name: str, value: int) -> int:
+    """value as a Python int; a Python or numpy integer passes, anything
+    else (a float, a bool, a string) is rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
 
 
 def check_seed(seed: int) -> None:
     """Reject seeds that are not a 64-bit Philox key word."""
+    seed = _check_integer("seed", seed)
     if not 0 <= seed < _U64:
         raise ValueError(f"seed must lie in 0..{_U64 - 1}, got {_short_int(seed)}")
 
@@ -268,8 +307,8 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo distribution of precision loss under random dropout.
 
-    n must lie in 1..MAX_N.  Deterministic for a fixed seed in
-    0..2**64-1: replicate r draws from the Philox stream keyed by
+    n must be an integer in 1..MAX_N.  Deterministic for a fixed integer
+    seed in 0..2**64-1: replicate r draws from the Philox stream keyed by
     (seed, r), under the sampling contract of the module docstring.
     ordering_violations counts replicates where the information matrices
     fail the expected sandwich (plan above implemented above truncated,
@@ -287,13 +326,15 @@ def simulate(
     which gives the same verdict as is_psd on every difference.
     """
     require_ubrmd(design)
+    n = _check_integer("n", n)
     if n < 1:
         raise ValueError(f"requires n >= 1, got n={_short_int(n)}")
     if n > MAX_N:
         raise ValueError(f"requires n <= {MAX_N}, got n={_short_int(n)}")
-    tail = np.array([truncation(design, model.m).completion])
+    check_tail(design, model.m)
     check_seed(seed)
     s, p, m = design.s, design.p, model.m
+    tail = np.full((1, s), p - m)
     hazards = np.array(model.hazards)
     losses = np.empty(n)
     disconnected = violations = 0

@@ -1,5 +1,8 @@
 import dataclasses
 import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from xover.simulate import (
     ORDER_TOL,
     DropoutModel,
     DropoutPattern,
+    check_seed,
     enumerate_exact,
     simulate,
 )
@@ -193,6 +197,132 @@ def test_philox_stream_matches_numpy(seed, k):
         key = np.array([seed, r], dtype=np.uint64)
         ref = np.random.Generator(np.random.Philox(key=key)).random(k)
         np.testing.assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+
+def _numpy_uniforms(seed, n, k):
+    """numpy's first k uniforms of the Philox streams keyed by (seed, r),
+    r in 0..n-1, one Generator per stream."""
+    return np.array(
+        [
+            np.random.Generator(
+                np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+            ).random(k)
+            for r in range(n)
+        ]
+    ).reshape(n, k)
+
+
+def test_philox_workspace_grows_shrinks_and_regrows():
+    # a fresh thread starts with no workspace: the second call grows it,
+    # and the smaller and mid-sized calls after it reuse the same buffer
+    sizes = ((20, 60), (6553, 10), (3, 5), (1093, 60))
+
+    def draw():
+        out = []
+        for n, k in sizes:
+            for seed in (0, 2**64 - 1):
+                x = sim_module._philox_uniforms(
+                    seed, np.arange(n, dtype=np.uint64), k
+                )
+                out.append((seed, n, k, x, sim_module._WORKSPACE.words))
+        return out
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        calls = pool.submit(draw).result(timeout=60)
+    for seed, n, k, x, _ in calls:
+        assert x.shape == (n, k)
+        np.testing.assert_array_equal(x * 2.0**-53, _numpy_uniforms(seed, n, k))
+    held = [words for *_, words in calls]
+    assert held[0] is held[1] and held[1] is not held[2]
+    assert all(words is held[2] for words in held[3:])
+
+
+def test_philox_threads_draw_their_own_streams():
+    # numpy's ufunc loops release the interpreter lock, so threads sharing
+    # round buffers would overwrite each other's words mid-round
+    seeds = (0, 1, 2**63 + 5, 2**64 - 1)
+    sizes = ((500, 10), (20, 60))
+    refs = {
+        (seed, n, k): _numpy_uniforms(seed, n, k) for seed in seeds for n, k in sizes
+    }
+    start = threading.Barrier(len(seeds), timeout=30)
+
+    def draw(seed):
+        start.wait()
+        return [
+            sim_module._philox_uniforms(seed, np.arange(n, dtype=np.uint64), k)
+            for _ in range(10)
+            for n, k in sizes
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            futures = [pool.submit(draw, seed) for seed in seeds]
+            drawn = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, xs in zip(seeds, drawn):
+        for x in xs:
+            np.testing.assert_array_equal(x * 2.0**-53, refs[(seed, *x.shape)])
+
+
+def test_philox_rounds_allocate_no_round_buffers():
+    # after a warm-up call, the rounds of a same-size call run in the
+    # thread's workspace; what is left is the result and a few small
+    # arrays, well below six (2, blocks) uint64 buffers
+    rs = np.arange(2000, dtype=np.uint64)
+    blocks = rs.size * 3
+    sim_module._philox_uniforms(1, rs, 10)
+    tracemalloc.start()
+    try:
+        sim_module._philox_uniforms(1, rs, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * blocks
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: simulate(williams_pair(5), DropoutModel(1, (0.3,)), 50, seed=3.7),
+            "seed must be an integer, got float",
+        ),
+        (lambda: check_seed(3.7), "seed must be an integer, got float"),
+        (lambda: check_seed("3"), "seed must be an integer, got str"),
+        (
+            lambda: simulate(williams_pair(5), DropoutModel(1, (0.3,)), 50.5),
+            "n must be an integer, got float",
+        ),
+        (
+            lambda: simulate(williams_pair(5), DropoutModel(1, (0.3,)), True),
+            "n must be an integer, got bool",
+        ),
+        (lambda: DropoutModel(1.5, (0.3,)), "m must be an integer, got float"),
+        (
+            lambda: DropoutModel(np.float64(1), (0.3,)),
+            "m must be an integer, got float64",
+        ),
+    ],
+    ids=["seed", "check_seed", "check_seed-str", "n", "n-bool", "m", "m-float64"],
+)
+def test_non_integer_argument_is_rejected(call, message):
+    # a float seed would otherwise run the streams of its integer part
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_integer_arguments_are_accepted():
+    d = williams_pair(5)
+    want = simulate(d, DropoutModel(1, (0.3,)), 40, seed=3, keep_losses=True)
+    model = DropoutModel(np.int64(1), (0.3,))
+    got = simulate(d, model, np.int32(40), seed=np.uint64(3), keep_losses=True)
+    assert got == want
+    assert type(model.m) is int and type(got.replicates) is int
 
 
 @pytest.mark.parametrize("m", [1, 3])
