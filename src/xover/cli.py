@@ -49,7 +49,7 @@ from .metrics import (
     efficiency_lower_bound,
     extreme_ml,
 )
-from .simulate import MAX_N, DropoutModel, check_seed, simulate
+from .simulate import DropoutModel, check_n, check_seed, simulate
 
 TABLE1_T = (5, 6, 7, 8, 9, 10)
 TABLE2_T = (8, 9, 10, 11, 12, 16)
@@ -331,10 +331,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         model = DropoutModel(m=args.m, hazards=hazards)
         check_seed(args.seed)
         check_tail(design, args.m)
-    if args.n < 1:
-        raise _ArgumentError(f"--n must be >= 1, got {_short_int(args.n)}")
-    if args.n > MAX_N:
-        raise _ArgumentError(f"--n must be <= {MAX_N}, got {_short_int(args.n)}")
+        check_n(args.n)
     result = simulate(design, model, n=args.n, seed=args.seed)
     report: dict[str, Any] = {
         "command": "simulate",

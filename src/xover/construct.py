@@ -2,7 +2,9 @@
 
 Williams squares (even t), complementary Williams pairs (odd t), the
 extreme design on all t! sequences, unions, relabelings, and the small
-set of printed reference layouts shipped as fixtures.
+set of printed reference layouts shipped as fixtures.  Every design is
+built with its squares as contiguous runs of t subjects, the blocks
+CrossoverDesign gives it.
 """
 
 from __future__ import annotations
@@ -59,14 +61,10 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 # The largest t of williams_square and williams_pair: their layouts hold
 # t*t and 2t*t entries (16 MB for the pair at this t).
 MAX_WILLIAMS_T = 1000
-# The most subjects replicate builds: its layout, grouping and design text
-# all grow with reps * s, and 10**5 subjects still hold two copies of
+# The most subjects replicate builds: its layout and design text both grow
+# with reps * s, and 10**5 subjects still hold two copies of
 # extreme_design(8).
 MAX_REPLICATE_S = 10**5
-
-
-def _square_grouping(s: int, t: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(range(b * t, (b + 1) * t)) for b in range(s // t))
 
 
 def williams_base_column(t: int) -> list[int]:
@@ -95,9 +93,7 @@ def williams_square(t: int) -> CrossoverDesign:
         )
     base = np.array(williams_base_column(t))
     layout = (base[:, None] + np.arange(t)[None, :]) % t
-    return CrossoverDesign(
-        t=t, p=t, s=t, layout=layout, grouping=_square_grouping(t, t)
-    )
+    return CrossoverDesign(t=t, p=t, s=t, layout=layout)
 
 
 def williams_pair(t: int) -> CrossoverDesign:
@@ -114,9 +110,7 @@ def williams_pair(t: int) -> CrossoverDesign:
     base = (1 - np.array(williams_base_column(t))) % t
     first = (base[:, None] + np.arange(t)[None, :]) % t
     layout = np.hstack([first, first[::-1, :]])
-    return CrossoverDesign(
-        t=t, p=t, s=2 * t, layout=layout, grouping=_square_grouping(2 * t, t)
-    )
+    return CrossoverDesign(t=t, p=t, s=2 * t, layout=layout)
 
 
 def extreme_design(t: int) -> CrossoverDesign:
@@ -136,8 +130,8 @@ def extreme_design(t: int) -> CrossoverDesign:
 def union(designs: list[CrossoverDesign] | tuple[CrossoverDesign, ...]) -> CrossoverDesign:
     """Adjoin designs over the same t and p, subjects side by side.
 
-    Groupings concatenate with shifted subject indices when every input
-    has one; otherwise the union carries no grouping.
+    Subjects keep their order, so when every input's s is a multiple of
+    t, the union's squares are the inputs' squares in turn.
     """
     if not designs:
         raise ValueError("union requires at least one design")
@@ -148,18 +142,7 @@ def union(designs: list[CrossoverDesign] | tuple[CrossoverDesign, ...]) -> Cross
                 f"union requires matching t and p: ({t},{p}) vs ({d.t},{d.p})"
             )
     layout = np.hstack([d.layout for d in designs])
-    grouping = None
-    if all(d.grouping is not None for d in designs):
-        shifted: list[tuple[int, ...]] = []
-        offset = 0
-        for d in designs:
-            assert d.grouping is not None
-            shifted.extend(tuple(i + offset for i in b) for b in d.grouping)
-            offset += d.s
-        grouping = tuple(shifted)
-    return CrossoverDesign(
-        t=t, p=p, s=layout.shape[1], layout=layout, grouping=grouping
-    )
+    return CrossoverDesign(t=t, p=p, s=layout.shape[1], layout=layout)
 
 
 def replicate(design: CrossoverDesign, reps: int) -> CrossoverDesign:
@@ -184,13 +167,7 @@ def relabel(design: CrossoverDesign, perm: list[int] | tuple[int, ...]) -> Cross
     p = np.asarray(perm, dtype=int)
     if sorted(p.tolist()) != list(range(design.t)):
         raise ValueError(f"perm must be a bijection on 0..{design.t - 1}")
-    return CrossoverDesign(
-        t=design.t,
-        p=design.p,
-        s=design.s,
-        layout=p[design.layout],
-        grouping=design.grouping,
-    )
+    return CrossoverDesign(t=design.t, p=design.p, s=design.s, layout=p[design.layout])
 
 
 def fixture(name: str) -> CrossoverDesign:
@@ -200,6 +177,4 @@ def fixture(name: str) -> CrossoverDesign:
     layout = np.array(_FIXTURES[name], dtype=int)
     p, s = layout.shape
     t = int(layout.max()) + 1
-    return CrossoverDesign(
-        t=t, p=p, s=s, layout=layout, grouping=_square_grouping(s, t)
-    )
+    return CrossoverDesign(t=t, p=p, s=s, layout=layout)

@@ -34,16 +34,15 @@ class CrossoverDesign:
 
     layout is a p x s integer matrix with entries in {0, ..., t-1};
     rows are periods, columns are subjects.  g is the replication
-    number s // t when s is a multiple of t, else None.  grouping, when
-    present, partitions the subjects into blocks of exactly t; the
-    constructors attach the square-by-square grouping they build from.
+    number s // t when s is a multiple of t, else None.  The design's
+    blocks (its squares) are its contiguous runs of t subjects, as in
+    the text format.
     """
 
     t: int
     p: int
     s: int
     layout: np.ndarray
-    grouping: tuple[tuple[int, ...], ...] | None = None
     g: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -61,33 +60,19 @@ class CrossoverDesign:
         object.__setattr__(self, "layout", layout)
         g = self.s // self.t if self.s % self.t == 0 else None
         object.__setattr__(self, "g", g)
-        if self.grouping is not None:
-            blocks = tuple(tuple(int(i) for i in b) for b in self.grouping)
-            flat = sorted(i for b in blocks for i in b)
-            if flat != list(range(self.s)):
-                raise ValueError("grouping must partition the subjects exactly once")
-            if any(len(b) != self.t for b in blocks):
-                raise ValueError(f"grouping blocks must each hold t={self.t} subjects")
-            object.__setattr__(self, "grouping", blocks)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The grouping, defaulting to contiguous runs of t subjects."""
-        if self.grouping is not None:
-            return self.grouping
+        """The blocks: contiguous runs of t subjects (see _block_index)."""
         return tuple(map(tuple, self._block_index.tolist()))
 
     @functools.cached_property
     def _block_index(self) -> np.ndarray:
-        """blocks() as a read-only (g, t) array, row l holding block l's
-        subjects; built once per design."""
-        if self.grouping is not None:
-            index = np.array(self.grouping)
-        elif self.s % self.t != 0:
-            raise ValueError(
-                f"no grouping given and s={self.s} is not a multiple of t={self.t}"
-            )
-        else:
-            index = np.arange(self.s).reshape(-1, self.t)
+        """The blocks as a read-only (g, t) array, row l holding subjects
+        l t .. l t + t-1; built once per design.  The one place that
+        defines them."""
+        if self.g is None:
+            raise ValueError(f"s={self.s} is not a multiple of t={self.t}")
+        index = np.arange(self.s).reshape(self.g, self.t)
         index.setflags(write=False)
         return index
 
@@ -332,20 +317,16 @@ def truncate(design: CrossoverDesign, m: int) -> CrossoverDesign:
     """The minimal design: drop the last m periods, keeping rows 1..p-m."""
     check_tail(design, m)
     return CrossoverDesign(
-        t=design.t,
-        p=design.p - m,
-        s=design.s,
-        layout=design.layout[: design.p - m, :],
-        grouping=design.grouping,
+        t=design.t, p=design.p - m, s=design.s, layout=design.layout[: design.p - m]
     )
 
 
 def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
-    """Test whether the grouped design has single-cycle tail permutations.
+    """Test whether the design's squares have single-cycle tail permutations.
 
-    Requires a uniform-balanced design whose grouping (supplied, or the
-    contiguous default) puts every treatment exactly once per block in
-    each of the last m+1 periods.  The design passes when, for every
+    Requires a uniform-balanced design whose blocks (its contiguous runs
+    of t subjects) hold every treatment exactly once in each of the last
+    m+1 periods.  The design passes when, for every
     block and every ordered pair of distinct tail indices j, k in 0..m,
     the block's period (t-j) to period (t-k) treatment map is a single
     cycle of length t.  This is the one place that words the failures.

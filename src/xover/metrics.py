@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, _short_int, truncation
+from .designs import CrossoverDesign, _short_int, check_tail
 from .info import _completion_rows, direct_info_patterns
 from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
@@ -195,8 +195,9 @@ def against_plan(
 def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
     """Maximum loss of a design under m-tail dropout: the loss of its
     truncation pattern against the plan."""
+    check_tail(design, m)
     _, crit, losses, disconnected = against_plan(
-        design, [truncation(design, m).completion]
+        design, np.full((1, design.s), design.p - m)
     )
     return MaxLoss(
         value=float(losses[1]),
@@ -346,7 +347,8 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
     complementary-pair designs ("B"), the truncated information is a
     circulant on the Fourier basis of the tail cycle; the eigenvalues of
     the information matrix are g times these factors, for frequencies
-    r = 1..t-1 with psi_r = cos(2 pi r / t):
+    r = 1..t-1 with psi_r = cos(2 pi r / t).  psi_r is evaluated at
+    min(r, t-r), so that theta_r = theta_(t-r) holds exactly:
 
         A: theta_r = (t/(t-1)) [ t-2 - 2t(1+psi_r) / (t(t-3) - 2 psi_r) ]
         B: theta_r = (t/(t-1)) [ t-2 - t(1+psi_r)^2 / (t(t-3) - 2 psi_r) ]
@@ -357,7 +359,7 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
         raise ValueError(f"requires t >= 4, got t={t}")
     out: list[float] = []
     for r in range(1, t):
-        psi = math.cos(2 * math.pi * r / t)
+        psi = math.cos(2 * math.pi * min(r, t - r) / t)
         denom = t * (t - 3) - 2 * psi
         if klass == "A":
             val = (t / (t - 1)) * ((t - 2) - 2 * t * (1 + psi) / denom)

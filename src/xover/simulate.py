@@ -196,6 +196,16 @@ def _check_integer(name: str, value: int) -> int:
     return int(value)
 
 
+def check_n(n: int) -> int:
+    """n as a Python int, rejecting a replicate count outside 1..MAX_N."""
+    n = _check_integer("n", n)
+    if n < 1:
+        raise ValueError(f"requires n >= 1, got n={_short_int(n)}")
+    if n > MAX_N:
+        raise ValueError(f"requires n <= {MAX_N}, got n={_short_int(n)}")
+    return n
+
+
 def check_seed(seed: int) -> None:
     """Reject seeds that are not a 64-bit Philox key word."""
     seed = _check_integer("seed", seed)
@@ -326,11 +336,7 @@ def simulate(
     which gives the same verdict as is_psd on every difference.
     """
     require_ubrmd(design)
-    n = _check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"requires n >= 1, got n={_short_int(n)}")
-    if n > MAX_N:
-        raise ValueError(f"requires n <= {MAX_N}, got n={_short_int(n)}")
+    n = check_n(n)
     check_tail(design, model.m)
     check_seed(seed)
     s, p, m = design.s, design.p, model.m

@@ -2,6 +2,7 @@
 result types offer."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 import xover
 from xover.construct import fixture
+from xover.designs import CrossoverDesign
 from xover.info import direct_info_complete, joint_info_orthogonal, minimal_closed_form
 from xover.metrics import a_criterion
 
@@ -27,6 +29,13 @@ def test_all_lists_every_imported_public_name_once():
     }
     public = {n for n in imported if not n.startswith("_")}
     assert public == set(xover.__all__)
+
+
+def test_design_constructor_takes_four_arguments():
+    # a design is its dimensions and layout; its squares are its
+    # contiguous runs of t subjects, not an option
+    parameters = inspect.signature(CrossoverDesign).parameters
+    assert list(parameters) == ["t", "p", "s", "layout"]
 
 
 def test_result_types_keep_their_attributes():

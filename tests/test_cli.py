@@ -350,6 +350,12 @@ def test_bounds_json(capsys):
     assert report["binding"] == "plain"
 
 
+def test_bounds_class_a_t4_spectrum_is_mirrored(capsys):
+    # theta_3 = theta_1 = 0 exactly, not a rounding residue
+    assert main(["bounds", "--t", "4", "--class", "A"]) == 0
+    assert json.loads(capsys.readouterr().out)["spectrum"] == [0.0, 2.66667, 0.0]
+
+
 def test_bounds_type_w_binding(capsys):
     assert main(["bounds", "--t", "6", "--type-w"]) == 0
     assert _json_out(capsys)["binding"] == "starred"
@@ -427,7 +433,7 @@ LONG = "1" + "0" * 3000
         ),
         (
             ["simulate", "--hazards", "0.1", "--n", "-" + LONG],
-            "--n must be >= 1, got -1000000000000000000... (3001 digits)",
+            "requires n >= 1, got n=-1000000000000000000... (3001 digits)",
         ),
         (
             ["evaluate", "--truncate", LONG],
@@ -555,7 +561,7 @@ def test_simulate_n_limit(tmp_path, capsys, n, shown):
     assert main(["simulate", f, "--hazards", "0.1", "--n", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --n must be <= 10000000, got {shown}\n"
+    assert captured.err == f"error: requires n <= 10000000, got n={shown}\n"
 
 
 # A pattern file with two faults reports the first in the order: line

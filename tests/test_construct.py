@@ -129,7 +129,7 @@ def test_union_singleton_is_identity():
     d = fixture("d2plan")
     u = union([d])
     np.testing.assert_array_equal(u.layout, d.layout)
-    assert u.grouping == d.grouping
+    assert u.blocks() == d.blocks()
 
 
 def test_union_replication_classifies_class_a():
@@ -142,7 +142,7 @@ def test_union_of_distinct_squares():
     u = union([fixture("ex13sq1"), fixture("ex13sq2")])
     assert u.t == 6 and u.s == 12
     assert validate_ubrmd(u).ok
-    assert u.grouping == (tuple(range(6)), tuple(range(6, 12)))
+    assert u.blocks() == (tuple(range(6)), tuple(range(6, 12)))
 
 
 def test_union_mismatched_dimensions():

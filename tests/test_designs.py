@@ -9,6 +9,7 @@ from xover.construct import (
     extreme_design,
     fixture,
     relabel,
+    replicate,
     union,
     williams_pair,
     williams_square,
@@ -67,21 +68,17 @@ def test_validate_names_row_and_column_failures():
     assert any("self-precedence" in f for f in report.failures)
 
 
-def _changed(design, cells=(), periods=None, grouping=None):
+def _changed(design, cells=(), periods=None, order=None):
     """design with cells (period index, subject, treatment) set, two
-    periods swapped, or a new grouping."""
+    periods swapped, or its subjects put in a new order."""
     layout = design.layout.copy()
     for j, i, v in cells:
         layout[j, i] = v
     if periods is not None:
         layout[list(periods)] = layout[list(periods[::-1])]
-    return CrossoverDesign(
-        t=design.t,
-        p=design.p,
-        s=design.s,
-        layout=layout,
-        grouping=grouping or design.grouping,
-    )
+    if order is not None:
+        layout = layout[:, order]
+    return CrossoverDesign(t=design.t, p=design.p, s=design.s, layout=layout)
 
 
 def _precedence(*pairs):
@@ -142,7 +139,7 @@ def _block(l, j, counts):
     [
         (fixture("d2plan"), 2, (_cycle("3->2", [2, 2]), _cycle("2->3", [2, 2]))),
         (
-            _changed(fixture("d3plan"), grouping=((0, 1, 2, 3, 5), (4, 6, 7, 8, 9))),
+            _changed(fixture("d3plan"), order=[0, 1, 2, 3, 5, 4, 6, 7, 8, 9]),
             2,
             (
                 _block(0, 5, [1, 2, 0, 1, 1]),
@@ -434,23 +431,57 @@ def test_classify_invariant_under_relabeling(perm):
     assert classify(relabel(d, perm)) == classify(d)
 
 
-def test_grouping_must_partition():
-    with pytest.raises(ValueError, match="partition"):
-        CrossoverDesign(
-            t=2,
-            p=2,
-            s=4,
-            layout=np.array([[0, 1, 0, 1], [1, 0, 1, 0]]),
-            grouping=((0, 1), (1, 2)),
-        )
-
-
 def test_text_format_round_trip():
     for name in ("d1plan", "d2plan", "d3plan"):
         d = fixture(name)
         back = parse_design(write_design(d))
         assert back.t == d.t and back.p == d.p and back.s == d.s
         np.testing.assert_array_equal(back.layout, d.layout)
+
+
+def _type_wm_verdicts(design):
+    """check_type_wm's report, or its error message, for every m in 1..p-2."""
+    out = []
+    for m in range(1, design.p - 1):
+        try:
+            out.append(check_type_wm(design, m))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+CONSTRUCTIONS = {
+    "square4": williams_square(4),
+    "square6": williams_square(6),
+    "pair3": williams_pair(3),
+    "pair5": williams_pair(5),
+    "pair7": williams_pair(7),
+    **{name: fixture(name) for name in FIXTURE_NAMES},
+    "ex13-union": union([fixture("ex13sq1"), fixture("ex13sq2")]),
+    "replicate": replicate(williams_pair(5), 3),
+    "relabel": relabel(fixture("d3plan"), [2, 4, 1, 0, 3]),
+    "truncate": truncate(williams_square(6), 1),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_design_file_classifies_as_its_object(name):
+    # the squares are the contiguous runs of t subjects in the object and
+    # in its file alike, so every verdict survives a save and load
+    d = CONSTRUCTIONS[name]
+    back = parse_design(write_design(d))
+    np.testing.assert_array_equal(back.layout, d.layout)
+    assert back.blocks() == d.blocks()
+    assert validate_ubrmd(back) == validate_ubrmd(d)
+    assert classify(back) == classify(d)
+    assert _type_wm_verdicts(back) == _type_wm_verdicts(d)
+
+
+def test_blocks_need_s_a_multiple_of_t():
+    d = CrossoverDesign(t=2, p=2, s=3, layout=[[0, 1, 0], [1, 0, 1]])
+    with pytest.raises(ValueError) as info:
+        d.blocks()
+    assert str(info.value) == "s=3 is not a multiple of t=2"
 
 
 def test_parse_design_errors_name_position():

@@ -311,6 +311,14 @@ def test_class_spectrum_symmetry():
         np.testing.assert_allclose(spec, spec[::-1], atol=1e-12)
 
 
+def test_class_spectrum_mirror_is_exact():
+    # theta_r = theta_(t-r): both take psi at min(r, t-r), bit for bit
+    for t in range(4, 41):
+        for k in ("A", "B"):
+            spec = class_ab_spectrum(t, k)
+            assert spec == spec[::-1], (t, k)
+
+
 def test_class_spectrum_guards():
     with pytest.raises(ValueError, match="t >= 4"):
         class_ab_spectrum(3, "A")

@@ -229,6 +229,7 @@ def test_evaluate_carries_subjects_as_arrays(monkeypatch, tmp_path, capsys):
     for argv in _evaluate_argvs(tmp_path, d):
         assert main(argv) == 0, capsys.readouterr().err
         assert json.loads(capsys.readouterr().out)["classification"] == "UBRMD"
+    max_loss(d, 1)
     # the patches are live: the tuple API itself now fails
     with pytest.raises(AssertionError, match="per-subject"):
         parse_pattern("6 5 6\n")
