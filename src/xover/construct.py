@@ -164,8 +164,9 @@ def relabel(design: CrossoverDesign, perm: list[int] | tuple[int, ...]) -> Cross
     perm maps old label i to perm[i] and must be a bijection on
     0..t-1.  Uniform balance is preserved.
     """
-    p = np.asarray(perm, dtype=int)
-    if sorted(p.tolist()) != list(range(design.t)):
+    p = np.asarray(perm)
+    integer = np.issubdtype(p.dtype, np.integer)
+    if not integer or sorted(p.tolist()) != list(range(design.t)):
         raise ValueError(f"perm must be a bijection on 0..{design.t - 1}")
     return CrossoverDesign(t=design.t, p=design.p, s=design.s, layout=p[design.layout])
 

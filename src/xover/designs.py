@@ -33,10 +33,11 @@ class CrossoverDesign:
     """A p-period, s-subject crossover design on t treatments.
 
     layout is a p x s integer matrix with entries in {0, ..., t-1};
-    rows are periods, columns are subjects.  g is the replication
-    number s // t when s is a multiple of t, else None.  The design's
-    blocks (its squares) are its contiguous runs of t subjects, as in
-    the text format.
+    rows are periods, columns are subjects.  t, p and s must be Python
+    or numpy integers (not bools) and are stored as ints.  g is the
+    replication number s // t when s is a multiple of t, else None.  The
+    design's blocks (its squares) are its contiguous runs of t subjects,
+    as in the text format.
     """
 
     t: int
@@ -46,6 +47,8 @@ class CrossoverDesign:
     g: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        for name in ("t", "p", "s"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         layout = np.asarray(self.layout, dtype=int)
         if layout.shape != (self.p, self.s):
             raise ValueError(
@@ -279,6 +282,14 @@ def incidences(
 _SHOWN_DIGITS = 20
 
 
+def _check_integer(name: str, value: int) -> int:
+    """value as a Python int; a Python or numpy integer passes, anything
+    else (a float, a bool, a string) is rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def _short_int(v: int) -> str:
     """An integer as an error message shows it: whole up to _SHOWN_DIGITS
     digits, else its first _SHOWN_DIGITS characters and its digit count,
@@ -414,15 +425,15 @@ def classify(design: CrossoverDesign) -> str:
     latin = (_counts(squares[:, :2], t) == 1).all()
     single_cycle = latin and cycle_type(tails[0]) == [t]
 
-    if (squares == squares[:, :1]).all() and single_cycle:
+    if single_cycle and (squares == squares[:, :1]).all():
         return "ClassA-W1"
 
     if g % 2 == 0:
         pairs = squares.reshape(p, g // 2, 2 * t)
         # the inverse of a single cycle is one too
         if (
-            (pairs == pairs[:, :1]).all()
-            and single_cycle
+            single_cycle
+            and (pairs == pairs[:, :1]).all()
             and np.array_equal(tails[1], tails[0].T)
         ):
             return "ClassB-W1"

@@ -19,8 +19,13 @@ sweeping out subjects and periods:
   over the n_l subjects that observe it removes the period effects:
   C = sum_l (Z_l'D_lZ_l - S_l S_l'/n_l) / (l(l+1)), Z_l the integer
   contrast rows, D_l the subjects observing them and S_l = D_lZ_l
-  their sum, exact counts in float64 taken for a whole chunk of
-  patterns in one 2-D GEMM per contrast.  The carryover block is then
+  their sum, exact counts in float64.  The Grams of every contrast
+  over all s subjects are formed once per call, in one stacked GEMM,
+  with their running sums: a uniform row, in which every subject
+  completes the same k (the plan, a truncation), is the running sum to
+  l = k-1, and any other row adds its masked contrasts to the running
+  sum at the batch's smallest completion, for a whole chunk of patterns
+  in one 2-D GEMM per contrast.  The carryover block is then
   swept out as a stacked Schur complement, by Cholesky on the Helmert
   contrasts of the carryover effects where a certificate allows and by
   eigh elsewhere (linalg.schur_complement).  Every verdict of the
@@ -56,17 +61,19 @@ from .designs import (
 )
 from .linalg import moore_penrose, schur_complement, symmetrize
 
-# Byte budget of each per-chunk temporary of direct_info_patterns: a batch
-# is evaluated in chunks of rows whose float arrays fit in it, at least one
-# row per chunk.  The largest are the masked GEMM operand, (rows, 2t, s),
-# and the Grams, (rows, 2t, 2t): 16 t max(s, 2t) bytes a row; the
-# Cholesky sweep's (rows, t-1, t) factors and products are smaller.  The
-# contrasts every row observes are summed once per call, so a chunk forms
-# only its masked contrasts.  128 KiB suits small s: a chunk holds many
-# rows, reused from the heap under glibc's 128 KiB mmap threshold, and
-# 256 KiB to 4 MiB measured slower on williams_pair(15).  Large s gets one
-# row a chunk from s = 683 at t = 6 (slower on extreme_design(6) than
-# 4 MiB chunks), and from s = 1366 that row alone passes the threshold.
+# Byte budget of each per-chunk temporary of direct_info_patterns: the
+# rows that mix completion periods are evaluated in chunks whose float
+# arrays fit in it, at least one row per chunk.  The largest are the
+# masked GEMM operand, (rows, 2t, s), and the Grams, (rows, 2t, 2t):
+# 16 t max(s, 2t) bytes a row; the Cholesky sweep's (rows, t-1, t)
+# factors and products are smaller.  The leading uniform rows (the plan,
+# a truncation) take no masked GEMM and join the first chunk's sweep
+# outside the budget, and the contrasts every row observes are summed
+# once per call.  128 KiB suits small s: a chunk holds many rows, reused
+# from the heap under glibc's 128 KiB mmap threshold, and 256 KiB to
+# 4 MiB measured slower on williams_pair(15).  Large s gets one mixed row
+# a chunk from s = 683 at t = 6 (slower on extreme_design(6) than 4 MiB
+# chunks), and from s = 1366 that row alone passes the threshold.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -192,22 +199,27 @@ def _masked_gram(zl: np.ndarray, seen: np.ndarray, l: int) -> np.ndarray:
     return _centred_gram(gram, mask @ zl, n, l)
 
 
-def _shared_head(z: np.ndarray, ks: np.ndarray) -> tuple[int, np.ndarray]:
-    """k0 = ks.min() and the (2t, 2t) sum of the centred Grams of the
-    contrasts l < k0, which every row of ks observes, in ascending l and
-    in one stacked call."""
-    k0 = int(ks.min())
-    gram = np.zeros(z.shape[2:] * 2)
-    w, ls = z[: k0 - 1], np.arange(1, k0)[:, None, None]
-    for term in _centred_gram(np.swapaxes(w, 1, 2) @ w, w.sum(axis=1), z.shape[1], ls):
-        gram += term
-    return k0, gram
+def _running_grams(z: np.ndarray) -> np.ndarray:
+    """(len(z)+1, 2t, 2t) running sums of the centred Grams of the
+    contrasts z over all s subjects: row k-1 sums l = 1..k-1 in
+    ascending l from +0.0, the joint information of a uniform row k
+    (every subject completing k periods).  Every Z_l'Z_l is one stacked
+    GEMM and every S_l one GEMV, exact integers in any reduction order,
+    and each sum is taken in place over its Gram."""
+    s = z.shape[1]
+    running = np.zeros((len(z) + 1,) + z.shape[2:] * 2)
+    grams = np.matmul(np.swapaxes(z, 1, 2), z, out=running[1:])
+    _centred_gram(grams, np.ones(s) @ z, s, np.arange(1, len(z) + 1)[:, None, None])
+    for l in range(1, len(running)):
+        running[l] += running[l - 1]
+    return running
 
 
 def _joint_stack(
     z: np.ndarray, ks: np.ndarray, head: tuple[int, np.ndarray] | None = None
 ) -> np.ndarray:
-    """(B, 2t, 2t) joint information of the completion rows ks.
+    """(B, 2t, 2t) joint information of the completion rows ks, by the
+    masked route.
 
     On a prefix of k periods the contrasts l = 1..k-1 of _contrasts,
     scaled by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they
@@ -221,14 +233,20 @@ def _joint_stack(
     s(p-1) < 9.4e7; z alone would then take over 1.5 GB): exact and
     symmetric in float64 whatever the BLAS blocking or FMA order.  The
     only roundings are the two divisions, the subtraction and the sum
-    in ascending l.  head is the _shared_head of ks or of a batch
-    containing it, formed here when not given; each contrast from its
-    k0 on is masked for all rows at once (_masked_gram, one GEMM) and
-    added to it.  A masked contrast seen by every subject gives the
-    bits of its shared form, so every row comes out the same in any
-    batch, whatever k0 its head was formed at.
+    in ascending l.  head is (k0, the running sum of the contrasts
+    l < k0) for some k0 <= ks.min() (see _running_grams), formed here
+    at k0 = ks.min() when not given.  Every row starts from it and adds
+    each contrast from k0 on, masked for all rows at once (_masked_gram,
+    one GEMM).  A masked contrast seen by every subject gives the bits
+    of its shared form, and one seen by none a matrix of +-0.0, which
+    leaves a running sum from +0.0 unchanged; so every row comes out the
+    same in any batch, whatever its k0, and a uniform row k equals the
+    running sum to k-1.
     """
-    k0, gram = _shared_head(z, ks) if head is None else head
+    if head is None:
+        k0 = int(ks.min())
+        head = k0, _running_grams(z[: k0 - 1])[-1]
+    k0, gram = head
     gram = np.repeat(gram[None], len(ks), axis=0)
     for l in range(k0, len(z) + 1):
         gram += _masked_gram(z[l - 1], ks > l, l)
@@ -243,10 +261,18 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     information is the sum of centred Grams of its within-subject
     contrasts (_joint_stack), which sweeps out subjects and periods in
     one formula, and the carryover block is swept out as a stacked
-    Schur complement.  The contrasts that every row observes are summed
-    once per call (_shared_head).  Rows are evaluated in chunks whose
-    per-chunk temporaries stay within _CHUNK_BYTES (see there for the
-    size), and every row equals its own B = 1 call bit for bit.
+    Schur complement.  The centred Gram of every contrast over all s
+    subjects is formed once per call, with their running sums
+    (_running_grams).  A uniform row, in which every subject completes
+    the same k (the plan, a truncation), takes its running sum to k-1
+    and needs no masked GEMM; the leading run of uniform rows takes this
+    route (every library caller puts the plan and the truncation
+    first), and the rest start from the running sum at their smallest
+    completion k0 and add their masked contrasts.  Those rows are
+    evaluated in chunks whose per-chunk temporaries stay within
+    _CHUNK_BYTES (see there for the size), the uniform rows joining the
+    first chunk's sweep, and every row equals its own B = 1 call bit
+    for bit.
     """
     ks = _completion_rows(design, completions)
     t = design.t
@@ -254,9 +280,22 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     if not len(ks):
         return out
     z = _contrasts(design)
-    head = _shared_head(z, ks)
+    lead = 0  # the number of leading uniform rows
+    while lead < len(ks) and ks[lead].min() == ks[lead].max():
+        lead += 1
+    k0 = int(ks[lead:].min()) if lead < len(ks) else design.p
+    running = _running_grams(z)
+    # copied out, so the running sums are freed before the masked chunks
+    # allocate theirs: at small s this keeps glibc from trimming and
+    # re-faulting the heap on every call
+    joint, head = running[ks[:lead, 0] - 1], (k0, running[k0 - 1].copy())
+    del running
     step = max(1, _CHUNK_BYTES // (16 * t * max(design.s, 2 * t)))
-    for start in range(0, len(ks), step):
+    stop = min(len(ks), lead + step)
+    if stop > lead:
+        joint = np.concatenate([joint, _joint_stack(z, ks[lead:stop], head)])
+    out[:stop] = schur_complement(joint, t)
+    for start in range(stop, len(ks), step):
         chunk = ks[start : start + step]
         out[start : start + step] = schur_complement(_joint_stack(z, chunk, head), t)
     return out

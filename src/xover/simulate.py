@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
-from .designs import _short_int, check_tail
+from .designs import _check_integer, _short_int, check_tail
 from .linalg import _contrast_part, is_psd
 from .metrics import against_plan
 
@@ -186,14 +186,6 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
     out = buffers[3:5].reshape(size, 4)
     np.stack((x[0], y[0], x[1], y[1]), axis=1, out=out)
     return out.reshape(n, 4 * blocks)[:, :k] >> 11
-
-
-def _check_integer(name: str, value: int) -> int:
-    """value as a Python int; a Python or numpy integer passes, anything
-    else (a float, a bool, a string) is rejected by name."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)
 
 
 def check_n(n: int) -> int:

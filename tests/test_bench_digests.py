@@ -4,7 +4,7 @@ bench/digests.json holds the digest of the report of every CLI call the
 benchmark can issue.  A change in the last bits of the engine that
 reaches a report shows up here as a different digest, without running
 the benchmark: every 32nd simulate seed of sim_distinct and sim_cached,
-the fixed eval_wide calls and eight of its --pattern calls go through
+the fixed eval_wide calls and all 256 of its --pattern calls go through
 xover.cli.main, and bench/run.py's own digest function reads their
 output.  The inputs are written to a temporary directory; nothing
 under bench/ is written.
@@ -53,7 +53,7 @@ def _sample(workload, directory):
     else:
         design = construct.extreme_design(RUN.EVAL_T)
         calls = [a for a in RUN.all_pool_calls(workload) if "--pattern" not in a]
-        for k in range(0, RUN.EVAL_POOL, STRIDE):
+        for k in range(RUN.EVAL_POOL):
             completion = RUN.pattern_completion(k, design.s, design.p)
             path = directory / RUN.pattern_file(k)
             path.write_text(" ".join(map(str, completion)) + "\n")
@@ -65,7 +65,7 @@ def _sample(workload, directory):
 @pytest.mark.parametrize("workload", RUN.WORKLOADS)
 def test_sampled_benchmark_calls_replay_their_digests(workload, tmp_path, monkeypatch):
     calls = _sample(workload, tmp_path)
-    assert len(calls) == {"sim_distinct": 32, "sim_cached": 16, "eval_wide": 14}[workload]
+    assert len(calls) == {"sim_distinct": 32, "sim_cached": 16, "eval_wide": 262}[workload]
     monkeypatch.chdir(tmp_path)
     recorded = DIGESTS[workload]
     for argv in calls:

@@ -189,6 +189,16 @@ def test_relabel_rejects_non_bijection():
         relabel(fixture("d2plan"), [0, 0, 1, 2])
 
 
+@pytest.mark.parametrize(
+    "perm", [[0, 1.5, 2, 3], [0.0, 1.0, 2.0, 3.0], ["0", "1", "2", "3"]]
+)
+def test_relabel_rejects_entries_that_are_not_integers(perm):
+    # a float entry is not truncated to an integer label
+    with pytest.raises(ValueError, match="^perm must be a bijection on 0..3$"):
+        relabel(williams_square(4), perm)
+    assert relabel(williams_square(4), np.array([1, 0, 2, 3])).t == 4
+
+
 def test_relabel_commutes_with_truncate():
     d = fixture("d3plan")
     perm = [4, 2, 0, 1, 3]

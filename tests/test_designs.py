@@ -164,6 +164,34 @@ def test_layout_dimension_mismatch_rejected():
         CrossoverDesign(t=3, p=3, s=4, layout=np.zeros((3, 3), dtype=int))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"t": 4.0}, "t must be an integer, got float"),
+        ({"p": 4.0}, "p must be an integer, got float"),
+        ({"s": np.float64(4)}, "s must be an integer, got float64"),
+        ({"t": True}, "t must be an integer, got bool"),
+        ({"p": "4"}, "p must be an integer, got str"),
+    ],
+)
+def test_design_dimensions_must_be_integers(kwargs, message):
+    # checked before the layout, so numpy never sees a float dimension
+    dims = {"t": 4, "p": 4, "s": 4, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CrossoverDesign(layout=williams_square(4).layout, **dims)
+    with pytest.raises(ValueError, match="^t must be an integer, got float$"):
+        williams_square(4.0)
+
+
+def test_design_stores_numpy_integer_dimensions_as_ints():
+    d = CrossoverDesign(
+        t=np.int64(4), p=np.int32(4), s=np.int64(4), layout=williams_square(4).layout
+    )
+    assert (type(d.t), type(d.p), type(d.s), type(d.g)) == (int, int, int, int)
+    assert validate_ubrmd(d).ok
+    assert write_design(d) == write_design(williams_square(4))
+
+
 def test_period_slice_first_period_unit_columns():
     d = fixture("d2plan")
     p1 = period_slice(d, 1)

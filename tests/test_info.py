@@ -502,6 +502,35 @@ def test_engine_equals_the_batched_matmul_engine_bit_for_bit(design, monkeypatch
 
 
 @pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())
+def test_uniform_rows_equal_the_masked_route_bit_for_bit(design, monkeypatch):
+    # uniform rows at every k in 1..p before, between and after mixed
+    # rows: the leading run is read off the running sums and the others
+    # are masked, and every row equals its B = 1 call and the masked
+    # route at every chunk budget, signs of zeros included (k = 1,
+    # c22 = 0, takes the eigh route)
+    t, p, s = design.t, design.p, design.s
+    uniform = np.repeat(np.arange(1, p + 1), s).reshape(p, s)
+    rng = np.random.default_rng(20071026)
+    mixed = rng.integers(max(1, p - 2), p + 1, (4, s))
+    mixed[:, 0] = p - 1 if p > 1 else 1
+    mixed[:, 1] = p
+    ks = np.vstack([uniform, mixed[:2], uniform[::-1], mixed[2:], uniform])
+    z = info_module._contrasts(design)
+    want = schur_complement(info_module._joint_stack(z, ks), t)
+    singles = [direct_info_pattern(design, DropoutPattern(tuple(row))) for row in ks]
+    for b, single in enumerate(singles):
+        assert want[b].tobytes() == single.tobytes(), b
+    for budget in (1, info_module._CHUNK_BYTES, 1 << 30):
+        monkeypatch.setattr(info_module, "_CHUNK_BYTES", budget)
+        assert direct_info_patterns(design, ks).tobytes() == want.tobytes(), budget
+        got = direct_info_patterns(design, uniform)
+        assert got.tobytes() == want[:p].tobytes(), budget
+    running = info_module._running_grams(z)
+    got = running[ks[:p, 0] - 1]
+    assert got.tobytes() == info_module._joint_stack(z, ks[:p]).tobytes()
+
+
+@pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())
 def test_masked_integer_parts_are_exact(design, monkeypatch):
     # every entry of Z is an integer with |z| <= p-1, so Z'DZ and S are
     # integers with |Z'DZ|, |S S'| <= s^2 (p-1)^2 < 2^53: the engine's

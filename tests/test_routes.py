@@ -530,29 +530,73 @@ def test_engine_chunk_makes_one_cholesky_and_one_schur_call(monkeypatch):
     assert schurs == [((8, 2 * d.t, 2 * d.t), d.t)]
 
 
-def test_shared_head_is_summed_once_per_engine_call(monkeypatch):
-    # the contrasts every row observes are summed once per call, however
-    # many chunks the budget makes
+def test_shared_grams_are_formed_once_per_engine_call(monkeypatch):
+    # the centred Grams of every contrast over all subjects, and their
+    # running sums, are formed once per call, however many chunks the
+    # budget makes
     info = sys.modules["xover.info"]
-    heads = []
-    shared_head = info._shared_head
+    formed = []
+    running_grams = info._running_grams
 
-    def recording_head(z, ks):
-        heads.append(len(ks))
-        return shared_head(z, ks)
+    def recording_running(z):
+        formed.append(len(z))
+        return running_grams(z)
 
-    monkeypatch.setattr(info, "_shared_head", recording_head)
+    monkeypatch.setattr(info, "_running_grams", recording_running)
     d = williams_pair(15)
     rng = np.random.default_rng(17)
     ks = rng.integers(d.p - 2, d.p + 1, (40, d.s))
+    ks[0], ks[1] = d.p, d.p - 2  # the plan and the truncation lead, as in simulate
     results = []
     for budget in (1, info._CHUNK_BYTES, 1 << 30):
         monkeypatch.setattr(info, "_CHUNK_BYTES", budget)
-        heads.clear()
+        formed.clear()
         results.append(info.direct_info_patterns(d, ks))
-        assert heads == [len(ks)], budget
+        assert formed == [d.p - 1], budget
     for got in results[1:]:
         assert np.array_equal(got, results[0])
+
+
+def test_uniform_rows_take_no_masked_gemm(monkeypatch, tmp_path, capsys):
+    # on extreme_design(6) (s = 720, one masked row per chunk) the plan
+    # and the truncation are read off the running sums and join the
+    # first chunk's sweep: one Schur sweep per evaluate, and masked
+    # contrasts only for a pattern's own dropout periods
+    info = sys.modules["xover.info"]
+    calls = []
+    masked_gram, schur = info._masked_gram, info.schur_complement
+
+    def recording_masked(zl, seen, l):
+        calls.append(("masked", l, len(seen)))
+        return masked_gram(zl, seen, l)
+
+    def recording_schur(m, k):
+        calls.append(("schur", len(m)))
+        return schur(m, k)
+
+    monkeypatch.setattr(info, "_masked_gram", recording_masked)
+    monkeypatch.setattr(info, "schur_complement", recording_schur)
+    d = extreme_design(6)
+    design = tmp_path / "d.txt"
+    design.write_text(write_design(d))
+    pattern = tmp_path / "pat.txt"
+    # 144 subjects drop one period early and 144 two periods early
+    pattern.write_text(" ".join(str(d.p - i % 5 % 3) for i in range(d.s)) + "\n")
+    runs = [
+        (["evaluate", str(design)], [("schur", 1)]),
+        (["evaluate", str(design), "--truncate", "1"], [("schur", 2)]),
+        (
+            ["evaluate", str(design), "--pattern", str(pattern)],
+            [("masked", d.p - 2, 1), ("masked", d.p - 1, 1), ("schur", 2)],
+        ),
+    ]
+    for argv, want in runs:
+        calls.clear()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert calls == want, argv
+    calls.clear()
+    max_loss(williams_pair(15), 2)
+    assert calls == [("schur", 2)]
 
 
 def test_masked_step_is_one_gemm_per_contrast_and_chunk(monkeypatch):
