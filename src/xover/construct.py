@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .designs import CrossoverDesign, _short_int
+from .designs import CrossoverDesign, _check_integer, _short_int
 
 # Reference layouts, stored exactly as printed.  d1plan is a 3x6 pair of
 # squares, d2plan the 4x4 Williams square, d3plan a 5x10 pair, and the
@@ -148,6 +148,7 @@ def union(designs: list[CrossoverDesign] | tuple[CrossoverDesign, ...]) -> Cross
 def replicate(design: CrossoverDesign, reps: int) -> CrossoverDesign:
     """Union of ``reps`` copies of one design, at most MAX_REPLICATE_S
     subjects in all."""
+    reps = _check_integer("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {_short_int(reps)}")
     if reps * design.s > MAX_REPLICATE_S:

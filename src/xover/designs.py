@@ -116,15 +116,16 @@ class CrossoverDesign:
 
 @dataclass(frozen=True)
 class DropoutPattern:
-    """Completion periods: subject i is observed in periods 1..completion[i]."""
+    """Completion periods: subject i is observed in periods 1..completion[i].
+    Each must be a Python or numpy integer (not a bool) and is stored as
+    an int."""
 
     completion: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "completion", tuple(int(k) for k in self.completion)
-        )
-        _check_completion(np.asarray(self.completion))
+        ks = tuple(_check_integer("completion period", k) for k in self.completion)
+        object.__setattr__(self, "completion", ks)
+        _check_completion(np.asarray(ks))
 
     def check_against(self, design: CrossoverDesign) -> None:
         _check_completion(np.asarray(self.completion), design)
@@ -308,7 +309,9 @@ def _short_int(v: int) -> str:
 
 
 def check_tail(design: CrossoverDesign, m: int) -> None:
-    """Reject a tail length m outside 1..p-2, which is empty when p <= 2."""
+    """Reject a tail length m that is not an integer (see _check_integer)
+    or lies outside 1..p-2, which is empty when p <= 2."""
+    _check_integer("m", m)
     if design.p <= 2:
         raise ValueError(
             f"a design of p={design.p} periods has no tail to drop "

@@ -21,11 +21,11 @@ sweeping out subjects and periods:
   contrast rows, D_l the subjects observing them and S_l = D_lZ_l
   their sum, exact counts in float64.  The Grams of every contrast
   over all s subjects are formed once per call, in one stacked GEMM,
-  with their running sums: a uniform row, in which every subject
-  completes the same k (the plan, a truncation), is the running sum to
-  l = k-1, and any other row adds its masked contrasts to the running
-  sum at the batch's smallest completion, for a whole chunk of patterns
-  in one 2-D GEMM per contrast.  The carryover block is then
+  with their running sums.  Every row starts from the running sum at
+  its own lowest completion and adds its masked contrasts, each in one
+  2-D GEMM over the rows of a chunk that need it; so a uniform row, in
+  which every subject completes the same k (the plan, a truncation),
+  is the running sum to l = k-1.  The carryover block is then
   swept out as a stacked Schur complement, by Cholesky on the Helmert
   contrasts of the carryover effects where a certificate allows and by
   eigh elsewhere (linalg.schur_complement).  Every verdict of the
@@ -66,14 +66,14 @@ from .linalg import moore_penrose, schur_complement, symmetrize
 # arrays fit in it, at least one row per chunk.  The largest are the
 # masked GEMM operand, (rows, 2t, s), and the Grams, (rows, 2t, 2t):
 # 16 t max(s, 2t) bytes a row; the Cholesky sweep's (rows, t-1, t)
-# factors and products are smaller.  The leading uniform rows (the plan,
-# a truncation) take no masked GEMM and join the first chunk's sweep
-# outside the budget, and the contrasts every row observes are summed
-# once per call.  128 KiB suits small s: a chunk holds many rows, reused
-# from the heap under glibc's 128 KiB mmap threshold, and 256 KiB to
-# 4 MiB measured slower on williams_pair(15).  Large s gets one mixed row
-# a chunk from s = 683 at t = 6 (slower on extreme_design(6) than 4 MiB
-# chunks), and from s = 1366 that row alone passes the threshold.
+# factors and products are smaller.  Uniform rows (the plan, a
+# truncation) take no masked GEMM and ride along in the chunk they fall
+# in, outside the budget, and the contrasts every subject observes are
+# summed once per call.  128 KiB suits small s: a chunk holds many rows,
+# reused from the heap under glibc's 128 KiB mmap threshold, and 256 KiB
+# to 4 MiB measured slower on williams_pair(15).  Large s gets one mixed
+# row a chunk from s = 683 at t = 6 (slower on extreme_design(6) than
+# 4 MiB chunks), and from s = 1366 that row alone passes the threshold.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -193,8 +193,11 @@ def _masked_gram(zl: np.ndarray, seen: np.ndarray, l: int) -> np.ndarray:
     zl, and S = D Z one GEMM of the masks."""
     rows, s = seen.shape
     mask = seen.astype(float)
-    operand = (zl.T * mask[:, None, :]).reshape(-1, s)
-    gram = np.matmul(operand, zl).reshape(rows, zl.shape[1], zl.shape[1])
+    # the masked operand is freed before the centring allocates its
+    # (rows, 2t, 2t) temporary: at small s, holding both made glibc trim
+    # its heap and fault it in again on most calls
+    gram = np.matmul((zl.T * mask[:, None, :]).reshape(-1, s), zl)
+    gram = gram.reshape(rows, zl.shape[1], zl.shape[1])
     n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
     return _centred_gram(gram, mask @ zl, n, l)
 
@@ -215,11 +218,10 @@ def _running_grams(z: np.ndarray) -> np.ndarray:
     return running
 
 
-def _joint_stack(
-    z: np.ndarray, ks: np.ndarray, head: tuple[int, np.ndarray] | None = None
-) -> np.ndarray:
-    """(B, 2t, 2t) joint information of the completion rows ks, by the
-    masked route.
+def _joint_stack(z: np.ndarray, heads: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(B, 2t, 2t) joint information of the completion rows ks, summed
+    in place into heads, whose row b is the running sum of the contrasts
+    l < lo_b at the row's own lowest completion lo_b (see _running_grams).
 
     On a prefix of k periods the contrasts l = 1..k-1 of _contrasts,
     scaled by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they
@@ -233,24 +235,23 @@ def _joint_stack(
     s(p-1) < 9.4e7; z alone would then take over 1.5 GB): exact and
     symmetric in float64 whatever the BLAS blocking or FMA order.  The
     only roundings are the two divisions, the subtraction and the sum
-    in ascending l.  head is (k0, the running sum of the contrasts
-    l < k0) for some k0 <= ks.min() (see _running_grams), formed here
-    at k0 = ks.min() when not given.  Every row starts from it and adds
-    each contrast from k0 on, masked for all rows at once (_masked_gram,
-    one GEMM).  A masked contrast seen by every subject gives the bits
-    of its shared form, and one seen by none a matrix of +-0.0, which
-    leaves a running sum from +0.0 unchanged; so every row comes out the
-    same in any batch, whatever its k0, and a uniform row k equals the
-    running sum to k-1.
+    in ascending l.  Every subject observes the contrasts l < lo_b, so
+    the head holds them; each row then adds its masked contrasts
+    lo_b <= l < hi_b (hi_b its highest completion), contrast l in one
+    GEMM over the contiguous rows that need it (_masked_gram).  A row
+    inside that slice that does not need l gets a zero mask, whose
+    matrix of +-0.0 leaves a sum from +0.0 unchanged; so every row comes
+    out the same in any batch, and a uniform row (lo_b = hi_b: the plan,
+    a truncation) is its head.
     """
-    if head is None:
-        k0 = int(ks.min())
-        head = k0, _running_grams(z[: k0 - 1])[-1]
-    k0, gram = head
-    gram = np.repeat(gram[None], len(ks), axis=0)
-    for l in range(k0, len(z) + 1):
-        gram += _masked_gram(z[l - 1], ks > l, l)
-    return gram
+    lo, hi = ks.min(1), ks.max(1)
+    for l in range(int(lo.min()), int(hi.max())):
+        need = np.flatnonzero((lo <= l) & (l < hi))
+        if len(need):
+            a, b = need[0], need[-1] + 1
+            seen = (ks[a:b] > l) & (lo[a:b, None] <= l)
+            heads[a:b] += _masked_gram(z[l - 1], seen, l)
+    return heads
 
 
 def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
@@ -263,16 +264,16 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     one formula, and the carryover block is swept out as a stacked
     Schur complement.  The centred Gram of every contrast over all s
     subjects is formed once per call, with their running sums
-    (_running_grams).  A uniform row, in which every subject completes
-    the same k (the plan, a truncation), takes its running sum to k-1
-    and needs no masked GEMM; the leading run of uniform rows takes this
-    route (every library caller puts the plan and the truncation
-    first), and the rest start from the running sum at their smallest
-    completion k0 and add their masked contrasts.  Those rows are
-    evaluated in chunks whose per-chunk temporaries stay within
-    _CHUNK_BYTES (see there for the size), the uniform rows joining the
-    first chunk's sweep, and every row equals its own B = 1 call bit
-    for bit.
+    (_running_grams), and only the distinct heads, the sums at each
+    row's lowest completion, are kept from them, so the (p, 2t, 2t)
+    sums are freed before any chunk allocates (see _masked_gram for why
+    few large arrays should be live at once).  Every row starts from
+    its head and adds its masked contrasts; a uniform row, in which
+    every subject completes the same k (the plan, a truncation), adds
+    none.  The rows that mix completion periods are evaluated in chunks
+    whose temporaries stay within _CHUNK_BYTES (see there for the size),
+    a chunk starting at every step-th of them with the uniform rows
+    riding along, and every row equals its own B = 1 call bit for bit.
     """
     ks = _completion_rows(design, completions)
     t = design.t
@@ -280,24 +281,14 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     if not len(ks):
         return out
     z = _contrasts(design)
-    lead = 0  # the number of leading uniform rows
-    while lead < len(ks) and ks[lead].min() == ks[lead].max():
-        lead += 1
-    k0 = int(ks[lead:].min()) if lead < len(ks) else design.p
-    running = _running_grams(z)
-    # copied out, so the running sums are freed before the masked chunks
-    # allocate theirs: at small s this keeps glibc from trimming and
-    # re-faulting the heap on every call
-    joint, head = running[ks[:lead, 0] - 1], (k0, running[k0 - 1].copy())
-    del running
+    lo = ks.min(1)
+    lows = np.unique(lo)
+    heads, head_of = _running_grams(z)[lows - 1], np.searchsorted(lows, lo)
     step = max(1, _CHUNK_BYTES // (16 * t * max(design.s, 2 * t)))
-    stop = min(len(ks), lead + step)
-    if stop > lead:
-        joint = np.concatenate([joint, _joint_stack(z, ks[lead:stop], head)])
-    out[:stop] = schur_complement(joint, t)
-    for start in range(stop, len(ks), step):
-        chunk = ks[start : start + step]
-        out[start : start + step] = schur_complement(_joint_stack(z, chunk, head), t)
+    bounds = [0, *np.flatnonzero(lo < ks.max(1))[step::step], len(ks)]
+    for start, stop in zip(bounds, bounds[1:]):
+        joint = _joint_stack(z, heads[head_of[start:stop]], ks[start:stop])
+        out[start:stop] = schur_complement(joint, t)
     return out
 
 
@@ -313,7 +304,8 @@ def joint_info_projection(
     dropping columns (see _joint_stack).  This is the B = 1 call of the
     stage that direct_info_patterns runs on whole batches.
     """
-    return JointInfo(_joint_stack(_contrasts(design), _one_row(design, pattern))[0])
+    z, ks = _contrasts(design), _one_row(design, pattern)
+    return JointInfo(_joint_stack(z, _running_grams(z)[ks.min(1) - 1], ks)[0])
 
 
 def joint_info_orthogonal(design: CrossoverDesign) -> JointInfo:

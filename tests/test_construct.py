@@ -156,6 +156,12 @@ def test_replicate():
     np.testing.assert_array_equal(r.layout[:, :4], r.layout[:, 4:])
     with pytest.raises(ValueError, match=">= 1"):
         replicate(fixture("d2plan"), 0)
+    np.testing.assert_array_equal(replicate(fixture("d2plan"), np.int64(2)).layout, r.layout)
+    # True built one copy, and 2.0 raised a list TypeError
+    for reps, kind in ((True, "bool"), (2.0, "float"), ("2", "str")):
+        with pytest.raises(ValueError) as info:
+            replicate(fixture("d2plan"), reps)
+        assert str(info.value) == f"reps must be an integer, got {kind}"
 
 
 def test_replicate_subject_limit():

@@ -376,6 +376,14 @@ def test_pattern_validation():
         DropoutPattern((4, 4)).check_against(fixture("d2plan"))
     with pytest.raises(ValueError, match="exceeds"):
         DropoutPattern((5, 4, 4, 4)).check_against(fixture("d2plan"))
+    # a float period was truncated to an int and a bool taken as 1
+    for period, kind in ((3.7, "float"), (np.float64(3), "float64"), (True, "bool")):
+        with pytest.raises(ValueError) as info:
+            DropoutPattern((4, period, 4, 4))
+        assert str(info.value) == f"completion period must be an integer, got {kind}"
+    pattern = DropoutPattern((4, np.int64(3), np.int32(4), np.uint8(2)))
+    assert pattern.completion == (4, 3, 4, 2)
+    assert all(type(k) is int for k in pattern.completion)
 
 
 def test_truncate_is_row_slice():

@@ -211,6 +211,12 @@ def test_batched_engine_rejects_bad_rows():
     assert direct_info_patterns(d, np.zeros((0, 4), dtype=int)).shape == (0, 4, 4)
 
 
+def _engine_joint(z, ks):
+    """The engine's joint information of the completion rows ks, each
+    row starting from the running sum at its own lowest completion."""
+    return info_module._joint_stack(z, info_module._running_grams(z)[ks.min(1) - 1], ks)
+
+
 def _cells(design):
     """Indicator rows of every cell over the columns [direct (t) |
     carryover (t) | period (p)], as a (p, s, 2t+p) array."""
@@ -279,7 +285,7 @@ def test_closed_form_period_sweep_matches_schur_reference(design):
     ks[0] = 1
     ks[1, 0] = 1
     ks[2:10] = np.minimum(ks[2:10], p - 2)
-    got = info_module._joint_stack(info_module._contrasts(design), ks)
+    got = _engine_joint(info_module._contrasts(design), ks)
     for b, row in enumerate(ks):
         gram = _centred_gram(x, row)
         want = schur_complement(gram, 2 * t)
@@ -316,7 +322,7 @@ def test_contrast_grams_match_dense_engine(design):
     ks = np.vstack(
         [np.full((p, s), np.arange(p, 0, -1)[:, None]), rng.integers(1, p + 1, (20, s))]
     )
-    got = info_module._joint_stack(info_module._contrasts(design), ks)
+    got = _engine_joint(info_module._contrasts(design), ks)
     want = _dense_joint_stack(_cells(design), ks, t)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -355,7 +361,7 @@ def test_cholesky_and_eigh_sweeps_agree_on_corpus(design):
             rng.integers(max(1, p - 2), p + 1, (10, s)),
         ]
     )
-    joint = info_module._joint_stack(info_module._contrasts(design), ks)
+    joint = _engine_joint(info_module._contrasts(design), ks)
     got, want = schur_complement(joint, t), _eigh_schur(joint, t)
     scale = max(1.0, float(np.max(np.abs(got))))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -409,7 +415,7 @@ def test_uncertified_rows_take_the_eigh_route_row_by_row(design, monkeypatch):
     assert raised[0] == (len(ks), t - 1, t - 1)
     assert eighs == [(3, t, t)]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    joint = info_module._joint_stack(info_module._contrasts(design), ks)
+    joint = _engine_joint(info_module._contrasts(design), ks)
     assert not joint[3, t:, t:].any()
     for b, row in enumerate(ks):
         single = direct_info_pattern(design, DropoutPattern(tuple(row)))
@@ -491,7 +497,7 @@ def test_engine_equals_the_batched_matmul_engine_bit_for_bit(design, monkeypatch
     rng = np.random.default_rng(20071024)
     for ks in _engine_rows(design, rng):
         want = _joint_stack_by_batched_matmul(z, ks)
-        assert np.array_equal(info_module._joint_stack(z, ks), want)
+        assert np.array_equal(_engine_joint(z, ks), want)
         want = schur_complement(want, t)
         for budget in (1, info_module._CHUNK_BYTES, 1 << 30):
             monkeypatch.setattr(info_module, "_CHUNK_BYTES", budget)
@@ -504,10 +510,10 @@ def test_engine_equals_the_batched_matmul_engine_bit_for_bit(design, monkeypatch
 @pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())
 def test_uniform_rows_equal_the_masked_route_bit_for_bit(design, monkeypatch):
     # uniform rows at every k in 1..p before, between and after mixed
-    # rows: the leading run is read off the running sums and the others
-    # are masked, and every row equals its B = 1 call and the masked
-    # route at every chunk budget, signs of zeros included (k = 1,
-    # c22 = 0, takes the eigh route)
+    # rows: every row is read off the running sum at its own lowest
+    # completion, and equals its B = 1 call and the former masked engine
+    # at every chunk budget, signs of zeros included (k = 1, c22 = 0,
+    # takes the eigh route)
     t, p, s = design.t, design.p, design.s
     uniform = np.repeat(np.arange(1, p + 1), s).reshape(p, s)
     rng = np.random.default_rng(20071026)
@@ -516,7 +522,7 @@ def test_uniform_rows_equal_the_masked_route_bit_for_bit(design, monkeypatch):
     mixed[:, 1] = p
     ks = np.vstack([uniform, mixed[:2], uniform[::-1], mixed[2:], uniform])
     z = info_module._contrasts(design)
-    want = schur_complement(info_module._joint_stack(z, ks), t)
+    want = schur_complement(_engine_joint(z, ks), t)
     singles = [direct_info_pattern(design, DropoutPattern(tuple(row))) for row in ks]
     for b, single in enumerate(singles):
         assert want[b].tobytes() == single.tobytes(), b
@@ -525,9 +531,8 @@ def test_uniform_rows_equal_the_masked_route_bit_for_bit(design, monkeypatch):
         assert direct_info_patterns(design, ks).tobytes() == want.tobytes(), budget
         got = direct_info_patterns(design, uniform)
         assert got.tobytes() == want[:p].tobytes(), budget
-    running = info_module._running_grams(z)
-    got = running[ks[:p, 0] - 1]
-    assert got.tobytes() == info_module._joint_stack(z, ks[:p]).tobytes()
+    got = info_module._running_grams(z)[ks[:p, 0] - 1]
+    assert got.tobytes() == _joint_stack_by_batched_matmul(z, ks[:p]).tobytes()
 
 
 @pytest.mark.parametrize("design", SWEEP_CORPUS.values(), ids=SWEEP_CORPUS.keys())

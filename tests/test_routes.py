@@ -25,6 +25,7 @@ from xover.construct import (
 )
 from xover.designs import (
     CrossoverDesign,
+    DropoutPattern,
     check_tail,
     check_type_wm,
     classify,
@@ -123,13 +124,21 @@ TAIL_ENTRIES = {
     "check_type_wm": check_type_wm,
     "minimal_closed_form": minimal_closed_form,
     "max_loss": max_loss,
-    "simulate": lambda d, m: simulate(d, DropoutModel(m, (0.5,) * m), 10),
+    "simulate": lambda d, m: simulate(d, DropoutModel(m, (0.5,) * int(m)), 10),
 }
 ONE_PERIOD_ENTRIES = {
     "residual_info_minimal_m1": residual_info_minimal_m1,
     "enumerate_exact": lambda d: enumerate_exact(d, 0.5, m=1),
 }
 OUT_OF_TAIL = {"p2-m1": (P2, 1), "square4-m3": (williams_square(4), 3)}
+# an m that is not an integer, even one inside the range, fails first
+NOT_INTEGER_M = {
+    "pair5-m1.5": (williams_pair(5), 1.5),
+    "pair5-m1.0": (williams_pair(5), 1.0),
+    "pair5-mTrue": (williams_pair(5), True),
+    "p2-m1.0": (P2, 1.0),
+}
+TAIL_CASES = {**OUT_OF_TAIL, **NOT_INTEGER_M}
 
 
 def _tail_message(design, m):
@@ -140,13 +149,13 @@ def _tail_message(design, m):
 
 @pytest.mark.parametrize(
     "entry, case",
-    [(e, c) for e in TAIL_ENTRIES for c in OUT_OF_TAIL]
+    [(e, c) for e in TAIL_ENTRIES for c in TAIL_CASES]
     + [(e, "p2-m1") for e in ONE_PERIOD_ENTRIES],
 )
 def test_every_tail_entry_raises_check_tails_message(entry, case):
-    # check_tail owns the range verdict: a copy of it that words the
-    # range another way fails here
-    design, m = OUT_OF_TAIL[case]
+    # check_tail owns the range and type verdicts: a copy of it that
+    # words them another way, or lets a float or bool m through, fails here
+    design, m = TAIL_CASES[case]
     if entry in TAIL_ENTRIES:
         call = functools.partial(TAIL_ENTRIES[entry], design, m)
     else:
@@ -154,6 +163,8 @@ def test_every_tail_entry_raises_check_tails_message(entry, case):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == _tail_message(design, m)
+    if case in NOT_INTEGER_M:
+        assert str(info.value) == f"m must be an integer, got {type(m).__name__}"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])
@@ -597,6 +608,16 @@ def test_uniform_rows_take_no_masked_gemm(monkeypatch, tmp_path, capsys):
     calls.clear()
     max_loss(williams_pair(15), 2)
     assert calls == [("schur", 2)]
+    # a mixed row first: the uniform rows after it ride in its chunk and
+    # its masked contrasts take it alone, each row with its B = 1 bits
+    row = np.array([d.p - i % 5 % 3 for i in range(d.s)])
+    ks = np.vstack([row, np.full(d.s, d.p), np.full(d.s, d.p - 1)])
+    calls.clear()
+    batch = info.direct_info_patterns(d, ks)
+    assert calls == [("masked", d.p - 2, 1), ("masked", d.p - 1, 1), ("schur", 3)]
+    for b, k in enumerate(ks):
+        single = direct_info_pattern(d, DropoutPattern(tuple(k)))
+        assert batch[b].tobytes() == single.tobytes(), b
 
 
 def test_masked_step_is_one_gemm_per_contrast_and_chunk(monkeypatch):
