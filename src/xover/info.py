@@ -61,20 +61,24 @@ from .designs import (
 )
 from .linalg import moore_penrose, schur_complement, symmetrize
 
-# Byte budget of each per-chunk temporary of direct_info_patterns: the
-# rows that mix completion periods are evaluated in chunks whose float
-# arrays fit in it, at least one row per chunk.  The largest are the
-# masked GEMM operand, (rows, 2t, s), and the Grams, (rows, 2t, 2t):
-# 16 t max(s, 2t) bytes a row; the Cholesky sweep's (rows, t-1, t)
-# factors and products are smaller.  Uniform rows (the plan, a
-# truncation) take no masked GEMM and ride along in the chunk they fall
-# in, outside the budget, and the contrasts every subject observes are
-# summed once per call.  128 KiB suits small s: a chunk holds many rows,
-# reused from the heap under glibc's 128 KiB mmap threshold, and 256 KiB
-# to 4 MiB measured slower on williams_pair(15).  Large s gets one mixed
-# row a chunk from s = 683 at t = 6 (slower on extreme_design(6) than
-# 4 MiB chunks), and from s = 1366 that row alone passes the threshold.
-_CHUNK_BYTES = 1 << 17
+# Byte budget of one chunk of direct_info_patterns (see _chunk_rows):
+# the rows that mix completion periods are evaluated in chunks, at least
+# one row each, whose per-row float arrays fit in it together.  A chunk
+# holds at once each row's head slice, Gram and centring outer product,
+# (2t, 2t) each, and its masked GEMM operand, (2t, s): 16 t (s + 6t)
+# bytes a row; the mask, (s,), and the Cholesky sweep's (t-1, t)
+# factors are smaller.  Uniform rows (the plan, a truncation) take no
+# masked GEMM and ride along in the chunk they fall in, outside the
+# budget.  The budget is sized for the cache: 1 MiB is half of a core's
+# 2 MiB L2 on the 2-core Xeon VM it was measured on, so a chunk's arrays
+# stay in it beside the BLAS's packed panels.  Rows a chunk: d3plan 327,
+# williams_pair(15) 36, extreme_design(6) 14, extreme_design(7) 1; so a
+# simulate batch of williams_pair(15) at m = 2, n = 20 is one Schur
+# sweep.  Against 512 KiB, paired in-process calls took 0.92 to 0.94 of
+# the time on that batch, on enumerate_exact(williams_pair(7)) and on
+# williams_pair(15) at n = 10^4, and 0.98 to 0.99 on extreme_design(6)
+# at n = 500; 2 MiB took 0.92 to 1.01 of 1 MiB's (see README.md).
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,8 +199,11 @@ def _masked_gram(zl: np.ndarray, seen: np.ndarray, l: int) -> np.ndarray:
     mask = seen.astype(float)
     # the masked operand is freed before the centring allocates its
     # (rows, 2t, 2t) temporary: at small s, holding both made glibc trim
-    # its heap and fault it in again on most calls
-    gram = np.matmul((zl.T * mask[:, None, :]).reshape(-1, s), zl)
+    # its heap and fault it in again on most calls.  It is made in C
+    # order, so its reshape is a view: in zl.T's order, numpy's default
+    # here, the reshape copies a chunk of more than one row, and at
+    # s = 720 that copy was trimmed and faulted in again on every call
+    gram = np.matmul(np.multiply(zl.T, mask[:, None, :], order="C").reshape(-1, s), zl)
     gram = gram.reshape(rows, zl.shape[1], zl.shape[1])
     n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
     return _centred_gram(gram, mask @ zl, n, l)
@@ -218,10 +225,20 @@ def _running_grams(z: np.ndarray) -> np.ndarray:
     return running
 
 
-def _joint_stack(z: np.ndarray, heads: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """(B, 2t, 2t) joint information of the completion rows ks, summed
-    in place into heads, whose row b is the running sum of the contrasts
-    l < lo_b at the row's own lowest completion lo_b (see _running_grams).
+def _joint_stack(
+    z: np.ndarray,
+    heads: np.ndarray,
+    ks: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    l0: int,
+) -> np.ndarray:
+    """(B, 2t, 2t) joint information of the completion rows ks, whose
+    lowest and highest completions are lo and hi, summed in place into
+    heads, whose row b is the running sum of the contrasts l < lo_b at
+    the row's own lowest completion (see _running_grams).  z holds the
+    contrasts of _contrasts from l = l0 on, z[l - l0] being contrast l,
+    at least those lo_b <= l < hi_b that the rows add.
 
     On a prefix of k periods the contrasts l = 1..k-1 of _contrasts,
     scaled by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they
@@ -244,14 +261,21 @@ def _joint_stack(z: np.ndarray, heads: np.ndarray, ks: np.ndarray) -> np.ndarray
     out the same in any batch, and a uniform row (lo_b = hi_b: the plan,
     a truncation) is its head.
     """
-    lo, hi = ks.min(1), ks.max(1)
     for l in range(int(lo.min()), int(hi.max())):
         need = np.flatnonzero((lo <= l) & (l < hi))
         if len(need):
             a, b = need[0], need[-1] + 1
             seen = (ks[a:b] > l) & (lo[a:b, None] <= l)
-            heads[a:b] += _masked_gram(z[l - 1], seen, l)
+            heads[a:b] += _masked_gram(z[l - l0], seen, l)
     return heads
+
+
+def _chunk_rows(design: CrossoverDesign) -> int:
+    """Rows that mix completion periods in one chunk of
+    direct_info_patterns: as many as fit in _CHUNK_BYTES at 16 t (s + 6t)
+    bytes a row (see there), and at least one."""
+    t = design.t
+    return max(1, _CHUNK_BYTES // (16 * t * (design.s + 6 * t)))
 
 
 def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
@@ -271,9 +295,9 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     its head and adds its masked contrasts; a uniform row, in which
     every subject completes the same k (the plan, a truncation), adds
     none.  The rows that mix completion periods are evaluated in chunks
-    whose temporaries stay within _CHUNK_BYTES (see there for the size),
-    a chunk starting at every step-th of them with the uniform rows
-    riding along, and every row equals its own B = 1 call bit for bit.
+    of _chunk_rows of them, whose arrays stay within _CHUNK_BYTES (see
+    there for the size), with the uniform rows riding along in the chunk
+    they fall in, and every row equals its own B = 1 call bit for bit.
     """
     ks = _completion_rows(design, completions)
     t = design.t
@@ -281,14 +305,23 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     if not len(ks):
         return out
     z = _contrasts(design)
-    lo = ks.min(1)
+    lo, hi = ks.min(1), ks.max(1)
     lows = np.unique(lo)
     heads, head_of = _running_grams(z)[lows - 1], np.searchsorted(lows, lo)
-    step = max(1, _CHUNK_BYTES // (16 * t * max(design.s, 2 * t)))
-    bounds = [0, *np.flatnonzero(lo < ks.max(1))[step::step], len(ks)]
+    # the chunks add only the contrasts lo <= l < hi of the mixed rows: a
+    # copy of those alone lets the rest be freed before any chunk
+    # allocates.  Holding them all, a simulate call on williams_pair(15)
+    # (one chunk of 22 rows) left glibc trimming its heap at the end and
+    # faulting it in again on the next call
+    l0 = int(lo[lo < hi].min(initial=design.p))
+    z = z[l0 - 1 : int(hi.max()) - 1].copy()
+    step = _chunk_rows(design)
+    bounds = [0, *np.flatnonzero(lo < hi)[step::step], len(ks)]
     for start, stop in zip(bounds, bounds[1:]):
-        joint = _joint_stack(z, heads[head_of[start:stop]], ks[start:stop])
-        out[start:stop] = schur_complement(joint, t)
+        chunk = slice(start, stop)
+        joint = heads[head_of[chunk]]
+        _joint_stack(z, joint, ks[chunk], lo[chunk], hi[chunk], l0)
+        out[chunk] = schur_complement(joint, t)
     return out
 
 
@@ -305,7 +338,8 @@ def joint_info_projection(
     stage that direct_info_patterns runs on whole batches.
     """
     z, ks = _contrasts(design), _one_row(design, pattern)
-    return JointInfo(_joint_stack(z, _running_grams(z)[ks.min(1) - 1], ks)[0])
+    lo, hi = ks.min(1), ks.max(1)
+    return JointInfo(_joint_stack(z, _running_grams(z)[lo - 1], ks, lo, hi, 1)[0])
 
 
 def joint_info_orthogonal(design: CrossoverDesign) -> JointInfo:

@@ -375,7 +375,7 @@ def enumerate_exact(
     Bernoulli hazard.  Serves as the exact reference that Monte Carlo
     means must approach.
     """
-    if m != 1:
+    if _check_integer("m", m) != 1:
         raise ValueError(f"exact enumeration requires m=1, got m={_short_int(m)}")
     if design.s > 20:
         raise ValueError(f"requires s <= 20, got s={design.s}")

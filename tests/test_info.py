@@ -214,7 +214,9 @@ def test_batched_engine_rejects_bad_rows():
 def _engine_joint(z, ks):
     """The engine's joint information of the completion rows ks, each
     row starting from the running sum at its own lowest completion."""
-    return info_module._joint_stack(z, info_module._running_grams(z)[ks.min(1) - 1], ks)
+    lo, hi = ks.min(1), ks.max(1)
+    heads = info_module._running_grams(z)[lo - 1]
+    return info_module._joint_stack(z, heads, ks, lo, hi, 1)
 
 
 def _cells(design):

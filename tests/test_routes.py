@@ -664,6 +664,66 @@ def test_masked_step_is_one_gemm_per_contrast_and_chunk(monkeypatch):
         assert events == want, budget
 
 
+def test_default_budget_sweeps_each_simulate_batch_in_few_chunks(monkeypatch):
+    # at the default budget a simulate batch of williams_pair(15) (the
+    # plan, the truncation and 20 mixed rows) is one chunk, and 40 mixed
+    # rows of extreme_design(6) are chunks of 14, 14 and 12
+    info = sys.modules["xover.info"]
+    sweeps = []
+    schur = info.schur_complement
+
+    def recording_schur(m, k):
+        sweeps.append(len(m))
+        return schur(m, k)
+
+    monkeypatch.setattr(info, "schur_complement", recording_schur)
+    rng = np.random.default_rng(20071020)
+    d = williams_pair(15)
+    mixed = rng.integers(d.p - 2, d.p + 1, (20, d.s))
+    mixed[:, :2] = d.p - 1, d.p
+    ks = np.vstack([np.full(d.s, d.p), np.full(d.s, d.p - 2), mixed])
+    info.direct_info_patterns(d, ks)
+    assert sweeps == [22]
+    sweeps.clear()
+    d = extreme_design(6)
+    mixed = rng.integers(d.p - 1, d.p + 1, (40, d.s))
+    mixed[:, :2] = d.p - 1, d.p
+    info.direct_info_patterns(d, mixed)
+    assert sweeps == [14, 14, 12]
+
+
+def test_docs_give_the_engines_own_rows_per_chunk():
+    # README's table and the _CHUNK_BYTES comment quote the mixed rows a
+    # chunk takes; both are recomputed from info's own charge and budget
+    info = sys.modules["xover.info"]
+    construct = sys.modules["xover.construct"]
+
+    def design(name):
+        if "(" not in name:
+            return fixture(name)
+        fn, arg = re.fullmatch(r"(\w+)\((\d+)\)", name).groups()
+        return getattr(construct, fn)(int(arg))
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    budget = re.search(r"as\s+many rows as fit in (\d+) (KiB|MiB)", readme)
+    assert int(budget[1]) << (10 if budget[2] == "KiB" else 20) == info._CHUNK_BYTES
+    row = r"^\| `(\w+(?:\(\d+\))?)` \| (\d+) \| (\d+) \| (\d+) \|$"
+    rows = re.findall(row, readme, re.M)
+    assert [name for name, *_ in rows] == [
+        "d3plan",
+        "williams_pair(15)",
+        "extreme_design(6)",
+        "extreme_design(7)",
+    ]
+    for name, t, s, n in rows:
+        d = design(name)
+        assert (d.t, d.s, info._chunk_rows(d)) == (int(t), int(s), int(n)), name
+    source = Path(info.__file__).read_text()
+    comment = re.search(r"Rows a chunk: (.*?);", source.replace("\n# ", " "))[1]
+    quoted = re.findall(r"(\w+(?:\(\d+\))?) (\d+)", comment)
+    assert quoted == [(name, n) for name, _, _, n in rows]
+
+
 def test_readme_python_api_runs():
     # the README's API examples share one namespace, as a reader runs them
     readme = (Path(__file__).parents[1] / "README.md").read_text()

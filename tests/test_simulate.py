@@ -452,6 +452,22 @@ def test_enumerate_exact_m_error_is_short(m, shown):
     assert str(info.value) == f"exact enumeration requires m=1, got m={shown}"
 
 
+@pytest.mark.parametrize(
+    "m, name",
+    [(True, "bool"), (1.0, "float"), (1.5, "float")],
+    ids=["True", "1.0", "1.5"],
+)
+def test_enumerate_exact_m_must_be_an_integer(m, name):
+    # a bool or float m is rejected by type before its value is read, as
+    # check_tail and DropoutModel reject it
+    with pytest.raises(ValueError) as info:
+        enumerate_exact(fixture("d2plan"), 0.5, m=m)
+    assert str(info.value) == f"m must be an integer, got {name}"
+    # a numpy integer is an integer
+    got = enumerate_exact(fixture("d2plan"), 0.5, m=np.int64(1))
+    assert np.array_equal(got.losses, enumerate_exact(fixture("d2plan"), 0.5).losses)
+
+
 def test_enumerate_exact_errors():
     with pytest.raises(ValueError, match="requires m=1"):
         enumerate_exact(fixture("d2plan"), 0.5, m=2)
