@@ -121,13 +121,16 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _read(path: str) -> str:
-    """The text of an input file; a file that cannot be opened or read
-    fails as "cannot read PATH: ..."."""
+    """The text of an input file, its bytes decoded as UTF-8; a file that
+    cannot be opened or read fails as "cannot read PATH: ...".  Line
+    endings are left as they are: every reader splits lines with
+    str.splitlines, which takes CRLF and CR as text mode's newlines do."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    return data.decode()
 
 
 def _load_design(path: str) -> CrossoverDesign:

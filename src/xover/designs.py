@@ -6,12 +6,14 @@ arrays.  This module validates the uniform-balance property, slices the
 layout into period incidence matrices, builds the coincidence matrices
 between tail periods, counts all treatment/subject/period/carryover
 incidences (optionally under subject dropout), and classifies designs
-by the cycle structure of their tail permutations.  Every balance,
-coincidence and classification verdict, and every count of
-incidences, counts treatments through one of two bincount helpers:
-_counts (per row of any stack of rows) and _pairs (per pair of rows).
-Designs are read from and written to a versioned text format, and
-dropout patterns are read from one line of completion periods.
+by the cycle structure of their tail permutations.  The balance
+report counts subjects, periods and precedences in one bincount pass;
+every other count of treatments goes through one of two bincount
+helpers: _counts (per row of any stack of rows) and _pairs (per pair of
+rows).  A design keeps its balance report and its tail-cycle tables,
+each made once.  Designs are read from and written to a versioned text
+format, and dropout patterns are read from one line of completion
+periods.
 """
 
 from __future__ import annotations
@@ -81,7 +83,13 @@ class CrossoverDesign:
 
     @functools.cached_property
     def _validation(self) -> ValidationReport:
-        """validate_ubrmd's report, made once per design."""
+        """validate_ubrmd's report, made once per design.
+
+        Its counts come from one bincount over offset keys: subject i's
+        treatment a at t i + a, period j's at t (s + j) + a, and a given
+        right after b at t (s + p + a) + b.  Each treatment's
+        self-precedence is reported before its pairs.
+        """
         t, p, s = self.t, self.p, self.s
         failures: list[str] = []
         if p != t:
@@ -91,27 +99,50 @@ class CrossoverDesign:
             return ValidationReport(False, tuple(failures))
         g = s // t
         layout = self.layout
-        if p == t:
-            columns = _counts(layout.T, t)
-            for i in np.flatnonzero((columns != 1).any(axis=1)):
-                failures.append(
-                    f"non-uniform column {i}: treatment counts {columns[i].tolist()}"
-                )
-        rows = _counts(layout, t)
-        for j in np.flatnonzero((rows != g).any(axis=1)):
-            failures.append(f"non-uniform row {j + 1}: treatment counts {rows[j].tolist()}")
-        # prec[a, b] counts a given right after b; each treatment's
-        # self-precedence is reported before its pairs
-        prec = _pairs(layout[1:].ravel(), layout[:-1].ravel(), t)
-        wrong = zip(*np.nonzero(prec != g * (1 - np.eye(t, dtype=int))))
-        for a, b in sorted(wrong, key=lambda ab: (ab[0], ab[0] != ab[1])):
+        offsets = t * np.arange(s + p + 1)
+        keys = np.concatenate(
+            [
+                (layout + offsets[:s]).ravel(),
+                (layout + offsets[s : s + p, None]).ravel(),
+                (layout[1:] * t + layout[:-1] + offsets[s + p]).ravel(),
+            ]
+        )
+        counts = np.bincount(keys, minlength=(s + p + t) * t)
+        expected = np.full_like(counts, g)
+        expected[: s * t] = 1
+        expected[(s + p) * t :: t + 1] = 0
+        wrong = counts != expected
+        if p != t:
+            wrong[: s * t] = False  # a subject is checked only when p = t
+        if not wrong.any():
+            return ValidationReport(not failures, tuple(failures))
+        # row i of counts: subject i (i < s), period i-s+1 (i < s+p), or
+        # the treatment a = i-s-p given right after each b
+        counts, wrong = counts.reshape(-1, t), wrong.reshape(-1, t)
+        bad = wrong.any(axis=1)
+        for i in np.flatnonzero(bad[:s]):
+            failures.append(
+                f"non-uniform column {i}: treatment counts {counts[i].tolist()}"
+            )
+        for j in np.flatnonzero(bad[s : s + p]):
+            failures.append(
+                f"non-uniform row {j + 1}: treatment counts {counts[s + j].tolist()}"
+            )
+        prec = counts[s + p :]
+        pairs = zip(*np.nonzero(wrong[s + p :]))
+        for a, b in sorted(pairs, key=lambda ab: (ab[0], ab[0] != ab[1])):
             if a == b:
                 failures.append(f"self-precedence for treatment {a}: count {prec[a, a]}")
             else:
                 failures.append(
                     f"precedence count != g for pair ({a} after {b}): {prec[a, b]}"
                 )
-        return ValidationReport(not failures, tuple(failures))
+        return ValidationReport(False, tuple(failures))
+
+    @functools.cached_property
+    def _tail_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+        """_tail_cycles's tables by tail length m, each made once per design."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -182,7 +213,8 @@ def validate_ubrmd(design: CrossoverDesign) -> ValidationReport:
     """Check uniform balance: p = t, every treatment once per subject,
     g times per period, and every ordered treatment pair in consecutive
     periods realized exactly g times with no self-precedence.  The report
-    is made once per design (CrossoverDesign._validation) and kept.
+    is made once per design (CrossoverDesign._validation) and kept; its
+    subject, period and precedence counts come from one bincount pass.
     """
     return design._validation
 
@@ -348,8 +380,9 @@ def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
     check_tail(design, m)
     require_ubrmd(design)
     t, p = design.t, design.p
-    tail, counts, single = _tail_cycles(design, m)
+    tail, single = _tail_cycles(design, m)
     if single is None:
+        counts = _counts(tail, t)
         failures = [
             f"block {l} is not uniform in period {p - j}: "
             f"treatment counts {counts[j, l].tolist()}"
@@ -367,40 +400,57 @@ def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
 def _is_type_wm(design: CrossoverDesign, m: int) -> bool:
     """check_type_wm(design, m).ok, without wording any failure, for a
     design already known to be uniform-balanced, with 1 <= m <= p-2."""
-    single = _tail_cycles(design, m)[2]
+    single = _tail_cycles(design, m)[1]
     return single is not None and bool(single.all())
 
 
-def _tail_cycles(
-    design: CrossoverDesign, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The masks behind check_type_wm: (tail, counts, single).
+def _tail_cycles(design: CrossoverDesign, m: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The tail table behind every single-cycle verdict: (tail, single),
+    read-only and made once per design and m (CrossoverDesign._tail_tables).
 
-    tail[j, l] is block l in period p-j, for j = 0..m, and counts[j, l]
-    its treatment counts.  single[j, k, l] tells whether block l's map
-    from period p-j to period p-k is a single t-cycle (true for j = k,
-    which is not tested); it is None when some block is not uniform in
-    some tail period, since the maps then are not permutations.
+    tail[j, l] is block l in period p-j, for j = 0..m.  single[j, k, l]
+    tells whether block l's map from period p-j to period p-k is a single
+    t-cycle (true for j = k, which is not tested); it is None when some
+    block is not uniform in some tail period, since the maps then are not
+    permutations.
     """
+    tables = design._tail_tables
+    if m not in tables:
+        tables[m] = _tail_table(design, m)
+    return tables[m]
+
+
+def _tail_table(design: CrossoverDesign, m: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """_tail_cycles's table, made afresh."""
     t, p = design.t, design.p
     tail = design.layout[p - 1 - np.arange(m + 1)][:, design._block_index]
-    counts = _counts(tail, t)
-    if (counts != 1).any():
-        return tail, counts, None
+    tail.setflags(write=False)
+    if (np.sort(tail) != np.arange(t)).any():
+        return tail, None
     # maps[j, k, l, a]: the period p-k treatment of the block-l subject
     # that receives a in period p-j
     periods = np.arange(m + 1)[:, None, None]
     blocks = np.arange(tail.shape[1])[:, None]
     maps = tail[periods, blocks, np.argsort(tail)[:, None]]
     # a map is a single t-cycle iff the orbit of treatment 0 first returns
-    # to 0 after t steps
-    single = np.ones(maps.shape[:-1], dtype=bool)
-    orbit = np.zeros(maps.shape[:-1], dtype=int)
-    for _ in range(t - 1):
-        orbit = np.take_along_axis(maps, orbit[..., None], axis=-1)[..., 0]
-        single &= orbit != 0
+    # to 0 after t steps.  All orbits are walked at once on the flat maps,
+    # map i's treatment a at t i + a, power[x] the flat index of x's image
+    # under the map's n-th power; orbit[k] holds each map's k-th point,
+    # and each round doubles both n and the orbit known
+    start = np.arange(0, maps.size, t)
+    power = (maps.reshape(-1, t) + start[:, None]).ravel()
+    orbit = np.empty((t, len(start)), dtype=np.intp)
+    orbit[0] = start
+    n = 1
+    while n < t:
+        k = min(n, t - n)
+        orbit[n : n + k] = power[orbit[:k]]
+        power = power[power]
+        n *= 2
+    single = (orbit[1:] != start).all(axis=0).reshape(maps.shape[:-1])
     single |= np.eye(m + 1, dtype=bool)[..., None]
-    return tail, counts, single
+    single.setflags(write=False)
+    return tail, single
 
 
 def classify(design: CrossoverDesign) -> str:
@@ -411,35 +461,33 @@ def classify(design: CrossoverDesign) -> str:
     copies of one balanced square with a single-cycle tail map), or
     "ClassB-W1" (identical copies of a two-square array whose tail maps
     are mutually transposed single cycles).  The result is unchanged by
-    relabeling the treatments.  It reads validate_ubrmd's report, made
-    once per design.  Uniform balance makes the copied square of ClassA,
-    or the copied pair of ClassB, balanced itself: the design's
-    precedence and period counts are the copy's times the copies.
+    relabeling the treatments.  It reads validate_ubrmd's report and
+    the m = 1 tail table of _tail_cycles, each made once per design, for
+    block 0's single-cycle verdict.  Uniform balance makes the copied
+    square of ClassA, or the copied pair of ClassB, balanced itself: the
+    design's precedence and period counts are the copy's times the
+    copies, and the copied square of ClassA is Latin.
     """
     if not design._validation.ok:
         return "not-UBRMD"
-    t, p = design.t, design.p
-    squares = design.layout[:, design._block_index]  # (p, g, t)
-    g = squares.shape[1]
-    # the maps from period p to period p-1 of the first two blocks
-    tails = _pairs(squares[p - 1, :2], squares[p - 2, :2], t)
-
-    # both classes copy Latin blocks, whose tail maps are permutations
-    latin = (_counts(squares[:, :2], t) == 1).all()
-    single_cycle = latin and cycle_type(tails[0]) == [t]
-
-    if single_cycle and (squares == squares[:, :1]).all():
-        return "ClassA-W1"
-
-    if g % 2 == 0:
-        pairs = squares.reshape(p, g // 2, 2 * t)
-        # the inverse of a single cycle is one too
-        if (
-            single_cycle
-            and (pairs == pairs[:, :1]).all()
-            and np.array_equal(tails[1], tails[0].T)
-        ):
-            return "ClassB-W1"
+    # both classes need block 0's map from period p to period p-1 to be
+    # a single cycle; the table is None when some block is not uniform in
+    # those periods, which never holds of copied Latin blocks
+    single = _tail_cycles(design, 1)[1]
+    if single is not None and single[0, 1, 0]:
+        t, p = design.t, design.p
+        squares = design.layout[:, design._block_index]  # (p, g, t)
+        if (squares == squares[:, :1]).all():
+            return "ClassA-W1"
+        g = squares.shape[1]
+        if g % 2 == 0:
+            pairs = squares.reshape(p, g // 2, 2 * t)
+            if (pairs == pairs[:, :1]).all():
+                # two Latin blocks, block 1's map block 0's inverse
+                latin = (_counts(squares[:, :2], t) == 1).all()
+                tails = _pairs(squares[p - 1, :2], squares[p - 2, :2], t)
+                if latin and np.array_equal(tails[1], tails[0].T):
+                    return "ClassB-W1"
 
     best = 0
     for m in range(1, design.p - 1):
@@ -461,10 +509,33 @@ _MAX_DIGITS = 18
 _DIGITS = re.compile(r"([+-]?)0*(\d+)")
 # Deletes every character of a plain text (see _plain_ints).
 _PLAIN_CHARS = str.maketrans("", "", "0123456789 \n")
+# A digit 0 and its space, b"0 ", read as a little-endian uint16 (see
+# _digit_ints).
+_DIGIT_PAIR = 0x2030
+
+
+def _digit_ints(text: str, below: int) -> np.ndarray | None:
+    """The digits of a text of single ASCII digits each followed by one
+    space, read by byte slicing.
+
+    Each digit and its space read as one little-endian uint16, which is
+    the digit plus _DIGIT_PAIR; so subtracting _DIGIT_PAIR leaves every
+    digit, and one range check against below (taken as at most 10)
+    rejects any other character in either place.  The result is None for
+    any other text and when some digit is not below the bound.  An odd
+    length or a non-ASCII character is refused before any numpy call.
+    """
+    if len(text) % 2 or not text.isascii():
+        return None
+    values = np.frombuffer(text.encode(), dtype="<u2") - _DIGIT_PAIR
+    if not values.size or values.max() >= min(below, 10):
+        return None
+    return values.astype(np.int64)
 
 
 def _plain_ints(text: str, below: int) -> np.ndarray | None:
-    """The integers of a plain text, read by numpy in one call.
+    """The integers of a plain text, read by numpy in one call: the route
+    of a text that _digit_ints refuses, as one of several-digit tokens.
 
     A plain text holds ASCII digits, spaces and newlines only, and at
     least one digit.  The result is None for any other text, and when
@@ -529,11 +600,14 @@ def parse_design(text: str) -> CrossoverDesign:
 
     A layout in the form write_design writes (lines of digit tokens
     joined by single spaces, blank lines and any line ending allowed) is
-    converted in one _plain_ints call.  Any other layout, and any layout
-    with an error, goes through _layout_rows a token at a time, which
-    alone decides what an odd token (a sign, leading zeros, underscores,
-    non-ASCII digits, more than _MAX_DIGITS digits) means and words the
-    first error.  Both give the same layout.
+    converted without reading a token in Python: by byte slicing
+    (_digit_ints) when every line is 2s-1 characters long, as single
+    digits joined by single spaces are, else in one _plain_ints call.
+    Any other layout, and any layout with an error, goes through
+    _layout_rows a token at a time, which alone decides what an odd token
+    (a sign, leading zeros, underscores, non-ASCII digits, more than
+    _MAX_DIGITS digits) means and words the first error.  All three give
+    the same layout.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != TEXT_FORMAT_HEADER:
@@ -561,10 +635,12 @@ def parse_design(text: str) -> CrossoverDesign:
     body = [ln for ln in lines[2:] if ln.strip() != ""]
     if len(body) != p:
         raise ValueError(f"expected {p} layout lines, found {len(body)}")
+    values = None
+    if all(len(ln) == 2 * s - 1 for ln in body):
+        values = _digit_ints(" ".join([*body, ""]), t)
     # a line of only digits and spaces holds at most count(" ") + 1 tokens:
     # if that is s on every line and the body holds p*s, each line holds s
-    values = None
-    if all(ln.count(" ") + 1 == s for ln in body):
+    if values is None and all(ln.count(" ") + 1 == s for ln in body):
         values = _plain_ints("\n".join(body), t)
     if values is None or values.size != p * s:
         return CrossoverDesign(t=t, p=p, s=s, layout=_layout_rows(body, t, s))
@@ -602,14 +678,17 @@ def _pattern_row(text: str, design: CrossoverDesign | None = None) -> np.ndarray
     The file holds one line of completion periods.  The faults are
     raised in this order: a line count other than one, a token that is
     not an integer, a period below 1, and, when a design is given, a
-    length other than its s and a period above its p.  A plain line (see
-    _plain_ints) is converted in one numpy call, any other line by
-    _int_token a token at a time.
+    length other than its s and a period above its p.  A line of single
+    digits joined by single spaces is converted by byte slicing
+    (_digit_ints), any other plain line (see _plain_ints) in one numpy
+    call, and any other line by _int_token a token at a time.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) != 1:
         raise ValueError(f"expected one line of completion periods, found {len(lines)}")
-    row = _plain_ints(lines[0], 10**_MAX_DIGITS)
+    row = _digit_ints(lines[0] + " ", 10)
+    if row is None:
+        row = _plain_ints(lines[0], 10**_MAX_DIGITS)
     if row is None:
         row = np.array(
             [

@@ -298,8 +298,15 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     of _chunk_rows of them, whose arrays stay within _CHUNK_BYTES (see
     there for the size), with the uniform rows riding along in the chunk
     they fall in, and every row equals its own B = 1 call bit for bit.
+    The rows are validated by _completion_rows, and _direct_info_rows
+    evaluates them.
     """
-    ks = _completion_rows(design, completions)
+    return _direct_info_rows(design, _completion_rows(design, completions))
+
+
+def _direct_info_rows(design: CrossoverDesign, ks: np.ndarray) -> np.ndarray:
+    """direct_info_patterns on (B, s) completion rows already validated
+    by _completion_rows, as metrics.against_plan's are."""
     t = design.t
     out = np.empty((len(ks), t, t))
     if not len(ks):

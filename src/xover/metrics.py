@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, _short_int, check_tail
-from .info import _completion_rows, direct_info_patterns
+from .info import _completion_rows, _direct_info_rows
 from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
 
@@ -176,17 +176,19 @@ def against_plan(
 ) -> tuple[np.ndarray, ACriteria, np.ndarray, np.ndarray]:
     """Every verdict of a design's dropout patterns against its plan.
 
-    Validates the (B, s) completion rows, stacks the complete pattern
-    (row 0) in front of them and evaluates them as one batch: returns the
-    (B+1, t, t) information, its A-criteria, each row's loss against row
-    0 (implemented_losses) and its disconnected flag, ~crit.connected.  A
-    single treatment has no contrast to estimate, so t must be at least 2.
+    Validates the (B, s) completion rows once, stacks the complete
+    pattern (row 0) in front of them and evaluates them as one batch
+    (info._direct_info_rows, which validates nothing again): returns
+    the (B+1, t, t) information, its A-criteria, each row's loss against
+    row 0 (implemented_losses) and its disconnected flag,
+    ~crit.connected.  A single treatment has no contrast to estimate, so
+    t must be at least 2.
     """
     if design.t < 2:
         raise ValueError(f"requires t >= 2 treatments, got t={design.t}")
     plan = np.full((1, design.s), design.p)
     rows = _completion_rows(design, completions) if len(completions) else plan[:0]
-    c = direct_info_patterns(design, np.concatenate([plan, rows]))
+    c = _direct_info_rows(design, np.concatenate([plan, rows]))
     crit = a_criteria(c, design.t)
     losses = implemented_losses(crit.trace_mp[0], crit.trace_mp, crit.connected)
     return c, crit, losses, ~crit.connected

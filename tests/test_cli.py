@@ -278,6 +278,38 @@ def test_evaluate_missing_pattern_file(tmp_path, capsys):
     )
 
 
+def test_input_files_read_as_utf8_with_any_line_ending(tmp_path, capsys):
+    # the bytes are decoded as UTF-8 and the lines split by splitlines,
+    # so CRLF and CR files give the report of an LF file
+    d = fixture("d3plan")
+    text, pattern = write_design(d), "5 4 5 5 5 5 5 5 5 3\n"
+    reports = []
+    for eol in ("\n", "\r\n", "\r"):
+        (tmp_path / "d.txt").write_bytes(text.replace("\n", eol).encode())
+        (tmp_path / "p.txt").write_bytes(pattern.replace("\n", eol).encode())
+        argv = ["evaluate", str(tmp_path / "d.txt"), "--pattern", str(tmp_path / "p.txt")]
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out.replace(eol, "\n"))
+    assert reports[1:] == reports[:1] * 2
+
+
+def test_input_files_that_are_not_utf8_fail_by_name(tmp_path, capsys):
+    design, pattern = tmp_path / "d.txt", tmp_path / "p.txt"
+    design.write_bytes(write_design(fixture("d3plan")).encode() + b"\xff\n")
+    assert main(["evaluate", str(design)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {design}: 'utf-8' codec can't decode byte 0xff in position 131: "
+        "invalid start byte\n"
+    )
+    design.write_text(write_design(fixture("d3plan")))
+    pattern.write_bytes(b"5 5 5 5 5\xe9 5 5 5 5 5\n")
+    assert main(["evaluate", str(design), "--pattern", str(pattern)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xe9 in position 9: "
+        "invalid continuation byte\n"
+    )
+
+
 def test_evaluate_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a design\n")

@@ -126,6 +126,77 @@ def test_validate_failures_are_exact(name):
     assert str(info.value) == "design is not uniform-balanced: " + "; ".join(failures)
 
 
+def _reference_report(design):
+    """validate_ubrmd's report counted in three passes, subjects and
+    periods by _counts and precedences by _pairs, failures in the order
+    and wording of the report."""
+    t, p, s = design.t, design.p, design.s
+    failures = []
+    if p != t:
+        failures.append(f"period count p={p} differs from treatment count t={t}")
+    if s % t != 0:
+        failures.append(f"subject count s={s} is not a multiple of t={t}")
+        return ValidationReport(False, tuple(failures))
+    g, layout = s // t, design.layout
+    if p == t:
+        columns = designs._counts(layout.T, t)
+        for i in np.flatnonzero((columns != 1).any(axis=1)):
+            counts = columns[i].tolist()
+            failures.append(f"non-uniform column {i}: treatment counts {counts}")
+    rows = designs._counts(layout, t)
+    for j in np.flatnonzero((rows != g).any(axis=1)):
+        failures.append(f"non-uniform row {j + 1}: treatment counts {rows[j].tolist()}")
+    prec = designs._pairs(layout[1:].ravel(), layout[:-1].ravel(), t)
+    wrong = zip(*np.nonzero(prec != g * (1 - np.eye(t, dtype=int))))
+    for a, b in sorted(wrong, key=lambda ab: (ab[0], ab[0] != ab[1])):
+        if a == b:
+            failures.append(f"self-precedence for treatment {a}: count {prec[a, a]}")
+        else:
+            pair = f"({a} after {b})"
+            failures.append(f"precedence count != g for pair {pair}: {prec[a, b]}")
+    return ValidationReport(not failures, tuple(failures))
+
+
+_BALANCED = [
+    williams_square(4), williams_pair(3), williams_pair(5), fixture("d3plan"),
+    replicate(williams_square(4), 2), extreme_design(3),
+]
+
+
+@st.composite
+def _layouts(draw):
+    """A balanced design, one a few cells or a cell swap within a subject
+    away from it, or any small layout."""
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(_BALANCED))
+        layout = d.layout.copy()
+        cells = st.tuples(
+            st.integers(0, d.p - 1), st.integers(0, d.s - 1), st.integers(0, d.t - 1)
+        )
+        for j, i, v in draw(st.lists(cells, max_size=3)):
+            layout[j, i] = v
+        if draw(st.booleans()):  # subjects stay uniform, periods may not
+            i, a, b = draw(cells.map(lambda c: (c[1], c[0], c[2] % d.p)))
+            layout[[a, b], i] = layout[[b, a], i]
+        return CrossoverDesign(t=d.t, p=d.p, s=d.s, layout=layout)
+    t, p, s = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, t - 1), min_size=p * s, max_size=p * s))
+    return CrossoverDesign(t=t, p=p, s=s, layout=np.reshape(cells, (p, s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(design=_layouts())
+def test_one_count_pass_reports_as_three(design):
+    assert validate_ubrmd(design) == _reference_report(design)
+
+
+def test_balanced_layouts_report_as_three():
+    for d in _BALANCED + [williams_square(t) for t in (6, 8)] + [extreme_design(5)]:
+        assert validate_ubrmd(d) == _reference_report(d) == ValidationReport(True, ())
+    for design, _ in BROKEN.values():
+        assert validate_ubrmd(design) == _reference_report(design)
+
+
 def _cycle(periods, cycles):
     return f"block 0, periods {periods}: cycle type {cycles} is not a single 4-cycle"
 
@@ -467,6 +538,50 @@ def test_classify_invariant_under_relabeling(perm):
     assert classify(relabel(d, perm)) == classify(d)
 
 
+def _reference_is_type_wm(design, m):
+    """Whether every block's tail maps are single t-cycles, each map's
+    cycle type taken by cycle_type, for a uniform-balanced design."""
+    t, p = design.t, design.p
+    for block in design.blocks():
+        tail = design.layout[p - 1 - np.arange(m + 1)][:, list(block)]
+        if any(sorted(row) != list(range(t)) for row in tail.tolist()):
+            return False
+        for j in range(m + 1):
+            for k in range(m + 1):
+                if j != k and cycle_type(designs._pairs(tail[j], tail[k], t)) != [t]:
+                    return False
+    return True
+
+
+def _reference_classify(design):
+    """classify with block 0's single-cycle verdict taken by cycle_type
+    and every type-W verdict by _reference_is_type_wm."""
+    if not validate_ubrmd(design).ok:
+        return "not-UBRMD"
+    t, p = design.t, design.p
+    squares = design.layout[:, np.array(design.blocks())]  # (p, g, t)
+    g = squares.shape[1]
+    tails = designs._pairs(squares[p - 1, :2], squares[p - 2, :2], t)
+    latin = (designs._counts(squares[:, :2], t) == 1).all()
+    single_cycle = latin and cycle_type(tails[0]) == [t]
+    if single_cycle and (squares == squares[:, :1]).all():
+        return "ClassA-W1"
+    if g % 2 == 0:
+        pairs = squares.reshape(p, g // 2, 2 * t)
+        if (
+            single_cycle
+            and (pairs == pairs[:, :1]).all()
+            and np.array_equal(tails[1], tails[0].T)
+        ):
+            return "ClassB-W1"
+    best = 0
+    for m in range(1, p - 1):
+        if not _reference_is_type_wm(design, m):
+            break
+        best = m
+    return f"type-W{best}" if best else "UBRMD"
+
+
 def test_text_format_round_trip():
     for name in ("d1plan", "d2plan", "d3plan"):
         d = fixture(name)
@@ -511,6 +626,96 @@ def test_design_file_classifies_as_its_object(name):
     assert validate_ubrmd(back) == validate_ubrmd(d)
     assert classify(back) == classify(d)
     assert _type_wm_verdicts(back) == _type_wm_verdicts(d)
+
+
+# a balanced square from the sequencing (0, 2, 1, 4, 5, 3) of Z_6, whose
+# map from period 6 to period 5 adds 2 (mod 6): two 3-cycles, so copies
+# of it are no ClassA
+_TWO_CYCLES = CrossoverDesign(
+    t=6, p=6, s=6, layout=(np.array([0, 2, 1, 4, 5, 3])[:, None] + np.arange(6)) % 6
+)
+# every constructor and fixture, and layouts that reach each branch of
+# classify: copies of one square, of a pair, distinct squares, blocks not
+# uniform in the tail, and layouts that are not balanced
+VERDICT_DESIGNS = {
+    **CONSTRUCTIONS,
+    **{f"square{t}": williams_square(t) for t in (4, 8, 10)},
+    **{f"pair{t}": williams_pair(t) for t in (9, 11)},
+    **{f"extreme{t}": extreme_design(t) for t in (3, 4, 5)},
+    "square4x3": replicate(williams_square(4), 3),
+    "square6-pair": union(
+        [williams_square(6), relabel(williams_square(6), [1, 2, 3, 4, 5, 0])]
+    ),
+    "pair5x2": replicate(williams_pair(5), 2),
+    "two-cycles": _TWO_CYCLES,
+    "two-cycles-x2": replicate(_TWO_CYCLES, 2),
+    "two-cycles-pair-x2": replicate(
+        union([_TWO_CYCLES, relabel(_TWO_CYCLES, [5, 4, 3, 2, 1, 0])]), 2
+    ),
+    "d3plan-mixed-blocks": _changed(
+        fixture("d3plan"), order=[0, 1, 2, 3, 5, 4, 6, 7, 8, 9]
+    ),
+    "d3plan-pairs-swapped": _changed(
+        fixture("d3plan"), order=[5, 6, 7, 8, 9, 0, 1, 2, 3, 4]
+    ),
+    **{f"broken-{name}": design for name, (design, _) in BROKEN.items()},
+}
+
+
+def _verdicts(design):
+    """classify, and check_type_wm's and _is_type_wm's verdicts for every m."""
+    out = [classify(design)]
+    for m in range(1, design.p - 1):
+        try:
+            out.append((check_type_wm(design, m).ok, designs._is_type_wm(design, m)))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _reference_verdicts(design):
+    out = [_reference_classify(design)]
+    report = _reference_report(design)
+    for m in range(1, design.p - 1):
+        if report.ok:
+            ok = _reference_is_type_wm(design, m)
+            out.append((ok, ok))
+        else:
+            out.append("design is not uniform-balanced: " + "; ".join(report.failures))
+    return out
+
+
+@pytest.mark.parametrize("name", VERDICT_DESIGNS)
+def test_verdicts_match_cycle_type(name):
+    d = VERDICT_DESIGNS[name]
+    assert _verdicts(d) == _reference_verdicts(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(VERDICT_DESIGNS)), data=st.data())
+def test_verdicts_match_cycle_type_after_relabeling(name, data):
+    d = VERDICT_DESIGNS[name]
+    d = relabel(d, data.draw(st.permutations(range(d.t))))
+    assert _verdicts(d) == _reference_verdicts(d)
+
+
+def test_tail_tables_are_kept_and_read_only():
+    d = fixture("d3plan")
+    assert classify(d) == "ClassB-W1"
+    table = designs._tail_cycles(d, 1)
+    assert designs._tail_cycles(d, 1) is table
+    assert check_type_wm(d, 1).ok and designs._tail_cycles(d, 1) is table
+    tail, single = table
+    for array in (tail, single):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    # not through a view either, and not through the layout it copies
+    with pytest.raises(ValueError, match="read-only"):
+        tail[0, 0][:] = 0
+    mixed = VERDICT_DESIGNS["d3plan-mixed-blocks"]
+    tail, single = designs._tail_cycles(mixed, 2)
+    assert single is None and not tail.flags.writeable
+    assert designs._tail_cycles(mixed, 1) is not designs._tail_cycles(mixed, 2)
 
 
 def test_blocks_need_s_a_multiple_of_t():
@@ -646,10 +851,12 @@ def _outcome(read, text):
 
 
 def _both_readers(read, text):
-    """read(text) as parsed, and with the one-call reader switched off so
-    that every line goes through the per-token reader."""
+    """read(text) as parsed, and with the byte-slicing and one-call
+    readers switched off so that every line goes through the per-token
+    reader."""
     fast = _outcome(read, text)
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(designs, "_digit_ints", lambda text, below: None)
         m.setattr(designs, "_plain_ints", lambda text, below: None)
         slow = _outcome(read, text)
     return fast, slow
@@ -661,15 +868,31 @@ def _same(a, b):
     return a == b
 
 
-def _square12(edits=None, sep=" ", eol="\n"):
-    """williams_square(12) as text (t = 12: entries of one and two
-    digits), edits[j] applied to the tokens of layout row j, tokens
-    joined by sep and lines by eol."""
-    head, dims, *rows = write_design(williams_square(12)).splitlines()
+def _text_of(design, edits=None, sep=" ", eol="\n"):
+    """design as text, edits[j] applied to the tokens of layout row j,
+    tokens joined by sep and lines by eol."""
+    head, dims, *rows = write_design(design).splitlines()
     rows = [r.split() for r in rows]
     for j, edit in (edits or {}).items():
         rows[j] = edit(rows[j])
     return eol.join([head, dims] + [sep.join(r) for r in rows]) + eol
+
+
+def _square12(edits=None, sep=" ", eol="\n"):
+    """williams_square(12) as text (t = 12: entries of one and two
+    digits), edited as _text_of does."""
+    return _text_of(williams_square(12), edits, sep, eol)
+
+
+def _square6(edits=None, sep=" ", eol="\n"):
+    """williams_square(6) as text (t = 6: single digits, each line 2s-1
+    characters, read by byte slicing), edited as _text_of does."""
+    return _text_of(williams_square(6), edits, sep, eol)
+
+
+def _joined(sep, at=2):
+    """An edit joining tokens at and at+1 by sep instead of one space."""
+    return lambda toks: toks[:at] + [toks[at] + sep + toks[at + 1]] + toks[at + 2 :]
 
 
 def _put(*words, at=4):
@@ -708,6 +931,31 @@ LAYOUT_CORPUS = {
     "extreme4": write_design(extreme_design(4)),
     "d3plan-crlf-blank": write_design(fixture("d3plan")).replace("\n", "\r\n")
     .replace("\r\n1", "\r\n\r\n1"),
+    # single digits: lines of 2s-1 characters go to the byte reader, which
+    # must refuse every line that is not single digits joined by spaces
+    "digits": _square6(),
+    "digits-crlf": _square6(eol="\r\n"),
+    "digits-double-spaces": _square6(sep="  "),
+    "digits-one-double-space": _square6({2: _joined("  ")}),
+    "digits-tabs": _square6(sep="\t"),
+    "digits-one-tab": _square6({2: _joined("\t")}),
+    "digits-one-vertical-tab": _square6({2: _joined("\v")}),
+    "digits-leading-zero": _square6({3: _put("05")}),
+    # 2s-1 characters: one token fewer, one of two digits, a trailing space
+    "digits-leading-zero-short": _square6(
+        {3: lambda toks: ["0" + toks[0]] + toks[2:-1] + [toks[-1] + " "]}
+    ),
+    "digits-trailing-space": _square6({3: lambda toks: toks[:-1] + [toks[-1] + " "]}),
+    "digits-leading-space": _square6({3: lambda toks: [" " + toks[0]] + toks[1:]}),
+    "digits-high": _square6({4: _put("6")}),
+    "digits-nine": _square6({4: _put("9")}),
+    "digits-colon": _square6({4: _put(":")}),
+    "digits-slash": _square6({4: _put("/")}),
+    "digits-arabic": _square6({4: _put("٣")}),
+    "digits-t12": f"{TEXT_FORMAT_HEADER}\nt=12 p=2 s=6\n0 1 2 3 4 5\n6 7 8 9 0 1\n",
+    "digits-t12-colon": (
+        f"{TEXT_FORMAT_HEADER}\nt=12 p=2 s=6\n0 1 2 3 4 5\n6 7 : 9 0 1\n"
+    ),
 }
 
 
@@ -718,7 +966,9 @@ def test_layout_readers_agree(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["plain", "crlf", "blank-lines", "extreme4", "d3plan-crlf-blank"]
+    "name",
+    ["plain", "crlf", "blank-lines", "extreme4", "d3plan-crlf-blank", "digits",
+     "digits-crlf", "digits-t12"],
 )
 def test_plain_layouts_take_one_call(monkeypatch, name):
     def per_token(*args):
@@ -726,6 +976,70 @@ def test_plain_layouts_take_one_call(monkeypatch, name):
 
     monkeypatch.setattr(designs, "_layout_rows", per_token)
     assert isinstance(parse_design(LAYOUT_CORPUS[name]), CrossoverDesign)
+
+
+def _refuse(*args):
+    raise AssertionError("a reader that should not run was called")
+
+
+def test_single_digit_layouts_and_patterns_are_sliced(monkeypatch):
+    monkeypatch.setattr(designs, "_plain_ints", _refuse)
+    monkeypatch.setattr(designs, "_layout_rows", _refuse)
+    singles = [fixture(name) for name in FIXTURE_NAMES] + [
+        extreme_design(6), williams_pair(5), williams_square(10)
+    ]
+    for d in singles:
+        for text in (write_design(d), write_design(d).replace("\n", "\r\n")):
+            back = parse_design(text)
+            assert (back.t, back.p, back.s) == (d.t, d.p, d.s)
+            np.testing.assert_array_equal(back.layout, d.layout)
+        completion = tuple(1 + i % min(d.p, 9) for i in range(d.s))
+        line = " ".join(map(str, completion))
+        assert parse_pattern(line + "\r\n").completion == completion
+        assert designs._pattern_row(line, d).tolist() == list(completion)
+
+
+def test_two_digit_layouts_skip_the_byte_reader(monkeypatch):
+    # a line of 2s-1 characters alone reaches it, so a layout with any
+    # two-digit token costs no extra numpy call
+    monkeypatch.setattr(designs, "_digit_ints", _refuse)
+    for d in (williams_pair(15), williams_square(12), replicate(williams_pair(11), 2)):
+        np.testing.assert_array_equal(parse_design(write_design(d)).layout, d.layout)
+
+
+PATTERN_CORPUS = {
+    "digits": "4 4 3 4\n",
+    "crlf": "4 4 3 4\r\n",
+    "no-newline": "4 4 3 4",
+    "double-space": "4  4 3 4\n",
+    "tab": "4\t4 3 4\n",
+    "leading-zero": "04 4 3 4\n",
+    "leading-zero-odd": "04 4 3\n",
+    "trailing-space": "4 4 3 4 \n",
+    "leading-space": " 4 4 3 4\n",
+    "zero": "4 0 3 4\n",
+    "nine": "4 9 3 4\n",
+    "colon": "4 : 3 4\n",
+    "slash": "4 / 3 4\n",
+    "arabic": "4 ٣ 3 4\n",
+    "two-digit": "4 10 3\n",
+    "one": "3\n",
+    "two-lines": "4 4\n3 4\n",
+}
+
+
+@pytest.mark.parametrize("name", PATTERN_CORPUS)
+def test_pattern_corpus_readers_agree(name):
+    text = PATTERN_CORPUS[name]
+    fast, slow = _both_readers(parse_pattern, text)
+    assert fast == slow
+    d = fixture("d2plan")  # t = p = s = 4
+
+    def row(text):
+        return designs._pattern_row(text, d).tolist()
+
+    fast, slow = _both_readers(row, text)
+    assert fast == slow
 
 
 _TOKEN = st.sampled_from(

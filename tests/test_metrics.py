@@ -245,7 +245,7 @@ def test_against_plan_rejects_one_treatment_before_the_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the engine ran")
 
-    monkeypatch.setattr(metrics_module, "direct_info_patterns", refuse)
+    monkeypatch.setattr(metrics_module, "_direct_info_rows", refuse)
     design = _one_treatment_design()
     for rows in ([], [[3, 2]], [[2, 2]]):
         with pytest.raises(ValueError, match=r"^requires t >= 2 treatments, got t=1$"):

@@ -286,7 +286,7 @@ def test_evaluate_computes_each_matrix_and_check_once(monkeypatch, tmp_path, cap
 
     validate = counting(designs, "validate_ubrmd")
     monkeypatch.setattr(sys.modules["xover.cli"], "validate_ubrmd", validate)
-    counting(metrics, "direct_info_patterns", lambda d, rows: len(rows))
+    counting(metrics, "_direct_info_rows", lambda d, rows: len(rows))
     counting(metrics, "a_criteria", lambda c, t: len(c))
     # classify validates nothing itself; see the test below for layouts
     # of copied squares and pairs
@@ -295,8 +295,8 @@ def test_evaluate_computes_each_matrix_and_check_once(monkeypatch, tmp_path, cap
         calls.clear()
         assert main(argv) == 0
         assert sorted(calls) == [
+            ("_direct_info_rows", rows),
             ("a_criteria", rows),
-            ("direct_info_patterns", rows),
             ("validate_ubrmd", None),
         ], argv
     capsys.readouterr()
@@ -352,6 +352,26 @@ def test_balance_report_is_made_once_per_design(monkeypatch):
     # another object of the same layout makes its own report
     assert classify(fixture("d3plan")) == "ClassB-W1"
     assert made == [d.s, d.s]
+
+
+def test_evaluate_makes_each_tail_table_once(monkeypatch, tmp_path, capsys):
+    # classify and --truncate's type-W verdict read one m = 1 table
+    designs = sys.modules["xover.designs"]
+    made = []
+    table = designs._tail_table
+
+    def counting(design, m):
+        made.append(m)
+        return table(design, m)
+
+    monkeypatch.setattr(designs, "_tail_table", counting)
+    for design in (fixture("d3plan"), extreme_design(4), williams_pair(5)):
+        plain, truncated, pattern = _evaluate_argvs(tmp_path, design)
+        for argv in (plain, pattern, truncated):
+            made.clear()
+            assert main(argv) == 0
+            assert made == [1], argv
+    capsys.readouterr()
 
 
 def test_cli_classifies_through_the_public_classify(monkeypatch, tmp_path, capsys):
