@@ -323,6 +323,15 @@ def _check_integer(name: str, value: int) -> int:
     return int(value)
 
 
+def _check_hazard(value: float) -> float:
+    """value as a Python float; a Python or numpy real number passes,
+    anything else (a bool, a string, None, a list) is rejected."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not real:
+        raise ValueError(f"hazard must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
 def _short_int(v: int) -> str:
     """An integer as an error message shows it: whole up to _SHOWN_DIGITS
     digits, else its first _SHOWN_DIGITS characters and its digit count,

@@ -21,14 +21,16 @@ sweeping out subjects and periods:
   contrast rows, D_l the subjects observing them and S_l = D_lZ_l
   their sum, exact counts in float64.  The Grams of every contrast
   over all s subjects are formed once per call, in one stacked GEMM,
-  with their running sums.  Every row starts from the running sum at
-  its own lowest completion and adds its masked contrasts, each in one
-  2-D GEMM over the rows of a chunk that need it; so a uniform row, in
-  which every subject completes the same k (the plan, a truncation),
-  is the running sum to l = k-1.  The carryover block is then
-  swept out as a stacked Schur complement, by Cholesky on the Helmert
-  contrasts of the carryover effects where a certificate allows and by
-  eigh elsewhere (linalg.schur_complement).  Every verdict of the
+  with their running sums.  The contrasts, those sums and a chunk's
+  masked operand live in the calling thread's scratch (linalg._scratch),
+  and every result is a fresh array.  Every row starts from the running
+  sum at its own lowest completion and adds its masked contrasts, each
+  in one 2-D GEMM over the rows of a chunk that need it; so a uniform
+  row, in which every subject completes the same k (the plan, a
+  truncation), is the running sum to l = k-1.  The carryover block is
+  then swept out as a stacked Schur complement, by Cholesky on the
+  Helmert contrasts of the carryover effects where a certificate allows
+  and by eigh elsewhere (linalg.schur_complement).  Every verdict of the
   library reaches it through metrics.against_plan, which stacks the
   plan in front of the patterns it judges.  direct_info_pattern and
   joint_info_projection are its B = 1 calls, the public single-matrix
@@ -59,12 +61,12 @@ from .designs import (
     incidences,
     require_ubrmd,
 )
-from .linalg import moore_penrose, schur_complement, symmetrize
+from .linalg import _scratch, moore_penrose, schur_complement, symmetrize
 
 # Byte budget of one chunk of direct_info_patterns (see _chunk_rows):
 # the rows that mix completion periods are evaluated in chunks, at least
 # one row each, whose per-row float arrays fit in it together.  A chunk
-# holds at once each row's head slice, Gram and centring outer product,
+# holds at once each row's start, Gram and centring outer product,
 # (2t, 2t) each, and its masked GEMM operand, (2t, s): 16 t (s + 6t)
 # bytes a row; the mask, (s,), and the Cholesky sweep's (t-1, t)
 # factors are smaller.  Uniform rows (the plan, a truncation) take no
@@ -155,29 +157,6 @@ def _one_row(design: CrossoverDesign, pattern: DropoutPattern | None) -> np.ndar
     return np.array([pattern.completion])
 
 
-def _contrasts(design: CrossoverDesign) -> np.ndarray:
-    """Unscaled Helmert contrasts of every subject's cell rows over the
-    columns [direct (t) | carryover (t)], as a (p-1, s, 2t) array of
-    integers: row l-1 is the sum of periods 1..l minus l times period
-    l+1.  Built by one running sum over periods on a flat (p-1, s 2t)
-    array, row l-1 being row l-2 plus l times period l minus l times
-    period l+1; a cell's column is its subject's offset 2t i plus the
-    treatment, plus t for carryover, so every update is 1-D indexing."""
-    t, p, s = design.t, design.p, design.s
-    z = np.zeros((p - 1, s * 2 * t))
-    direct = design.layout + 2 * t * np.arange(s)
-    carry = direct + t
-    for l in range(1, p):
-        zl = z[l - 1]
-        if l > 1:
-            zl += z[l - 2]
-            zl[carry[l - 2]] += l
-        zl[direct[l - 1]] += l
-        zl[carry[l - 1]] -= l
-        zl[direct[l]] -= l
-    return z.reshape(p - 1, s, 2 * t)
-
-
 def _centred_gram(gram: np.ndarray, total: np.ndarray, n, l) -> np.ndarray:
     """(Z'DZ - S S'/n) / (l(l+1)), in place on the integer Gram Z'DZ of a
     stack of contrast rows Z restricted to the observing rows D, S =
@@ -193,58 +172,72 @@ def _centred_gram(gram: np.ndarray, total: np.ndarray, n, l) -> np.ndarray:
 def _masked_gram(zl: np.ndarray, seen: np.ndarray, l: int) -> np.ndarray:
     """(rows, 2t, 2t) centred Grams of contrast l, (s, 2t), over the
     subjects each row of the (rows, s) boolean seen observes.  Z'DZ of
-    every row is one 2-D GEMM of the masked (rows 2t, s) operand with
-    zl, and S = D Z one GEMM of the masks."""
+    every row is one 2-D GEMM of the masked (rows 2t, s) operand, built
+    in the calling thread's scratch, with zl, and S = D Z one GEMM of
+    the masks."""
     rows, s = seen.shape
+    t2 = zl.shape[1]
     mask = seen.astype(float)
-    # the masked operand is freed before the centring allocates its
-    # (rows, 2t, 2t) temporary: at small s, holding both made glibc trim
-    # its heap and fault it in again on most calls.  It is made in C
-    # order, so its reshape is a view: in zl.T's order, numpy's default
-    # here, the reshape copies a chunk of more than one row, and at
-    # s = 720 that copy was trimmed and faulted in again on every call
-    gram = np.matmul(np.multiply(zl.T, mask[:, None, :], order="C").reshape(-1, s), zl)
-    gram = gram.reshape(rows, zl.shape[1], zl.shape[1])
+    operand = _scratch("masked", rows * t2 * s, float).reshape(rows, t2, s)
+    np.multiply(zl.T, mask[:, None, :], out=operand)
+    gram = np.matmul(operand.reshape(-1, s), zl).reshape(rows, t2, t2)
     n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
     return _centred_gram(gram, mask @ zl, n, l)
 
 
-def _running_grams(z: np.ndarray) -> np.ndarray:
-    """(len(z)+1, 2t, 2t) running sums of the centred Grams of the
-    contrasts z over all s subjects: row k-1 sums l = 1..k-1 in
-    ascending l from +0.0, the joint information of a uniform row k
+def _plan(design: CrossoverDesign) -> tuple[np.ndarray, np.ndarray]:
+    """The contrasts z and their running Grams, both views of the
+    calling thread's scratch (linalg._scratch) that its next engine
+    call overwrites.
+
+    z, (p-1, s, 2t), holds the unscaled Helmert contrasts of every
+    subject's cell rows over the columns [direct (t) | carryover (t)],
+    integers: z[l-1] is the sum of periods 1..l minus l times period
+    l+1, so row l-1 is row l-2 plus l times period l minus l times
+    period l+1.  On the flat (p-1, s 2t) view a cell's column is its
+    subject's offset 2t i plus the treatment, plus t for carryover, so
+    every update is 1-D indexing.  running[k-1], of (p, 2t, 2t), sums
+    the centred Grams of the contrasts l = 1..k-1 over all s subjects
+    in ascending l from +0.0, the joint information of a uniform row k
     (every subject completing k periods).  Every Z_l'Z_l is one stacked
     GEMM and every S_l one GEMV, exact integers in any reduction order,
-    and each sum is taken in place over its Gram."""
-    s = z.shape[1]
-    running = np.zeros((len(z) + 1,) + z.shape[2:] * 2)
+    and each sum is taken in place over its Gram.
+    """
+    t, p, s = design.t, design.p, design.s
+    z = _scratch("contrasts", (p - 1) * s * 2 * t, float).reshape(p - 1, s * 2 * t)
+    direct = design.layout + 2 * t * np.arange(s)
+    carry = direct + t
+    z[:1] = 0.0
+    for l in range(1, p):
+        zl = z[l - 1]
+        if l > 1:
+            zl[:] = z[l - 2]
+            zl[carry[l - 2]] += l
+        zl[direct[l - 1]] += l
+        zl[carry[l - 1]] -= l
+        zl[direct[l]] -= l
+    z = z.reshape(p - 1, s, 2 * t)
+    running = _scratch("running", p * 4 * t * t, float).reshape(p, 2 * t, 2 * t)
+    running[0] = 0.0
     grams = np.matmul(np.swapaxes(z, 1, 2), z, out=running[1:])
-    _centred_gram(grams, np.ones(s) @ z, s, np.arange(1, len(z) + 1)[:, None, None])
-    for l in range(1, len(running)):
+    _centred_gram(grams, np.ones(s) @ z, s, np.arange(1, p)[:, None, None])
+    for l in range(1, p):
         running[l] += running[l - 1]
-    return running
+    return z, running
 
 
 def _joint_stack(
-    z: np.ndarray,
-    heads: np.ndarray,
-    ks: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    l0: int,
+    z: np.ndarray, running: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """(B, 2t, 2t) joint information of the completion rows ks, whose
-    lowest and highest completions are lo and hi, summed in place into
-    heads, whose row b is the running sum of the contrasts l < lo_b at
-    the row's own lowest completion (see _running_grams).  z holds the
-    contrasts of _contrasts from l = l0 on, z[l - l0] being contrast l,
-    at least those lo_b <= l < hi_b that the rows add.
+    lowest and highest completions are lo and hi, from the contrasts z
+    and running Grams of _plan, as a fresh array.
 
-    On a prefix of k periods the contrasts l = 1..k-1 of _contrasts,
-    scaled by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they
-    remove the subject effect.  Each carries one period parameter,
-    shared by the n_l subjects observing it (k_i > l), so centring each
-    contrast over them sweeps the periods out:
+    On a prefix of k periods the contrasts l = 1..k-1 of _plan, scaled
+    by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they remove
+    the subject effect.  Each carries one period parameter, shared by
+    the n_l subjects observing it (k_i > l), so centring each contrast
+    over them sweeps the periods out:
     C = sum_l (Z_l'D_lZ_l - S_l S_l'/n_l) / (l(l+1)), D_l the 0/1 mask
     of those rows, S_l = D_lZ_l their sum and a zero n_l taking a zero
     S S'/n.  Every entry of Z is an integer with |z| <= p-1, so Z'DZ, S
@@ -253,21 +246,21 @@ def _joint_stack(
     symmetric in float64 whatever the BLAS blocking or FMA order.  The
     only roundings are the two divisions, the subtraction and the sum
     in ascending l.  Every subject observes the contrasts l < lo_b, so
-    the head holds them; each row then adds its masked contrasts
-    lo_b <= l < hi_b (hi_b its highest completion), contrast l in one
-    GEMM over the contiguous rows that need it (_masked_gram).  A row
-    inside that slice that does not need l gets a zero mask, whose
-    matrix of +-0.0 leaves a sum from +0.0 unchanged; so every row comes
-    out the same in any batch, and a uniform row (lo_b = hi_b: the plan,
-    a truncation) is its head.
+    row b starts from running[lo_b - 1] and adds its masked contrasts
+    lo_b <= l < hi_b, contrast l in one GEMM over the contiguous rows
+    that need it (_masked_gram).  A row inside that slice that does not
+    need l gets a zero mask, whose matrix of +-0.0 leaves a sum from
+    +0.0 unchanged; so every row comes out the same in any batch, and a
+    uniform row (lo_b = hi_b: the plan, a truncation) is its start.
     """
+    joint = running[lo - 1]
     for l in range(int(lo.min()), int(hi.max())):
         need = np.flatnonzero((lo <= l) & (l < hi))
         if len(need):
             a, b = need[0], need[-1] + 1
             seen = (ks[a:b] > l) & (lo[a:b, None] <= l)
-            heads[a:b] += _masked_gram(z[l - l0], seen, l)
-    return heads
+            joint[a:b] += _masked_gram(z[l - 1], seen, l)
+    return joint
 
 
 def _chunk_rows(design: CrossoverDesign) -> int:
@@ -286,49 +279,35 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     information is the sum of centred Grams of its within-subject
     contrasts (_joint_stack), which sweeps out subjects and periods in
     one formula, and the carryover block is swept out as a stacked
-    Schur complement.  The centred Gram of every contrast over all s
-    subjects is formed once per call, with their running sums
-    (_running_grams), and only the distinct heads, the sums at each
-    row's lowest completion, are kept from them, so the (p, 2t, 2t)
-    sums are freed before any chunk allocates (see _masked_gram for why
-    few large arrays should be live at once).  Every row starts from
-    its head and adds its masked contrasts; a uniform row, in which
-    every subject completes the same k (the plan, a truncation), adds
-    none.  The rows that mix completion periods are evaluated in chunks
-    of _chunk_rows of them, whose arrays stay within _CHUNK_BYTES (see
-    there for the size), with the uniform rows riding along in the chunk
-    they fall in, and every row equals its own B = 1 call bit for bit.
-    The rows are validated by _completion_rows, and _direct_info_rows
-    evaluates them.
+    Schur complement.  The contrasts and the running sums of their
+    centred Grams over all s subjects are built once per call (_plan)
+    in the calling thread's scratch, as is a chunk's masked operand.
+    Every row starts from the running sum at its own lowest completion
+    and adds its masked contrasts; a uniform row, in which every subject
+    completes the same k (the plan, a truncation), adds none.  The rows
+    that mix completion periods are evaluated in chunks of _chunk_rows
+    of them, whose arrays stay within _CHUNK_BYTES (see there for the
+    size), with the uniform rows riding along in the chunk they fall
+    in, and every row equals its own B = 1 call bit for bit.  The rows
+    are validated by _completion_rows, _direct_info_rows evaluates them,
+    and the result is a fresh array.
     """
     return _direct_info_rows(design, _completion_rows(design, completions))
 
 
 def _direct_info_rows(design: CrossoverDesign, ks: np.ndarray) -> np.ndarray:
-    """direct_info_patterns on (B, s) completion rows already validated
-    by _completion_rows, as metrics.against_plan's are."""
+    """direct_info_patterns on (B, s) completion rows already validated,
+    by _completion_rows as metrics.against_plan's are or by _one_row."""
     t = design.t
     out = np.empty((len(ks), t, t))
     if not len(ks):
         return out
-    z = _contrasts(design)
+    z, running = _plan(design)
     lo, hi = ks.min(1), ks.max(1)
-    lows = np.unique(lo)
-    heads, head_of = _running_grams(z)[lows - 1], np.searchsorted(lows, lo)
-    # the chunks add only the contrasts lo <= l < hi of the mixed rows: a
-    # copy of those alone lets the rest be freed before any chunk
-    # allocates.  Holding them all, a simulate call on williams_pair(15)
-    # (one chunk of 22 rows) left glibc trimming its heap at the end and
-    # faulting it in again on the next call
-    l0 = int(lo[lo < hi].min(initial=design.p))
-    z = z[l0 - 1 : int(hi.max()) - 1].copy()
     step = _chunk_rows(design)
     bounds = [0, *np.flatnonzero(lo < hi)[step::step], len(ks)]
-    for start, stop in zip(bounds, bounds[1:]):
-        chunk = slice(start, stop)
-        joint = heads[head_of[chunk]]
-        _joint_stack(z, joint, ks[chunk], lo[chunk], hi[chunk], l0)
-        out[chunk] = schur_complement(joint, t)
+    for c in map(slice, bounds, bounds[1:]):
+        out[c] = schur_complement(_joint_stack(z, running, ks[c], lo[c], hi[c]), t)
     return out
 
 
@@ -344,9 +323,8 @@ def joint_info_projection(
     dropping columns (see _joint_stack).  This is the B = 1 call of the
     stage that direct_info_patterns runs on whole batches.
     """
-    z, ks = _contrasts(design), _one_row(design, pattern)
-    lo, hi = ks.min(1), ks.max(1)
-    return JointInfo(_joint_stack(z, _running_grams(z)[lo - 1], ks, lo, hi, 1)[0])
+    ks = _one_row(design, pattern)
+    return JointInfo(_joint_stack(*_plan(design), ks, ks.min(1), ks.max(1))[0])
 
 
 def joint_info_orthogonal(design: CrossoverDesign) -> JointInfo:
@@ -499,4 +477,4 @@ def direct_info_pattern(
 ) -> np.ndarray:
     """Direct-effect information of an implemented design via projection:
     the B = 1 call of direct_info_patterns."""
-    return direct_info_patterns(design, _one_row(design, pattern))[0]
+    return _direct_info_rows(design, _one_row(design, pattern))[0]

@@ -14,6 +14,7 @@ matrix.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,22 @@ SYM_TOL = 1e-12
 # exceeds n * |lambda|_max * RANK_RTOL, with an absolute floor RANK_FLOOR.
 RANK_RTOL = 1e-10
 RANK_FLOOR = 1e-12
+
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, size: int, dtype) -> np.ndarray:
+    """The calling thread's flat scratch array of size items for name:
+    one array per thread and name, grown to the largest size asked and
+    never freed, so that the arrays every call rebuilds reuse its pages
+    rather than the heap's top, which glibc trims after a large free and
+    faults in again on the next call.  It holds what the last call left;
+    a name always takes one dtype, and no caller returns a view of it."""
+    buf = getattr(_SCRATCH, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=dtype)
+        setattr(_SCRATCH, name, buf)
+    return buf[:size]
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ falls below h_{j+1}.  That compare is made on the 53-bit integers x:
 x 2**-53 < h exactly when x < ceil(h 2**53), both sides exact in
 uint64.  The seed must be an integer in 0..2**64-1.  Replicates are
 drawn in vectorized chunks, whose Philox rounds run in place in uint64
-buffers that each thread keeps for its lifetime (_philox_uniforms): 104
+buffers of each thread's scratch (linalg._scratch, _philox_uniforms): 104
 bytes per Philox block of the largest chunk the thread has drawn, 2.0 MiB
 after a full d3plan chunk.  A chunk's completion rows are deduplicated
 on packed integer keys, and its distinct patterns go through
@@ -32,14 +32,13 @@ take an eigenvalue computation of their own.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
-from .designs import _check_integer, _short_int, check_tail
-from .linalg import _contrast_part, is_psd
+from .designs import _check_hazard, _check_integer, _short_int, check_tail
+from .linalg import _contrast_part, _scratch, is_psd
 from .metrics import against_plan
 
 ORDER_TOL = 1e-9
@@ -54,8 +53,6 @@ MAX_N = 10**7
 # 307 KiB on d3plan (6553 replicates of 3 blocks).  A thread keeps its
 # buffers for its lifetime: 2.0 MiB after a full d3plan chunk.
 _CHUNK_UNIFORMS = 1 << 16
-# Each thread's workspace for the Philox rounds (_philox_uniforms).
-_WORKSPACE = threading.local()
 
 # Philox4x64-10 multipliers, as a column for the (c0, c2) rows, and Weyl
 # key increments (Salmon et al., SC'11).
@@ -75,7 +72,7 @@ class DropoutModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_integer("m", self.m))
-        object.__setattr__(self, "hazards", tuple(float(h) for h in self.hazards))
+        object.__setattr__(self, "hazards", tuple(map(_check_hazard, self.hazards)))
         if self.m < 1:
             raise ValueError(f"requires m >= 1, got m={_short_int(self.m)}")
         if len(self.hazards) != self.m:
@@ -153,18 +150,16 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
     block counter and broadcast over the streams.
 
     The rounds allocate nothing.  They run in the calling thread's
-    workspace, which grows to the largest call made in that thread and is
-    never freed, 104 bytes per block: six contiguous (2, blocks) buffers,
+    "philox" scratch (linalg._scratch), 104 bytes per block of the
+    largest call made in that thread: six contiguous (2, blocks) buffers,
     through three of which x, y and the low words rotate while the other
     three are _mulhilo's scratch, and the key words r, one per block.
     """
     n, blocks = rs.size, -(-k // 4)
     size = n * blocks
-    words = getattr(_WORKSPACE, "words", None)
-    if words is None or words.size < 13 * size:
-        words = _WORKSPACE.words = np.empty(13 * size, dtype=np.uint64)
+    words = _scratch("philox", 13 * size, np.uint64)
     x, y, lo, t, u, w = buffers = words[: 12 * size].reshape(6, 2, size)
-    k1 = words[12 * size : 13 * size]
+    k1 = words[12 * size :]
     # round 0 multiplies the counters 1..blocks in c0 and zeros in c2
     first = np.zeros((5, 2, blocks), dtype=np.uint64)
     first[0, 0] = np.arange(1, blocks + 1, dtype=np.uint64)
@@ -379,7 +374,7 @@ def enumerate_exact(
         raise ValueError(f"exact enumeration requires m=1, got m={_short_int(m)}")
     if design.s > 20:
         raise ValueError(f"requires s <= 20, got s={design.s}")
-    if not 0.0 <= hazard <= 1.0:
+    if not 0.0 <= _check_hazard(hazard) <= 1.0:
         raise ValueError(f"hazard must lie in [0, 1], got {hazard}")
     check_tail(design, 1)
     s, p = design.s, design.p

@@ -634,6 +634,21 @@ def test_design_file_classifies_as_its_object(name):
 _TWO_CYCLES = CrossoverDesign(
     t=6, p=6, s=6, layout=(np.array([0, 2, 1, 4, 5, 3])[:, None] + np.arange(6)) % 6
 )
+# a uniform-balanced pair of squares, Latin in periods 4 and 5 with
+# single-cycle tail maps that invert each other, in each of which period 1
+# repeats a treatment: only classify's Latin check keeps it from ClassB
+_NOT_LATIN_PAIR = CrossoverDesign(
+    t=5,
+    p=5,
+    s=10,
+    layout=[
+        [1, 4, 3, 4, 0, 2, 0, 1, 2, 3],
+        [3, 2, 0, 1, 2, 4, 3, 4, 0, 1],
+        [2, 3, 4, 0, 1, 3, 4, 0, 1, 2],
+        [4, 0, 1, 2, 3, 1, 2, 3, 4, 0],
+        [0, 1, 2, 3, 4, 0, 1, 2, 3, 4],
+    ],
+)
 # every constructor and fixture, and layouts that reach each branch of
 # classify: copies of one square, of a pair, distinct squares, blocks not
 # uniform in the tail, and layouts that are not balanced
@@ -652,6 +667,8 @@ VERDICT_DESIGNS = {
     "two-cycles-pair-x2": replicate(
         union([_TWO_CYCLES, relabel(_TWO_CYCLES, [5, 4, 3, 2, 1, 0])]), 2
     ),
+    "not-latin-pair": _NOT_LATIN_PAIR,
+    "not-latin-pair-x2": replicate(_NOT_LATIN_PAIR, 2),
     "d3plan-mixed-blocks": _changed(
         fixture("d3plan"), order=[0, 1, 2, 3, 5, 4, 6, 7, 8, 9]
     ),

@@ -1,4 +1,8 @@
+import dataclasses
 import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,9 +49,11 @@ from xover.linalg import (
     spectral_cut,
     symmetrize,
 )
-from xover.metrics import a_criteria, a_criterion
+from xover.metrics import a_criteria, a_criterion, against_plan
+from xover.simulate import DropoutModel, simulate
 
 info_module = sys.modules["xover.info"]
+linalg_module = sys.modules["xover.linalg"]
 
 
 def _complete_symmetric_plan(t, g):
@@ -96,6 +102,15 @@ def test_projection_all_truncated_pattern_rank_one():
 def test_projection_rejects_empty():
     with pytest.raises(ValueError, match="at least period 1"):
         joint_info_projection(fixture("d2plan"), DropoutPattern((0, 4, 4, 4)))
+
+
+def test_one_period_layout_has_zero_information():
+    # a single period gives no subject a contrast: the engine's contrasts
+    # are empty and every projection call returns zeros
+    d = CrossoverDesign(t=2, p=1, s=2, layout=[[0, 1]])
+    assert not direct_info_pattern(d).any()
+    assert not joint_info_projection(d).c.any()
+    assert direct_info_patterns(d, [[1, 1]]).tolist() == [[[0.0, 0.0], [0.0, 0.0]]]
 
 
 def test_orthogonal_matches_projection_on_all_fixtures():
@@ -211,12 +226,12 @@ def test_batched_engine_rejects_bad_rows():
     assert direct_info_patterns(d, np.zeros((0, 4), dtype=int)).shape == (0, 4, 4)
 
 
-def _engine_joint(z, ks):
+def _engine_joint(design, ks):
     """The engine's joint information of the completion rows ks, each
     row starting from the running sum at its own lowest completion."""
-    lo, hi = ks.min(1), ks.max(1)
-    heads = info_module._running_grams(z)[lo - 1]
-    return info_module._joint_stack(z, heads, ks, lo, hi, 1)
+    return info_module._joint_stack(
+        *info_module._plan(design), ks, ks.min(1), ks.max(1)
+    )
 
 
 def _cells(design):
@@ -287,7 +302,7 @@ def test_closed_form_period_sweep_matches_schur_reference(design):
     ks[0] = 1
     ks[1, 0] = 1
     ks[2:10] = np.minimum(ks[2:10], p - 2)
-    got = _engine_joint(info_module._contrasts(design), ks)
+    got = _engine_joint(design, ks)
     for b, row in enumerate(ks):
         gram = _centred_gram(x, row)
         want = schur_complement(gram, 2 * t)
@@ -299,7 +314,7 @@ def test_contrasts_are_unscaled_helmert_of_cells():
     # integer-valued, and exactly H'X of the dense direct | carryover cells
     for design in (fixture("d3plan"), williams_pair(7), extreme_design(4)):
         t, p = design.t, design.p
-        z = info_module._contrasts(design)
+        z = info_module._plan(design)[0].copy()
         assert z.shape == (p - 1, design.s, 2 * t)
         assert np.array_equal(z, np.round(z))
         x = _cells(design)[..., : 2 * t]
@@ -324,7 +339,7 @@ def test_contrast_grams_match_dense_engine(design):
     ks = np.vstack(
         [np.full((p, s), np.arange(p, 0, -1)[:, None]), rng.integers(1, p + 1, (20, s))]
     )
-    got = _engine_joint(info_module._contrasts(design), ks)
+    got = _engine_joint(design, ks)
     want = _dense_joint_stack(_cells(design), ks, t)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -363,7 +378,7 @@ def test_cholesky_and_eigh_sweeps_agree_on_corpus(design):
             rng.integers(max(1, p - 2), p + 1, (10, s)),
         ]
     )
-    joint = _engine_joint(info_module._contrasts(design), ks)
+    joint = _engine_joint(design, ks)
     got, want = schur_complement(joint, t), _eigh_schur(joint, t)
     scale = max(1.0, float(np.max(np.abs(got))))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -417,7 +432,7 @@ def test_uncertified_rows_take_the_eigh_route_row_by_row(design, monkeypatch):
     assert raised[0] == (len(ks), t - 1, t - 1)
     assert eighs == [(3, t, t)]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    joint = _engine_joint(info_module._contrasts(design), ks)
+    joint = _engine_joint(design, ks)
     assert not joint[3, t:, t:].any()
     for b, row in enumerate(ks):
         single = direct_info_pattern(design, DropoutPattern(tuple(row)))
@@ -494,12 +509,12 @@ def test_engine_equals_the_batched_matmul_engine_bit_for_bit(design, monkeypatch
     # former engine's bits at every chunk budget, plan-only chunks and
     # chunks with n_l = 0 (the full truncation) included
     t = design.t
-    z = info_module._contrasts(design)
+    z = info_module._plan(design)[0].copy()
     assert np.array_equal(z, _contrasts_by_loop(design))
     rng = np.random.default_rng(20071024)
     for ks in _engine_rows(design, rng):
         want = _joint_stack_by_batched_matmul(z, ks)
-        assert np.array_equal(_engine_joint(z, ks), want)
+        assert np.array_equal(_engine_joint(design, ks), want)
         want = schur_complement(want, t)
         for budget in (1, info_module._CHUNK_BYTES, 1 << 30):
             monkeypatch.setattr(info_module, "_CHUNK_BYTES", budget)
@@ -523,8 +538,8 @@ def test_uniform_rows_equal_the_masked_route_bit_for_bit(design, monkeypatch):
     mixed[:, 0] = p - 1 if p > 1 else 1
     mixed[:, 1] = p
     ks = np.vstack([uniform, mixed[:2], uniform[::-1], mixed[2:], uniform])
-    z = info_module._contrasts(design)
-    want = schur_complement(_engine_joint(z, ks), t)
+    z = info_module._plan(design)[0].copy()
+    want = schur_complement(_engine_joint(design, ks), t)
     singles = [direct_info_pattern(design, DropoutPattern(tuple(row))) for row in ks]
     for b, single in enumerate(singles):
         assert want[b].tobytes() == single.tobytes(), b
@@ -533,7 +548,7 @@ def test_uniform_rows_equal_the_masked_route_bit_for_bit(design, monkeypatch):
         assert direct_info_patterns(design, ks).tobytes() == want.tobytes(), budget
         got = direct_info_patterns(design, uniform)
         assert got.tobytes() == want[:p].tobytes(), budget
-    got = info_module._running_grams(z)[ks[:p, 0] - 1]
+    got = info_module._plan(design)[1][ks[:p, 0] - 1]
     assert got.tobytes() == _joint_stack_by_batched_matmul(z, ks[:p]).tobytes()
 
 
@@ -543,7 +558,7 @@ def test_masked_integer_parts_are_exact(design, monkeypatch):
     # integers with |Z'DZ|, |S S'| <= s^2 (p-1)^2 < 2^53: the engine's
     # float GEMMs equal the int64 products whatever the BLAS blocking
     p, s = design.p, design.s
-    z = info_module._contrasts(design)
+    z = info_module._plan(design)[0].copy()
     assert np.abs(z).max() <= p - 1
     assert (s * (p - 1)) ** 2 < 2**53
     zi = z.astype(np.int64)
@@ -569,6 +584,88 @@ def test_masked_integer_parts_are_exact(design, monkeypatch):
         assert np.array_equal(total, np.round(total))
         assert (gram.astype(np.int64) == want_gram).all()
         assert (total.astype(np.int64) == want_total).all()
+
+
+def test_engine_threads_evaluate_in_their_own_scratch():
+    # numpy's GEMMs and ufunc loops release the interpreter lock, so
+    # threads sharing the engine's scratch would overwrite each other's
+    # contrasts mid-call; each thread starts on its own design and takes
+    # the others after it, so its scratch grows mid-run
+    designs = [fixture("d3plan"), williams_pair(7), extreme_design(5), williams_pair(15)]
+    rng = np.random.default_rng(20071027)
+    rows = [rng.integers(max(1, d.p - 2), d.p + 1, (6, d.s)) for d in designs]
+    refs = []
+    for d, ks in zip(designs, rows):
+        singles = [direct_info_pattern(d, DropoutPattern(tuple(k))) for k in ks]
+        refs.append(np.array([direct_info_pattern(d), *singles]))
+    start = threading.Barrier(len(designs), timeout=30)
+
+    def evaluate(first):
+        start.wait()
+        order = [(first + i) % len(designs) for i in range(len(designs))] * 5
+        return [(i, against_plan(designs[i], rows[i])[0]) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(designs)) as pool:
+            futures = [pool.submit(evaluate, i) for i in range(len(designs))]
+            done = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for calls in done:
+        for i, c in calls:
+            assert c.tobytes() == refs[i].tobytes(), i
+
+
+def _arrays(result):
+    """Every value a result holds, through tuples and dataclasses."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [a for part in result for a in _arrays(part)]
+    return [np.asarray(result)]
+
+
+def test_engine_results_share_no_memory_with_the_scratch():
+    # every result is a fresh array, never a view of a thread's scratch,
+    # whose next call would overwrite it
+    d = extreme_design(5)
+    rng = np.random.default_rng(20071028)
+    ks = rng.integers(d.p - 2, d.p + 1, (30, d.s))
+    pattern = DropoutPattern(tuple(ks[0]))
+    calls = [
+        lambda: direct_info_patterns(d, ks),
+        lambda: joint_info_projection(d, pattern).c,
+        lambda: joint_info_projection(d).c,
+        lambda: against_plan(d, ks),
+        lambda: simulate(d, DropoutModel(2, (0.1, 0.2)), 50, keep_losses=True),
+    ]
+    for call in calls:
+        result = call()
+        buffers = list(vars(linalg_module._SCRATCH).values())
+        assert buffers
+        for value in _arrays(result):
+            assert not any(np.shares_memory(value, buf) for buf in buffers)
+    names = set(vars(linalg_module._SCRATCH))
+    assert {"contrasts", "running", "masked", "philox"} <= names
+
+
+def test_second_engine_call_allocates_no_contrasts():
+    # after a first call, the contrasts of a same-design call are built
+    # in the thread's scratch; what is left is the result and a chunk's
+    # masks and Grams, well below one (p-1, s, 2t) float array
+    d = extreme_design(6)
+    rng = np.random.default_rng(20071029)
+    ks = rng.integers(d.p - 2, d.p + 1, (14, d.s))
+    direct_info_patterns(d, ks)
+    tracemalloc.start()
+    try:
+        direct_info_patterns(d, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (d.p - 1) * d.s * 2 * d.t
 
 
 def test_orthogonal_d3plan_complete_symmetric():

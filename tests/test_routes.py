@@ -567,13 +567,13 @@ def test_shared_grams_are_formed_once_per_engine_call(monkeypatch):
     # budget makes
     info = sys.modules["xover.info"]
     formed = []
-    running_grams = info._running_grams
+    plan = info._plan
 
-    def recording_running(z):
-        formed.append(len(z))
-        return running_grams(z)
+    def recording_plan(design):
+        formed.append(design.p - 1)
+        return plan(design)
 
-    monkeypatch.setattr(info, "_running_grams", recording_running)
+    monkeypatch.setattr(info, "_plan", recording_plan)
     d = williams_pair(15)
     rng = np.random.default_rng(17)
     ks = rng.integers(d.p - 2, d.p + 1, (40, d.s))

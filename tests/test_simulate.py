@@ -37,6 +37,7 @@ from xover.simulate import (
 
 # the package re-exports the function simulate under the submodule's name
 sim_module = sys.modules["xover.simulate"]
+linalg_module = sys.modules["xover.linalg"]
 
 
 def test_model_validation():
@@ -48,6 +49,12 @@ def test_model_validation():
         DropoutModel(1, (1.5,))
     with pytest.raises(ValueError, match="lie in \\[0, 1\\]"):
         DropoutModel(2, (0.5, -0.1))
+    for hazard in ("0.3", True, None):
+        with pytest.raises(ValueError) as info:
+            DropoutModel(1, (hazard,))
+        kind = type(hazard).__name__
+        assert str(info.value) == f"hazard must be a real number, got {kind}"
+    assert DropoutModel(2, (np.float32(0.5), np.int64(1))).hazards == (0.5, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +231,7 @@ def test_philox_workspace_grows_shrinks_and_regrows():
                 x = sim_module._philox_uniforms(
                     seed, np.arange(n, dtype=np.uint64), k
                 )
-                out.append((seed, n, k, x, sim_module._WORKSPACE.words))
+                out.append((seed, n, k, x, linalg_module._SCRATCH.philox))
         return out
 
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -475,6 +482,11 @@ def test_enumerate_exact_errors():
         enumerate_exact(replicate(williams_square(4), 6), 0.5)
     with pytest.raises(ValueError, match="lie in \\[0, 1\\]"):
         enumerate_exact(fixture("d2plan"), 1.5)
+    for hazard in ("0.3", None, [0.3], True):
+        with pytest.raises(ValueError) as info:
+            enumerate_exact(fixture("d2plan"), hazard)
+        kind = type(hazard).__name__
+        assert str(info.value) == f"hazard must be a real number, got {kind}"
 
 
 def test_monte_carlo_agrees_with_enumeration():
