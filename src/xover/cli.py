@@ -30,6 +30,7 @@ import numpy as np
 from . import construct as con
 from .designs import (
     CrossoverDesign,
+    _check_completion,
     _is_type_wm,
     _pattern_row,
     _short_int,
@@ -222,7 +223,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # the (B, s) completion rows evaluated against the plan, B = 0 or 1
     rows = np.empty((0, design.s), dtype=np.int64)
     if args.pattern is not None:
-        rows = _pattern_row(_read(args.pattern), design)[None]
+        rows = _pattern_row(_read(args.pattern))[None]
+        # a pattern's faults against the design are raised in the order a
+        # period below 1, a length other than s, a period above p; one of
+        # length s is checked once, by against_plan
+        if rows.shape[1] != design.s:
+            _check_completion(rows, design)
     elif args.truncate is not None:
         m = args.truncate
         rows = np.full((1, design.s), design.p - m)

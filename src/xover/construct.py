@@ -9,8 +9,6 @@ CrossoverDesign gives it.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .designs import CrossoverDesign, _check_integer, _short_int
@@ -123,8 +121,16 @@ def extreme_design(t: int) -> CrossoverDesign:
         raise ValueError(
             f"extreme_design requires 3 <= t <= 8, got t={_short_int(t)}"
         )
-    cols = np.array(list(itertools.permutations(range(t))), dtype=int)
-    return CrossoverDesign(t=t, p=t, s=cols.shape[0], layout=cols.T)
+    # table holds the sequences of 0..n-1 in lexicographic order, one a
+    # column: each first symbol f in turn, over the table of n-1 symbols
+    # with every entry from f up raised by one
+    table = np.zeros((1, 1), dtype=int)
+    for n in range(2, t + 1):
+        first = np.repeat(np.arange(n), table.shape[1])
+        rest = np.tile(table, n)
+        rest += rest >= first
+        table = np.vstack([first, rest])
+    return CrossoverDesign(t=t, p=t, s=table.shape[1], layout=table)
 
 
 def union(designs: list[CrossoverDesign] | tuple[CrossoverDesign, ...]) -> CrossoverDesign:

@@ -521,6 +521,9 @@ _PLAIN_CHARS = str.maketrans("", "", "0123456789 \n")
 # A digit 0 and its space, b"0 ", read as a little-endian uint16 (see
 # _digit_ints).
 _DIGIT_PAIR = 0x2030
+# The byte write_design pads an entry with and then deletes: no digit,
+# space or newline.
+_PAD = 0
 
 
 def _digit_ints(text: str, below: int) -> np.ndarray | None:
@@ -595,13 +598,26 @@ def _int_token(tok: str, where: str, *at: object) -> int:
 
 def write_design(design: CrossoverDesign) -> str:
     """Serialize to the versioned text format: a header comment, a
-    dimension line, then one line of subject entries per period."""
-    lines = [
-        TEXT_FORMAT_HEADER,
-        f"t={design.t} p={design.p} s={design.s}",
-    ]
-    lines.extend(" ".join(map(str, row)) for row in design.layout.tolist())
-    return "\n".join(lines) + "\n"
+    dimension line, then one line of subject entries per period, each
+    entry in decimal and followed by a space, the last by a newline.
+
+    The layout is written in one fixed-width byte pass, the mirror of
+    _digit_ints: every entry takes as many bytes as the widest, its
+    digits right-aligned after _PAD bytes and followed by its separator,
+    and one bytes.translate deletes the padding.
+    """
+    layout = design.layout
+    width = len(str(int(layout.max())))
+    cells = np.full((*layout.shape, width + 1), _PAD, dtype=np.uint8)
+    cells[..., width] = ord(" ")
+    cells[:, -1, width] = ord("\n")
+    q = layout
+    cells[..., width - 1] = q % 10 + ord("0")
+    for place in range(width - 2, -1, -1):
+        q = q // 10
+        cells[..., place] = np.where(q > 0, q % 10 + ord("0"), _PAD)
+    body = cells.tobytes().translate(None, bytes([_PAD])).decode("ascii")
+    return f"{TEXT_FORMAT_HEADER}\nt={design.t} p={design.p} s={design.s}\n{body}"
 
 
 def parse_design(text: str) -> CrossoverDesign:
@@ -681,16 +697,16 @@ def _layout_rows(body: list[str], t: int, s: int) -> np.ndarray:
     return np.array(layout, dtype=np.int64)
 
 
-def _pattern_row(text: str, design: CrossoverDesign | None = None) -> np.ndarray:
-    """A dropout pattern file as an int64 row of completion periods.
+def _pattern_row(text: str) -> np.ndarray:
+    """A dropout pattern file as an int64 row of completion periods,
+    which it does not check (see _check_completion).
 
     The file holds one line of completion periods.  The faults are
-    raised in this order: a line count other than one, a token that is
-    not an integer, a period below 1, and, when a design is given, a
-    length other than its s and a period above its p.  A line of single
-    digits joined by single spaces is converted by byte slicing
-    (_digit_ints), any other plain line (see _plain_ints) in one numpy
-    call, and any other line by _int_token a token at a time.
+    raised in this order: a line count other than one, then a token that
+    is not an integer.  A line of single digits joined by single spaces
+    is converted by byte slicing (_digit_ints), any other plain line (see
+    _plain_ints) in one numpy call, and any other line by _int_token a
+    token at a time.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) != 1:
@@ -706,11 +722,10 @@ def _pattern_row(text: str, design: CrossoverDesign | None = None) -> np.ndarray
             ],
             dtype=np.int64,
         )
-    _check_completion(row, design)
     return row
 
 
 def parse_pattern(text: str) -> DropoutPattern:
     """Parse a dropout pattern file: one line of completion periods (see
-    _pattern_row)."""
+    _pattern_row), each at least 1."""
     return DropoutPattern(tuple(_pattern_row(text).tolist()))

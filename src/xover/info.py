@@ -179,7 +179,11 @@ def _masked_gram(zl: np.ndarray, seen: np.ndarray, l: int) -> np.ndarray:
     t2 = zl.shape[1]
     mask = seen.astype(float)
     operand = _scratch("masked", rows * t2 * s, float).reshape(rows, t2, s)
-    np.multiply(zl.T, mask[:, None, :], out=operand)
+    # zl.T is copied in first and then masked in place: a multiply from
+    # zl.T, which is not in the operand's order, would go through numpy's
+    # buffered iterator
+    operand[:] = zl.T
+    operand *= mask[:, None, :]
     gram = np.matmul(operand.reshape(-1, s), zl).reshape(rows, t2, t2)
     n = np.maximum(np.count_nonzero(seen, axis=1), 1)[:, None, None]
     return _centred_gram(gram, mask @ zl, n, l)

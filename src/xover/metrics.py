@@ -182,12 +182,13 @@ def against_plan(
     the (B+1, t, t) information, its A-criteria, each row's loss against
     row 0 (implemented_losses) and its disconnected flag,
     ~crit.connected.  A single treatment has no contrast to estimate, so
-    t must be at least 2.
+    t must be at least 2; that is checked after the rows, before the
+    engine.
     """
-    if design.t < 2:
-        raise ValueError(f"requires t >= 2 treatments, got t={design.t}")
     plan = np.full((1, design.s), design.p)
     rows = _completion_rows(design, completions) if len(completions) else plan[:0]
+    if design.t < 2:
+        raise ValueError(f"requires t >= 2 treatments, got t={design.t}")
     c = _direct_info_rows(design, np.concatenate([plan, rows]))
     crit = a_criteria(c, design.t)
     losses = implemented_losses(crit.trace_mp[0], crit.trace_mp, crit.connected)

@@ -39,6 +39,13 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def test_construct_writes_all_40320_sequences_of_eight(capsys):
+    assert main(["construct", "--extreme", "8"]) == 0
+    back = parse_design(capsys.readouterr().out)
+    assert (back.t, back.p, back.s) == (8, 8, 40320)
+    np.testing.assert_array_equal(back.layout, extreme_design(8).layout)
+
+
 def test_construct_williams_to_file(tmp_path, capsys):
     out = tmp_path / "w4.txt"
     assert main(["construct", "--williams", "4", "-o", str(out)]) == 0
@@ -265,6 +272,17 @@ def test_evaluate_rejects_one_treatment_design(tmp_path, capsys, form):
     captured = capsys.readouterr()
     assert captured.err == "error: requires t >= 2 treatments, got t=1\n"
     assert captured.out == ""
+
+
+def test_pattern_faults_precede_the_one_treatment_refusal(tmp_path, capsys):
+    f = tmp_path / "t1.txt"
+    f.write_text(f"{TEXT_FORMAT_HEADER}\nt=1 p=3 s=2\n0 0\n0 0\n0 0\n")
+    for text, message in (("4 2", "completion period exceeds p=3"),
+                          ("3", "pattern length 1 does not match s=2")):
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text(text + "\n")
+        assert main(["evaluate", str(f), "--pattern", str(pattern)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_evaluate_missing_pattern_file(tmp_path, capsys):

@@ -105,6 +105,15 @@ def test_extreme_design_lexicographic_order():
     assert cols == sorted(cols)
 
 
+@pytest.mark.parametrize("t", range(3, 9))
+def test_extreme_design_is_the_permutations_in_order(t):
+    reference = np.array(list(itertools.permutations(range(t)))).T
+    layout = extreme_design(t).layout
+    assert layout.dtype == reference.dtype
+    np.testing.assert_array_equal(layout, reference)
+    assert not layout.flags.writeable
+
+
 def test_extreme_design_validates():
     d = extreme_design(4)
     assert d.g == 6

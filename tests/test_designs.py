@@ -590,6 +590,50 @@ def test_text_format_round_trip():
         np.testing.assert_array_equal(back.layout, d.layout)
 
 
+def _reference_text(design):
+    """write_design's text built a token at a time."""
+    lines = [TEXT_FORMAT_HEADER, f"t={design.t} p={design.p} s={design.s}"]
+    lines += [" ".join(map(str, row)) for row in design.layout.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_written_as_reference(design):
+    text = write_design(design)
+    assert text == _reference_text(design)
+    back = parse_design(text)
+    assert (back.t, back.p, back.s) == (design.t, design.p, design.s)
+    np.testing.assert_array_equal(back.layout, design.layout)
+
+
+# designs built when their test runs: extreme_design(8) has 40320 subjects
+WRITTEN = {
+    **{name: (lambda name=name: fixture(name)) for name in FIXTURE_NAMES},
+    **{f"square{t}": (lambda t=t: williams_square(t)) for t in (4, 12, 100)},
+    **{f"pair{t}": (lambda t=t: williams_pair(t)) for t in (5, 15)},
+    **{f"extreme{t}": (lambda t=t: extreme_design(t)) for t in range(3, 9)},
+    "replicate": lambda: replicate(williams_pair(11), 3),
+    "union": lambda: union([fixture("ex13sq1"), fixture("ex13sq2")]),
+    "every-entry-to-149": lambda: CrossoverDesign(
+        t=150, p=2, s=150, layout=[range(150), range(149, -1, -1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_write_design_matches_the_per_token_text(name):
+    _assert_written_as_reference(WRITTEN[name]())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), t=st.integers(1, 150), p=st.integers(1, 4))
+def test_write_design_matches_the_per_token_text_on_generated_layouts(data, t, p):
+    # at least t cells, so that parse_design reads the text back
+    s = data.draw(st.integers(-(-t // p), -(-t // p) + 5))
+    entries = data.draw(st.lists(st.integers(0, t - 1), min_size=p * s, max_size=p * s))
+    layout = np.array(entries).reshape(p, s)
+    _assert_written_as_reference(CrossoverDesign(t=t, p=p, s=s, layout=layout))
+
+
 def _type_wm_verdicts(design):
     """check_type_wm's report, or its error message, for every m in 1..p-2."""
     out = []
@@ -1013,7 +1057,7 @@ def test_single_digit_layouts_and_patterns_are_sliced(monkeypatch):
         completion = tuple(1 + i % min(d.p, 9) for i in range(d.s))
         line = " ".join(map(str, completion))
         assert parse_pattern(line + "\r\n").completion == completion
-        assert designs._pattern_row(line, d).tolist() == list(completion)
+        assert designs._pattern_row(line).tolist() == list(completion)
 
 
 def test_two_digit_layouts_skip_the_byte_reader(monkeypatch):
@@ -1050,12 +1094,7 @@ def test_pattern_corpus_readers_agree(name):
     text = PATTERN_CORPUS[name]
     fast, slow = _both_readers(parse_pattern, text)
     assert fast == slow
-    d = fixture("d2plan")  # t = p = s = 4
-
-    def row(text):
-        return designs._pattern_row(text, d).tolist()
-
-    fast, slow = _both_readers(row, text)
+    fast, slow = _both_readers(lambda text: designs._pattern_row(text).tolist(), text)
     assert fast == slow
 
 
