@@ -30,7 +30,6 @@ import numpy as np
 from . import construct as con
 from .designs import (
     CrossoverDesign,
-    _check_completion,
     _is_type_wm,
     _pattern_row,
     _short_int,
@@ -224,11 +223,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = np.empty((0, design.s), dtype=np.int64)
     if args.pattern is not None:
         rows = _pattern_row(_read(args.pattern))[None]
-        # a pattern's faults against the design are raised in the order a
-        # period below 1, a length other than s, a period above p; one of
-        # length s is checked once, by against_plan
-        if rows.shape[1] != design.s:
-            _check_completion(rows, design)
     elif args.truncate is not None:
         m = args.truncate
         rows = np.full((1, design.s), design.p - m)
@@ -268,9 +262,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if t > _MAX_CLASS_T:
             raise _ArgumentError(f"--class requires t <= {_MAX_CLASS_T}, got a larger t")
         report["class"] = args.klass
-        report["spectrum"] = class_ab_spectrum(t, args.klass)
+        report["spectrum"] = spectrum = class_ab_spectrum(t, args.klass)
         if t >= 5:
-            ml, el = _class_ab_losses(t, args.klass)
+            ml, el = _class_ab_losses(t, args.klass, spectrum)
             report["class_ml"] = ml
             report["class_el"] = el
             report["class_disconnected"] = False

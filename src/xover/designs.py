@@ -13,7 +13,8 @@ helpers: _counts (per row of any stack of rows) and _pairs (per pair of
 rows).  A design keeps its balance report and its tail-cycle tables,
 each made once.  Designs are read from and written to a versioned text
 format, and dropout patterns are read from one line of completion
-periods.
+periods.  Every entry point checks completion rows against a design with
+one validator, _completion_rows.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ TEXT_FORMAT_HEADER = "# xover-design v1"
 class CrossoverDesign:
     """A p-period, s-subject crossover design on t treatments.
 
-    layout is a p x s integer matrix with entries in {0, ..., t-1};
-    rows are periods, columns are subjects.  t, p and s must be Python
-    or numpy integers (not bools) and are stored as ints.  g is the
-    replication number s // t when s is a multiple of t, else None.  The
-    design's blocks (its squares) are its contiguous runs of t subjects,
-    as in the text format.
+    layout is a p x s matrix of an integer dtype (a float or bool one is
+    refused, not rounded) with entries in {0, ..., t-1}, stored as a
+    read-only int copy; rows are periods, columns are subjects.  t, p
+    and s must be Python or numpy integers (not bools) and are stored as
+    ints.  g is the replication number s // t when s is a multiple of t,
+    else None.  The design's blocks (its squares) are its contiguous runs
+    of t subjects, as in the text format.
     """
 
     t: int
@@ -51,7 +53,9 @@ class CrossoverDesign:
     def __post_init__(self) -> None:
         for name in ("t", "p", "s"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        layout = np.asarray(self.layout, dtype=int)
+        layout = np.array(self.layout)  # the one copy of an int layout
+        if not np.issubdtype(layout.dtype, np.integer):
+            raise ValueError(f"layout entries must be integers, got {layout.dtype}")
         if layout.shape != (self.p, self.s):
             raise ValueError(
                 f"layout shape {layout.shape} does not match p={self.p}, s={self.s}"
@@ -60,7 +64,7 @@ class CrossoverDesign:
             raise ValueError("t, p, s must all be positive")
         if layout.size and (layout.min() < 0 or layout.max() >= self.t):
             raise ValueError(f"layout entries must lie in 0..{self.t - 1}")
-        layout = layout.copy()
+        layout = layout.astype(int, copy=False)
         layout.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         g = self.s // self.t if self.s % self.t == 0 else None
@@ -158,9 +162,6 @@ class DropoutPattern:
         object.__setattr__(self, "completion", ks)
         _check_completion(np.asarray(ks))
 
-    def check_against(self, design: CrossoverDesign) -> None:
-        _check_completion(np.asarray(self.completion), design)
-
 
 def _check_completion(row: np.ndarray, design: CrossoverDesign | None = None) -> None:
     """Raise the first fault of a row, or a stack of rows, of completion
@@ -177,8 +178,35 @@ def _check_completion(row: np.ndarray, design: CrossoverDesign | None = None) ->
         raise ValueError(f"completion period exceeds p={design.p}")
 
 
+def _completion_rows(design: CrossoverDesign, rows) -> np.ndarray:
+    """rows as a validated (B, s) intp array of completion periods: the
+    one validator of completion rows against a design, which every entry
+    point calls.  A shape other than 2-D and a dtype other than an
+    integer one are refused here, every other fault by _check_completion
+    in its order."""
+    ks = np.asarray(rows)
+    if ks.ndim != 2:
+        raise ValueError(
+            f"expected rows of s={design.s} completion periods, got shape {ks.shape}"
+        )
+    if not np.issubdtype(ks.dtype, np.integer):
+        raise ValueError(f"completion period must be an integer, got {ks.dtype}")
+    _check_completion(ks, design)
+    return ks.astype(np.intp, copy=False)
+
+
+def _one_row(design: CrossoverDesign, pattern: DropoutPattern | None) -> np.ndarray:
+    """The validated (1, s) completion row of a pattern, the complete
+    design's for None."""
+    if pattern is None:
+        return np.full((1, design.s), design.p)
+    return _completion_rows(design, [pattern.completion])
+
+
 @dataclass(frozen=True)
 class ValidationReport:
+    """A verdict and its worded failures (validate_ubrmd, check_type_wm)."""
+
     ok: bool
     failures: tuple[str, ...]
 
@@ -201,12 +229,6 @@ class IncidenceSet:
     n_dc: np.ndarray
     r_d: np.ndarray
     r_c: np.ndarray
-
-
-@dataclass(frozen=True)
-class TypeWReport:
-    ok: bool
-    failures: tuple[str, ...]
 
 
 def validate_ubrmd(design: CrossoverDesign) -> ValidationReport:
@@ -286,11 +308,7 @@ def incidences(
     are counted only for consecutive observed periods of one subject.
     """
     t, p, s = design.t, design.p, design.s
-    if pattern is None:
-        ks = np.full(s, p)
-    else:
-        pattern.check_against(design)
-        ks = np.array(pattern.completion)
+    ks = _one_row(design, pattern)[0]
     # an unobserved cell, and period 1's carryover, count as treatment t,
     # whose bucket is sliced off
     seen = np.arange(p)[:, None] < ks
@@ -376,7 +394,7 @@ def truncate(design: CrossoverDesign, m: int) -> CrossoverDesign:
     )
 
 
-def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
+def check_type_wm(design: CrossoverDesign, m: int) -> ValidationReport:
     """Test whether the design's squares have single-cycle tail permutations.
 
     Requires a uniform-balanced design whose blocks (its contiguous runs
@@ -397,13 +415,13 @@ def check_type_wm(design: CrossoverDesign, m: int) -> TypeWReport:
             f"treatment counts {counts[j, l].tolist()}"
             for l, j in np.argwhere((counts != 1).any(axis=-1).T)
         ]
-        return TypeWReport(False, tuple(failures))
+        return ValidationReport(False, tuple(failures))
     failures = [
         f"block {l}, periods {p - j}->{p - k}: cycle type "
         f"{cycle_type(_pairs(tail[j, l], tail[k, l], t))} is not a single {t}-cycle"
         for l, j, k in np.argwhere(~single.transpose(2, 0, 1))
     ]
-    return TypeWReport(not failures, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
 
 
 def _is_type_wm(design: CrossoverDesign, m: int) -> bool:
@@ -699,7 +717,7 @@ def _layout_rows(body: list[str], t: int, s: int) -> np.ndarray:
 
 def _pattern_row(text: str) -> np.ndarray:
     """A dropout pattern file as an int64 row of completion periods,
-    which it does not check (see _check_completion).
+    which it does not check (see _completion_rows).
 
     The file holds one line of completion periods.  The faults are
     raised in this order: a line count other than one, then a token that

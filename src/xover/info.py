@@ -55,7 +55,8 @@ import numpy as np
 from .designs import (
     CrossoverDesign,
     DropoutPattern,
-    _check_completion,
+    _completion_rows,
+    _one_row,
     _pairs,
     check_tail,
     incidences,
@@ -64,22 +65,9 @@ from .designs import (
 from .linalg import _scratch, moore_penrose, schur_complement, symmetrize
 
 # Byte budget of one chunk of direct_info_patterns (see _chunk_rows):
-# the rows that mix completion periods are evaluated in chunks, at least
-# one row each, whose per-row float arrays fit in it together.  A chunk
-# holds at once each row's start, Gram and centring outer product,
-# (2t, 2t) each, and its masked GEMM operand, (2t, s): 16 t (s + 6t)
-# bytes a row; the mask, (s,), and the Cholesky sweep's (t-1, t)
-# factors are smaller.  Uniform rows (the plan, a truncation) take no
-# masked GEMM and ride along in the chunk they fall in, outside the
-# budget.  The budget is sized for the cache: 1 MiB is half of a core's
-# 2 MiB L2 on the 2-core Xeon VM it was measured on, so a chunk's arrays
-# stay in it beside the BLAS's packed panels.  Rows a chunk: d3plan 327,
-# williams_pair(15) 36, extreme_design(6) 14, extreme_design(7) 1; so a
-# simulate batch of williams_pair(15) at m = 2, n = 20 is one Schur
-# sweep.  Against 512 KiB, paired in-process calls took 0.92 to 0.94 of
-# the time on that batch, on enumerate_exact(williams_pair(7)) and on
-# williams_pair(15) at n = 10^4, and 0.98 to 0.99 on extreme_design(6)
-# at n = 500; 2 MiB took 0.92 to 1.01 of 1 MiB's (see README.md).
+# the rows that mix completion periods go in chunks of at least one row,
+# each row charged 16 t (s + 6t) bytes for the float arrays a chunk holds
+# for it, half of a core's 2 MiB L2.  README.md gives the measurements.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -124,37 +112,12 @@ class MinimalClosedForm(JointInfo):
     by a multiple of the all-ones matrix), whose smallest eigenvalue
     lambda_min_a has an explicit formula.  When t >= 2m+2 the companion
     is nonsingular and its inverse serves as a generalized inverse of
-    c22; a_inverse is None otherwise.  joint is the closed form itself.
+    c22; a_inverse is None otherwise.
     """
 
     a_matrix: np.ndarray
     lambda_min_a: float
     a_inverse: np.ndarray | None
-
-    @property
-    def joint(self) -> JointInfo:
-        return self
-
-
-def _completion_rows(design: CrossoverDesign, completions) -> np.ndarray:
-    """Validated (B, s) integer array of completion periods."""
-    ks = np.asarray(completions)
-    if ks.ndim != 2 or ks.shape[1] != design.s:
-        raise ValueError(
-            f"expected rows of s={design.s} completion periods, got shape {ks.shape}"
-        )
-    if not np.issubdtype(ks.dtype, np.integer):
-        raise ValueError(f"completion periods must be integers, got {ks.dtype}")
-    _check_completion(ks, design)
-    return ks.astype(np.intp, copy=False)
-
-
-def _one_row(design: CrossoverDesign, pattern: DropoutPattern | None) -> np.ndarray:
-    """The (1, s) completion row of a pattern, the complete design for None."""
-    if pattern is None:
-        return np.full((1, design.s), design.p)
-    pattern.check_against(design)
-    return np.array([pattern.completion])
 
 
 def _centred_gram(gram: np.ndarray, total: np.ndarray, n, l) -> np.ndarray:
@@ -300,8 +263,8 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
 
 
 def _direct_info_rows(design: CrossoverDesign, ks: np.ndarray) -> np.ndarray:
-    """direct_info_patterns on (B, s) completion rows already validated,
-    by _completion_rows as metrics.against_plan's are or by _one_row."""
+    """direct_info_patterns on (B, s) completion rows already validated
+    by _completion_rows, as metrics.against_plan's are."""
     t = design.t
     out = np.empty((len(ks), t, t))
     if not len(ks):
@@ -468,7 +431,7 @@ def estimable(c_d: np.ndarray, contrast: np.ndarray) -> bool:
 
 def direct_info_minimal(design: CrossoverDesign, m: int) -> np.ndarray:
     """Direct-effect information of the truncated design via closed form."""
-    return direct_info(minimal_closed_form(design, m).joint)
+    return direct_info(minimal_closed_form(design, m))
 
 
 def direct_info_complete(design: CrossoverDesign) -> np.ndarray:

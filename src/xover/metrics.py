@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, _short_int, check_tail
-from .info import _completion_rows, _direct_info_rows
+from .designs import CrossoverDesign, _completion_rows, _short_int, check_tail
+from .info import _direct_info_rows
 from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
 
 @dataclass(frozen=True)
 class ACriterion(SpectralSummary):
     """A-criterion of one direct-effect information matrix: its t-1 contrast
-    eigenvalues (eigenvectors None) plus the verdict; spectrum is itself.
+    eigenvalues (eigenvectors None) plus the verdict.
 
     trace_mp is the trace of the Moore-Penrose inverse; h is the
     harmonic criterion (t-1)/trace_mp when all contrasts are estimable,
@@ -37,10 +37,6 @@ class ACriterion(SpectralSummary):
 
     h: float
     connected: bool
-
-    @property
-    def spectrum(self) -> SpectralSummary:
-        return self
 
 
 @dataclass(frozen=True)
@@ -163,30 +159,24 @@ def implemented_losses(
     return val
 
 
-def implemented_loss(plan: ACriterion, imp: ACriterion) -> tuple[float, bool]:
-    """implemented_losses for one implemented design, and ~imp.connected."""
-    val = implemented_losses(
-        plan.trace_mp, np.array([imp.trace_mp]), np.array([imp.connected])
-    )
-    return float(val[0]), not imp.connected
-
-
 def against_plan(
     design: CrossoverDesign, completions
 ) -> tuple[np.ndarray, ACriteria, np.ndarray, np.ndarray]:
     """Every verdict of a design's dropout patterns against its plan.
 
-    Validates the (B, s) completion rows once, stacks the complete
-    pattern (row 0) in front of them and evaluates them as one batch
-    (info._direct_info_rows, which validates nothing again): returns
-    the (B+1, t, t) information, its A-criteria, each row's loss against
-    row 0 (implemented_losses) and its disconnected flag,
-    ~crit.connected.  A single treatment has no contrast to estimate, so
-    t must be at least 2; that is checked after the rows, before the
-    engine.
+    Validates the (B, s) completion rows once (designs._completion_rows;
+    any 2-D batch, an empty one included, while [] stands for no rows),
+    stacks the complete pattern (row 0) in front of them and evaluates
+    them as one batch (info._direct_info_rows, which validates nothing
+    again): returns the (B+1, t, t) information, its A-criteria, each
+    row's loss against row 0 (implemented_losses) and its disconnected
+    flag, ~crit.connected.  A single treatment has no contrast to
+    estimate, so t must be at least 2; that is checked after the rows,
+    before the engine.
     """
     plan = np.full((1, design.s), design.p)
-    rows = _completion_rows(design, completions) if len(completions) else plan[:0]
+    empty = np.shape(completions) == (0,)
+    rows = plan[:0] if empty else _completion_rows(design, completions)
     if design.t < 2:
         raise ValueError(f"requires t >= 2 treatments, got t={design.t}")
     c = _direct_info_rows(design, np.concatenate([plan, rows]))
@@ -372,11 +362,15 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
     return out
 
 
-def _class_ab_losses(t: int, klass: str) -> tuple[float, float]:
-    """(class_ab_ml, el_ab) of (t, klass) from one spectrum."""
+def _class_ab_losses(
+    t: int, klass: str, spectrum: list[float] | None = None
+) -> tuple[float, float]:
+    """(class_ab_ml, el_ab) of (t, klass) from one spectrum: the given
+    class_ab_spectrum(t, klass), or one built here."""
     if t < 5:
         raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
-    spectrum = class_ab_spectrum(t, klass)
+    if spectrum is None:
+        spectrum = class_ab_spectrum(t, klass)
     if any(v <= 0 for v in spectrum):
         raise ValueError(f"truncated design is disconnected for t={t}")
     inv = 1.0 / sum(1.0 / v for v in spectrum)

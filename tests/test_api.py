@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 
 import xover
+from xover.cli import main
 from xover.construct import fixture
-from xover.designs import CrossoverDesign
-from xover.info import direct_info_complete, joint_info_orthogonal, minimal_closed_form
-from xover.metrics import a_criterion
+from xover.designs import CrossoverDesign, DropoutPattern, incidences
+from xover.info import (
+    direct_info_complete,
+    direct_info_pattern,
+    direct_info_patterns,
+    joint_info_orthogonal,
+    joint_info_projection,
+    minimal_closed_form,
+)
+from xover.metrics import a_criterion, against_plan
 
 
 def test_all_lists_every_imported_public_name_once():
@@ -51,7 +59,6 @@ def test_result_types_keep_their_attributes():
         assert np.array_equal(getattr(joint, name), joint.c[rows, cols]), name
 
     closed = minimal_closed_form(d, 1)
-    assert np.array_equal(closed.joint.c, closed.c)
     assert closed.a_matrix.shape == (t, t)
     assert isinstance(closed.lambda_min_a, float)
     assert closed.a_inverse is not None
@@ -60,8 +67,59 @@ def test_result_types_keep_their_attributes():
     crit = a_criterion(direct_info_complete(d), t)
     assert crit.connected is True and crit.rank == t - 1
     assert crit.h == (t - 1) / crit.trace_mp
-    assert crit.trace_mp == pytest.approx(float(np.sum(1.0 / crit.spectrum.nonzero)))
+    assert crit.trace_mp == pytest.approx(float(np.sum(1.0 / crit.nonzero)))
     # the spectrum of the t-1 contrasts, without the structural zero
     assert crit.eigenvalues.shape == (t - 1,)
-    assert crit.spectrum.nonzero.shape == (t - 1,)
+    assert crit.nonzero.shape == (t - 1,)
     assert isinstance(crit.threshold, float) and crit.threshold > 0
+
+
+# Every entry point that takes completion periods reports a bad row of
+# d2plan (t = p = s = 4) with the one validator's message.
+COMPLETION_FAULTS = {
+    "period-0": ((4, 0, 4, 4), "every subject must complete at least period 1"),
+    "length": ((4, 4, 4), "pattern length 3 does not match s=4"),
+    "above-p": ((4, 5, 4, 4), "completion period exceeds p=4"),
+    "float": (
+        (4, np.float64(3), 4, 4),
+        "completion period must be an integer, got float64",
+    ),
+}
+COMPLETION_ENTRY_POINTS = {
+    "direct_info_patterns": lambda d, row: direct_info_patterns(d, [row]),
+    "against_plan": lambda d, row: against_plan(d, [row]),
+    "direct_info_pattern": lambda d, row: direct_info_pattern(d, DropoutPattern(row)),
+    "joint_info_projection": (
+        lambda d, row: joint_info_projection(d, DropoutPattern(row))
+    ),
+    "incidences": lambda d, row: incidences(d, DropoutPattern(row)),
+    "evaluate --pattern": None,
+}
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        (entry, fault)
+        for entry in COMPLETION_ENTRY_POINTS
+        for fault in COMPLETION_FAULTS
+        # a pattern file holds text, whose rows are integers by construction:
+        # a float token is a parse fault, worded with its line and column
+        if (entry, fault) != ("evaluate --pattern", "float")
+    ],
+)
+def test_every_entry_point_words_a_bad_completion_row_alike(
+    tmp_path, capsys, entry, fault
+):
+    row, message = COMPLETION_FAULTS[fault]
+    d = fixture("d2plan")
+    if entry == "evaluate --pattern":
+        design, pattern = tmp_path / "d.txt", tmp_path / "pattern.txt"
+        design.write_text(xover.write_design(d))
+        pattern.write_text(" ".join(map(str, row)) + "\n")
+        assert main(["evaluate", str(design), "--pattern", str(pattern)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    with pytest.raises(ValueError) as info:
+        COMPLETION_ENTRY_POINTS[entry](d, row)
+    assert str(info.value) == message

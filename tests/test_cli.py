@@ -1087,7 +1087,6 @@ def test_verdicts_are_unchanged_and_word_no_failures(tmp_path, monkeypatch, name
 
     # classify and evaluate read the verdict from the masks alone
     monkeypatch.setattr(designs, "check_type_wm", refuse)
-    monkeypatch.setattr(designs, "TypeWReport", refuse)
     assert classify(design) == klass
     code, out, _ = _run_in_process(["evaluate", f])
     assert (code, json.loads(out)["classification"]) == (0, klass)

@@ -236,6 +236,26 @@ def test_layout_dimension_mismatch_rejected():
 
 
 @pytest.mark.parametrize(
+    "layout, dtype",
+    [([[0.7, 1.9]], "float64"), ([[False, True]], "bool"), ([["0", "1"]], "<U1")],
+    ids=["float", "bool", "string"],
+)
+def test_layout_must_have_an_integer_dtype(layout, dtype):
+    # a float layout was truncated to [[0, 1]] and a bool one read as 0/1
+    with pytest.raises(ValueError) as info:
+        CrossoverDesign(t=2, p=1, s=2, layout=layout)
+    assert str(info.value) == f"layout entries must be integers, got {dtype}"
+
+
+def test_layout_is_stored_as_one_read_only_int_copy():
+    given = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    d = CrossoverDesign(t=2, p=2, s=2, layout=given)
+    assert d.layout.dtype == int and not d.layout.flags.writeable
+    assert not np.shares_memory(d.layout, given)
+    assert np.array_equal(d.layout, given)
+
+
+@pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"t": 4.0}, "t must be an integer, got float"),
@@ -444,9 +464,9 @@ def test_pattern_validation():
     with pytest.raises(ValueError, match="at least period 1"):
         DropoutPattern((0, 4, 4, 4))
     with pytest.raises(ValueError, match="does not match"):
-        DropoutPattern((4, 4)).check_against(fixture("d2plan"))
+        incidences(fixture("d2plan"), DropoutPattern((4, 4)))
     with pytest.raises(ValueError, match="exceeds"):
-        DropoutPattern((5, 4, 4, 4)).check_against(fixture("d2plan"))
+        incidences(fixture("d2plan"), DropoutPattern((5, 4, 4, 4)))
     # a float period was truncated to an int and a bool taken as 1
     for period, kind in ((3.7, "float"), (np.float64(3), "float64"), (True, "bool")):
         with pytest.raises(ValueError) as info:

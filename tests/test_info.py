@@ -185,7 +185,7 @@ def test_batch_rows_equal_their_single_calls(design, low, monkeypatch):
         assert np.array_equal(batch[b], single), b
         one = a_criterion(single, design.t)
         assert crit.trace_mp[b] == one.trace_mp, b
-        assert np.array_equal(crit.eigenvalues[b], one.spectrum.eigenvalues), b
+        assert np.array_equal(crit.eigenvalues[b], one.eigenvalues), b
     # one row per chunk gives the same bits
     monkeypatch.setattr(info_module, "_CHUNK_BYTES", 1)
     assert np.array_equal(direct_info_patterns(design, ks), batch)
@@ -215,13 +215,16 @@ def test_chunk_budget_leaves_every_bit(design, low, monkeypatch):
 
 def test_batched_engine_rejects_bad_rows():
     d = fixture("d2plan")
-    with pytest.raises(ValueError, match="rows of s=4"):
+    with pytest.raises(ValueError, match="^expected rows of s=4 completion periods"):
+        direct_info_patterns(d, [4, 4, 4, 4])
+    with pytest.raises(ValueError, match="^pattern length 3 does not match s=4$"):
         direct_info_patterns(d, [[4, 4, 4]])
     with pytest.raises(ValueError, match="at least period 1"):
         direct_info_patterns(d, [[4, 0, 4, 4]])
     with pytest.raises(ValueError, match="exceeds p=4"):
         direct_info_patterns(d, [[4, 5, 4, 4]])
-    with pytest.raises(ValueError, match="must be integers"):
+    float_row = "^completion period must be an integer, got float64$"
+    with pytest.raises(ValueError, match=float_row):
         direct_info_patterns(d, [[4.0, 4.0, 4.0, 4.0]])
     assert direct_info_patterns(d, np.zeros((0, 4), dtype=int)).shape == (0, 4, 4)
 
@@ -701,7 +704,7 @@ def test_direct_info_invariant_to_g_inverse_choice():
     d = fixture("d3plan")
     cf = minimal_closed_form(d, 1)
     assert cf.a_inverse is not None
-    via_mp = direct_info(cf.joint)
+    via_mp = direct_info(cf)
     via_a = cf.c11 - cf.c12 @ cf.a_inverse @ cf.c12.T
     np.testing.assert_allclose(via_mp, via_a, atol=1e-9)
 
@@ -741,7 +744,7 @@ def test_minimal_closed_form_matches_both_paths(m):
         proj = joint_info_projection(cut)
         for got, ref in ((cf.c11, ortho.c11), (cf.c22, ortho.c22), (cf.c12, ortho.c12)):
             assert np.max(np.abs(got - ref)) <= 1e-10, (name, m)
-        assert np.max(np.abs(cf.joint.c - proj.c)) <= 1e-10, (name, m)
+        assert np.max(np.abs(cf.c - proj.c)) <= 1e-10, (name, m)
 
 
 def _minimal_closed_form_by_loops(design, m):
@@ -869,7 +872,6 @@ def test_one_formula_joint_info_equals_three_block_forms_bit_for_bit(design):
             loops = _minimal_closed_form_by_loops(design, m)
             want = (loops["c11"], loops["c12"], loops["c22"])
             assert np.array_equal(closed.c, _assembled(*want)), m
-            assert closed.joint is closed
             assert np.array_equal(
                 residual_info(closed), _residual_by_block_swap(*want)
             ), m

@@ -6,7 +6,7 @@ import pytest
 
 from xover.construct import fixture, replicate, union, williams_pair, williams_square
 from xover.designs import CrossoverDesign, truncate
-from xover.info import direct_info_complete
+from xover.info import direct_info_complete, direct_info_patterns
 from xover.metrics import (
     a_criterion,
     against_plan,
@@ -230,11 +230,27 @@ def test_t_star_closed_form_matches_search():
 
 def test_against_plan_validates_rows_before_stacking():
     design = williams_pair(5)
-    with pytest.raises(ValueError, match=r"^expected rows of s=10 completion periods"):
+    with pytest.raises(ValueError, match=r"^pattern length 3 does not match s=10$"):
         against_plan(design, [[4] * 3])
     c, crit, losses, disconnected = against_plan(design, [])
     assert c.shape == (1, 5, 5)
     assert crit.rank[0] == 4 and losses[0] == 0.0 and not disconnected[0]
+
+
+def test_against_plan_validates_empty_batches():
+    # only [] stands for no rows: a 2-D batch is validated, empty or not,
+    # as direct_info_patterns validates it
+    design = fixture("d3plan")
+    for rows, message in (
+        (np.zeros((0, 3), int), "pattern length 3 does not match s=10"),
+        (np.zeros((0, 10)), "completion period must be an integer, got float64"),
+    ):
+        for entry in (against_plan, direct_info_patterns):
+            with pytest.raises(ValueError) as info:
+                entry(design, rows)
+            assert str(info.value) == message, entry.__name__
+    c, _, losses, _ = against_plan(design, np.zeros((0, 10), int))
+    assert c.shape == (1, 5, 5) and losses.tolist() == [0.0]
 
 
 def _one_treatment_design():
@@ -353,7 +369,7 @@ def test_class_spectrum_matches_measured_spectrum():
     # per-frequency factors
     d = williams_pair(5)
     measured = np.sort(
-        a_criterion(direct_info_complete(truncate(d, 1)), 5).spectrum.nonzero
+        a_criterion(direct_info_complete(truncate(d, 1)), 5).nonzero
     )
     formula = np.sort(2 * np.array(class_ab_spectrum(5, "B")))
     ratios = measured / formula

@@ -42,7 +42,7 @@ from xover.info import (
     minimal_closed_form,
     residual_info_minimal_m1,
 )
-from xover.metrics import a_criterion, implemented_loss, max_loss
+from xover.metrics import a_criterion, implemented_losses, max_loss
 from xover.simulate import DropoutModel, enumerate_exact, simulate
 
 COUNT_ROUTE = ("incidences", "joint_info_orthogonal", "direct_info_complete")
@@ -50,7 +50,6 @@ SINGLE_MATRIX_API = (
     "direct_info_pattern",
     "joint_info_projection",
     "a_criterion",
-    "implemented_loss",
 )
 
 # p = t = 2: uniform-balanced, but no tail length 1 <= m <= p-2 exists
@@ -264,9 +263,11 @@ def test_max_loss_matches_count_route(design):
     plan = a_criterion(direct_info_complete(design), design.t)
     for m in range(1, design.p - 1):
         mini = a_criterion(direct_info_complete(truncate(design, m)), design.t)
-        value, disconnected = implemented_loss(plan, mini)
+        value = implemented_losses(
+            plan.trace_mp, np.array([mini.trace_mp]), np.array([mini.connected])
+        )[0]
         got = max_loss(design, m)
-        assert got.disconnected == disconnected
+        assert got.disconnected == (not mini.connected)
         assert abs(got.value - value) <= 1e-12
 
 
@@ -456,6 +457,25 @@ def test_cli_bounds_come_from_one_report_per_t(monkeypatch, tmp_path, capsys):
     calls.clear()
     assert main(["tables", "--table", "3"]) == 0
     assert calls == [("_class_ab_losses", t, k) for t, k in cli.TABLE3]
+    capsys.readouterr()
+
+
+def test_bounds_class_builds_one_spectrum_per_call(monkeypatch, capsys):
+    # the report's spectrum is the one its class losses are taken from
+    cli, metrics = sys.modules["xover.cli"], sys.modules["xover.metrics"]
+    calls = []
+    spectrum = metrics.class_ab_spectrum
+
+    def counting(t, klass):
+        calls.append((t, klass))
+        return spectrum(t, klass)
+
+    monkeypatch.setattr(cli, "class_ab_spectrum", counting)
+    monkeypatch.setattr(metrics, "class_ab_spectrum", counting)
+    for t, klass in ((4, "A"), (5, "B"), (10, "A"), (cli._MAX_CLASS_T, "B")):
+        calls.clear()
+        assert main(["bounds", "--t", str(t), "--class", klass]) == 0
+        assert calls == [(t, klass)]
     capsys.readouterr()
 
 
@@ -713,8 +733,8 @@ def test_default_budget_sweeps_each_simulate_batch_in_few_chunks(monkeypatch):
 
 
 def test_docs_give_the_engines_own_rows_per_chunk():
-    # README's table and the _CHUNK_BYTES comment quote the mixed rows a
-    # chunk takes; both are recomputed from info's own charge and budget
+    # README's table quotes the mixed rows a chunk takes, recomputed here
+    # from info's own charge and budget
     info = sys.modules["xover.info"]
     construct = sys.modules["xover.construct"]
 
@@ -738,10 +758,6 @@ def test_docs_give_the_engines_own_rows_per_chunk():
     for name, t, s, n in rows:
         d = design(name)
         assert (d.t, d.s, info._chunk_rows(d)) == (int(t), int(s), int(n)), name
-    source = Path(info.__file__).read_text()
-    comment = re.search(r"Rows a chunk: (.*?);", source.replace("\n# ", " "))[1]
-    quoted = re.findall(r"(\w+(?:\(\d+\))?) (\d+)", comment)
-    assert quoted == [(name, n) for name, _, _, n in rows]
 
 
 def test_readme_python_api_runs():

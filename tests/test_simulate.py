@@ -22,7 +22,7 @@ from xover.metrics import (
     a_criteria,
     a_criterion,
     against_plan,
-    implemented_loss,
+    implemented_losses,
     max_loss,
 )
 from xover.simulate import (
@@ -371,8 +371,9 @@ def _oracle_losses(design, model, n, seed):
         completion = tuple(completion)
         if completion not in by_pattern:
             c_imp = direct_info_pattern(design, DropoutPattern(completion))
-            by_pattern[completion] = implemented_loss(
-                plan, a_criterion(c_imp, design.t)
+            imp = a_criterion(c_imp, design.t)
+            by_pattern[completion] = implemented_losses(
+                plan.trace_mp, np.array([imp.trace_mp]), np.array([imp.connected])
             )[0]
         losses.append(by_pattern[completion])
     return tuple(losses)
