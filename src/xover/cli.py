@@ -74,8 +74,6 @@ def _clean(obj: Any) -> Any:
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return _f(float(obj))
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
     return obj
 
 

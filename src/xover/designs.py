@@ -183,14 +183,18 @@ def _completion_rows(design: CrossoverDesign, rows) -> np.ndarray:
     one validator of completion rows against a design, which every entry
     point calls.  A shape other than 2-D and a dtype other than an
     integer one are refused here, every other fault by _check_completion
-    in its order."""
+    in its order.  Rows of integers that numpy stores as object or
+    float64, since one is past int64, are checked by value."""
     ks = np.asarray(rows)
     if ks.ndim != 2:
         raise ValueError(
             f"expected rows of s={design.s} completion periods, got shape {ks.shape}"
         )
     if not np.issubdtype(ks.dtype, np.integer):
-        raise ValueError(f"completion period must be an integer, got {ks.dtype}")
+        dtype, ks = ks.dtype, np.array(rows, dtype=object)
+        ints = [type(k) is int or isinstance(k, np.integer) for k in ks.flat]
+        if not (ints and all(ints)):
+            raise ValueError(f"completion period must be an integer, got {dtype}")
     _check_completion(ks, design)
     return ks.astype(np.intp, copy=False)
 

@@ -21,21 +21,22 @@ sweeping out subjects and periods:
   contrast rows, D_l the subjects observing them and S_l = D_lZ_l
   their sum, exact counts in float64.  The Grams of every contrast
   over all s subjects are formed once per call, in one stacked GEMM,
-  with their running sums.  The contrasts, those sums and a chunk's
-  masked operand live in the calling thread's scratch (linalg._scratch),
-  and every result is a fresh array.  Every row starts from the running
-  sum at its own lowest completion and adds its masked contrasts, each
-  in one 2-D GEMM over the rows of a chunk that need it; so a uniform
-  row, in which every subject completes the same k (the plan, a
-  truncation), is the running sum to l = k-1.  The carryover block is
-  then swept out as a stacked Schur complement, by Cholesky on the
-  Helmert contrasts of the carryover effects where a certificate allows
-  and by eigh elsewhere (linalg.schur_complement).  Every verdict of the
-  library reaches it through metrics.against_plan, which stacks the
-  plan in front of the patterns it judges.  direct_info_pattern and
-  joint_info_projection are its B = 1 calls, the public single-matrix
-  API and the test oracles, and every row of a batch equals its B = 1
-  call bit for bit;
+  with their running sums.  The rows are taken in chunks of
+  _chunk_rows consecutive rows.  The contrasts, those sums and a
+  chunk's masked operand live in the calling thread's scratch
+  (linalg._scratch), and every result is a fresh array.  Every row
+  starts from the running sum at its own lowest completion and adds
+  its masked contrasts, each in one 2-D GEMM over the rows of a chunk
+  that need it; so a uniform row, in which every subject completes the
+  same k (the plan, a truncation), is the running sum to l = k-1.  The
+  carryover block is then swept out as a stacked Schur complement, by
+  Cholesky on the Helmert contrasts of the carryover effects where a
+  certificate allows and by eigh elsewhere (linalg.schur_complement).
+  Every verdict of the library reaches it through metrics.against_plan,
+  which stacks the plan in front of the patterns it judges.
+  direct_info_pattern and joint_info_projection are its B = 1 calls,
+  the public single-matrix API and the test oracles, and every row of
+  a batch equals its B = 1 call bit for bit;
 * the count route, closed-form incidence expressions valid for
   complete rectangular layouts.  No library computation calls it; it
   is the independent cross-check.
@@ -65,9 +66,9 @@ from .designs import (
 from .linalg import _scratch, moore_penrose, schur_complement, symmetrize
 
 # Byte budget of one chunk of direct_info_patterns (see _chunk_rows):
-# the rows that mix completion periods go in chunks of at least one row,
-# each row charged 16 t (s + 6t) bytes for the float arrays a chunk holds
-# for it, half of a core's 2 MiB L2.  README.md gives the measurements.
+# every chunk is _chunk_rows consecutive rows, at least one, each row
+# charged 16 t (s + 6t) bytes for the float arrays a chunk holds for it,
+# half of a core's 2 MiB L2.  README.md gives the measurements.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -193,12 +194,9 @@ def _plan(design: CrossoverDesign) -> tuple[np.ndarray, np.ndarray]:
     return z, running
 
 
-def _joint_stack(
-    z: np.ndarray, running: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """(B, 2t, 2t) joint information of the completion rows ks, whose
-    lowest and highest completions are lo and hi, from the contrasts z
-    and running Grams of _plan, as a fresh array.
+def _joint_stack(z: np.ndarray, running: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(B, 2t, 2t) joint information of the completion rows ks from the
+    contrasts z and running Grams of _plan, as a fresh array.
 
     On a prefix of k periods the contrasts l = 1..k-1 of _plan, scaled
     by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they remove
@@ -212,14 +210,16 @@ def _joint_stack(
     s(p-1) < 9.4e7; z alone would then take over 1.5 GB): exact and
     symmetric in float64 whatever the BLAS blocking or FMA order.  The
     only roundings are the two divisions, the subtraction and the sum
-    in ascending l.  Every subject observes the contrasts l < lo_b, so
-    row b starts from running[lo_b - 1] and adds its masked contrasts
-    lo_b <= l < hi_b, contrast l in one GEMM over the contiguous rows
-    that need it (_masked_gram).  A row inside that slice that does not
-    need l gets a zero mask, whose matrix of +-0.0 leaves a sum from
-    +0.0 unchanged; so every row comes out the same in any batch, and a
+    in ascending l.  Every subject observes the contrasts below row b's
+    lowest completion lo_b, so the row starts from running[lo_b - 1] and
+    adds its masked contrasts lo_b <= l < hi_b, hi_b its highest
+    completion, contrast l in one GEMM over the contiguous rows that
+    need it (_masked_gram).  A row inside that slice that does not need
+    l gets a zero mask, whose matrix of +-0.0 leaves a sum from +0.0
+    unchanged; so every row comes out the same in any batch, and a
     uniform row (lo_b = hi_b: the plan, a truncation) is its start.
     """
+    lo, hi = ks.min(1), ks.max(1)
     joint = running[lo - 1]
     for l in range(int(lo.min()), int(hi.max())):
         need = np.flatnonzero((lo <= l) & (l < hi))
@@ -231,9 +231,9 @@ def _joint_stack(
 
 
 def _chunk_rows(design: CrossoverDesign) -> int:
-    """Rows that mix completion periods in one chunk of
-    direct_info_patterns: as many as fit in _CHUNK_BYTES at 16 t (s + 6t)
-    bytes a row (see there), and at least one."""
+    """Consecutive rows in each chunk of direct_info_patterns: as many as
+    fit in _CHUNK_BYTES at 16 t (s + 6t) bytes a row (see there), and at
+    least one."""
     t = design.t
     return max(1, _CHUNK_BYTES // (16 * t * (design.s + 6 * t)))
 
@@ -252,12 +252,11 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     Every row starts from the running sum at its own lowest completion
     and adds its masked contrasts; a uniform row, in which every subject
     completes the same k (the plan, a truncation), adds none.  The rows
-    that mix completion periods are evaluated in chunks of _chunk_rows
-    of them, whose arrays stay within _CHUNK_BYTES (see there for the
-    size), with the uniform rows riding along in the chunk they fall
-    in, and every row equals its own B = 1 call bit for bit.  The rows
-    are validated by _completion_rows, _direct_info_rows evaluates them,
-    and the result is a fresh array.
+    are evaluated in chunks of _chunk_rows consecutive rows, whose
+    arrays stay within _CHUNK_BYTES (see there for the size), and every
+    row equals its own B = 1 call bit for bit.  The rows are validated
+    by _completion_rows, _direct_info_rows evaluates them, and the
+    result is a fresh array.
     """
     return _direct_info_rows(design, _completion_rows(design, completions))
 
@@ -270,11 +269,10 @@ def _direct_info_rows(design: CrossoverDesign, ks: np.ndarray) -> np.ndarray:
     if not len(ks):
         return out
     z, running = _plan(design)
-    lo, hi = ks.min(1), ks.max(1)
     step = _chunk_rows(design)
-    bounds = [0, *np.flatnonzero(lo < hi)[step::step], len(ks)]
-    for c in map(slice, bounds, bounds[1:]):
-        out[c] = schur_complement(_joint_stack(z, running, ks[c], lo[c], hi[c]), t)
+    for a in range(0, len(ks), step):
+        c = slice(a, a + step)
+        out[c] = schur_complement(_joint_stack(z, running, ks[c]), t)
     return out
 
 
@@ -290,8 +288,7 @@ def joint_info_projection(
     dropping columns (see _joint_stack).  This is the B = 1 call of the
     stage that direct_info_patterns runs on whole batches.
     """
-    ks = _one_row(design, pattern)
-    return JointInfo(_joint_stack(*_plan(design), ks, ks.min(1), ks.max(1))[0])
+    return JointInfo(_joint_stack(*_plan(design), _one_row(design, pattern))[0])
 
 
 def joint_info_orthogonal(design: CrossoverDesign) -> JointInfo:
@@ -334,6 +331,12 @@ def residual_info(joint: JointInfo) -> np.ndarray:
     return schur_complement(np.roll(joint.c, t, axis=(0, 1)), t)
 
 
+def _d(t: int, m: int) -> int:
+    """D = (t-m)^2 - (t+1) - m(m+1), shared by minimal_closed_form, the
+    spectral bounds and the connectedness condition."""
+    return (t - m) ** 2 - (t + 1) - m * (m + 1)
+
+
 def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
     """Closed-form information blocks after dropping the last m periods.
 
@@ -362,13 +365,10 @@ def minimal_closed_form(design: CrossoverDesign, m: int) -> MinimalClosedForm:
 
     q = t - m
     c11 = (g * (q * q - m) / q) * eye - (g * (t - 2 * m) / q) * ones - sum_low / q
-    c22 = (g / q) * (
-        (q * q - (t + 1)) * eye
-        - ((q * q - (t + 1) - m * (m + 1)) / t) * ones
-    ) - sum_full / q
+    c22 = (g / q) * ((q * q - (t + 1)) * eye - (_d(t, m) / t) * ones) - sum_full / q
     c12 = (g / q) * ((m + 1) * ones - t * eye) - sum_adj - sum_cross / q
     a_matrix = (g / q) * (q * q - (t + 1)) * eye - sum_full / q
-    lambda_min_a = (g / q) * (q * q - (t + 1) - m * (m + 1))
+    lambda_min_a = (g / q) * _d(t, m)
 
     a_inverse = None
     if t >= 2 * m + 2:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, _completion_rows, _short_int, check_tail
-from .info import _direct_info_rows
+from .info import _d, _direct_info_rows
 from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
 
@@ -221,12 +221,6 @@ def _check_t_m(t: int, m: int) -> None:
         raise ValueError("requires t >= 2m+2, got a smaller t")
 
 
-def _d(t: int, m: int) -> int:
-    """D = (t-m)^2 - (t+1) - m(m+1), shared by the spectral bounds and
-    the connectedness condition."""
-    return (t - m) ** 2 - (t + 1) - m * (m + 1)
-
-
 def theta_lower(t: int, m: int) -> float:
     """Spectral lower bound for the truncated design of any balanced layout.
 
@@ -366,13 +360,12 @@ def _class_ab_losses(
     t: int, klass: str, spectrum: list[float] | None = None
 ) -> tuple[float, float]:
     """(class_ab_ml, el_ab) of (t, klass) from one spectrum: the given
-    class_ab_spectrum(t, klass), or one built here."""
+    class_ab_spectrum(t, klass), or one built here.  For t >= 5 every
+    theta_r >= (t/(t-1)) ((t-2) - 4t/(t^2-3t-2)) > 0: it is connected."""
     if t < 5:
         raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
     if spectrum is None:
         spectrum = class_ab_spectrum(t, klass)
-    if any(v <= 0 for v in spectrum):
-        raise ValueError(f"truncated design is disconnected for t={t}")
     inv = 1.0 / sum(1.0 / v for v in spectrum)
     ml = 1.0 - ((t - 1) * (t * t - t - 1) / (t * (t - 2) * (t + 1))) * inv
     return ml, ((t - 1) ** 2 / mtr(t, 1)) * inv

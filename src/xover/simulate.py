@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, DropoutPattern, require_ubrmd  # noqa: F401
+from .designs import CrossoverDesign, require_ubrmd
 from .designs import _check_hazard, _check_integer, _short_int, check_tail
 from .linalg import _contrast_part, _scratch, is_psd
 from .metrics import against_plan

@@ -80,6 +80,13 @@ COMPLETION_FAULTS = {
     "period-0": ((4, 0, 4, 4), "every subject must complete at least period 1"),
     "length": ((4, 4, 4), "pattern length 3 does not match s=4"),
     "above-p": ((4, 5, 4, 4), "completion period exceeds p=4"),
+    # numpy stores the first as object and the second as float64
+    "huge": ((10**30, 4, 4, 4), "completion period exceeds p=4"),
+    "past-int64": ((2**63, 4, 4, 4), "completion period exceeds p=4"),
+    "huge-negative": (
+        (-(10**30), 4, 4, 4),
+        "every subject must complete at least period 1",
+    ),
     "float": (
         (4, np.float64(3), 4, 4),
         "completion period must be an integer, got float64",
@@ -122,4 +129,51 @@ def test_every_entry_point_words_a_bad_completion_row_alike(
         return
     with pytest.raises(ValueError) as info:
         COMPLETION_ENTRY_POINTS[entry](d, row)
+    assert str(info.value) == message
+
+
+# Faults of the public API that no other test reaches, each with its
+# exact message.
+API_FAULTS = {
+    "design-size": (
+        lambda: CrossoverDesign(t=0, p=1, s=1, layout=[[0]]),
+        "t, p, s must all be positive",
+    ),
+    "layout-range": (
+        lambda: CrossoverDesign(t=2, p=1, s=2, layout=[[0, 2]]),
+        "layout entries must lie in 0..1",
+    ),
+    "tail-index": (
+        lambda: xover.coincidence(fixture("d2plan"), 0, 4),
+        "tail index 4 out of range 0..3",
+    ),
+    "dimension-line": (
+        lambda: xover.parse_design(xover.designs.TEXT_FORMAT_HEADER),
+        "line 2: missing dimension line",
+    ),
+    "empty-union": (lambda: xover.union([]), "union requires at least one design"),
+    "cycle-type-shape": (
+        lambda: xover.cycle_type(np.zeros((2, 3), dtype=int)),
+        "expected a square matrix, got shape (2, 3)",
+    ),
+    "cycle-type-entries": (
+        lambda: xover.cycle_type([[2, 0], [0, 1]]),
+        "not a permutation matrix: entries outside {0,1}",
+    ),
+    "eigensym-stack": (
+        lambda: xover.eigensym(np.zeros((2, 3, 3))),
+        "expected a square matrix, got shape (2, 3, 3)",
+    ),
+    "efficiency-trace": (
+        lambda: xover.efficiency_lower_bound(0.0, 8, 1, 1),
+        "trace of the Moore-Penrose inverse must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", API_FAULTS)
+def test_api_faults_are_worded_exactly(fault):
+    call, message = API_FAULTS[fault]
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message

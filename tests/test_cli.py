@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -768,6 +769,22 @@ def test_simulate_cli(tmp_path, capsys):
     assert report["ordering_violations"] == 0
     assert set(report["quantiles"]) == {"p50", "p90", "p99"}
     assert 0.0 <= report["mean_loss"] <= report["ml"]
+
+
+def test_simulate_exits_3_on_ordering_violations(tmp_path, capsys, monkeypatch):
+    # a violation is a result: the whole report on stdout, then one
+    # warning line on stderr and exit code 3
+    f = _write(tmp_path, "d.txt", williams_pair(5))
+    simulate = cli.simulate
+
+    def violating(*args, **kwargs):
+        return dataclasses.replace(simulate(*args, **kwargs), ordering_violations=2)
+
+    monkeypatch.setattr(cli, "simulate", violating)
+    assert main(["simulate", f, "--hazards", "0.3", "--n", "100"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["ordering_violations"] == 2
+    assert err == "warning: 2 information-ordering violations detected\n"
 
 
 def test_simulate_deterministic_output_bytes(tmp_path, capsys):

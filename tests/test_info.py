@@ -232,9 +232,7 @@ def test_batched_engine_rejects_bad_rows():
 def _engine_joint(design, ks):
     """The engine's joint information of the completion rows ks, each
     row starting from the running sum at its own lowest completion."""
-    return info_module._joint_stack(
-        *info_module._plan(design), ks, ks.min(1), ks.max(1)
-    )
+    return info_module._joint_stack(*info_module._plan(design), ks)
 
 
 def _cells(design):

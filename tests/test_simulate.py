@@ -15,7 +15,7 @@ from xover.construct import (
     williams_pair,
     williams_square,
 )
-from xover.designs import CrossoverDesign, truncation
+from xover.designs import CrossoverDesign, DropoutPattern, truncation
 from xover.info import direct_info_pattern
 from xover.linalg import _helmert, is_psd
 from xover.metrics import (
@@ -29,7 +29,6 @@ from xover.simulate import (
     MAX_N,
     ORDER_TOL,
     DropoutModel,
-    DropoutPattern,
     check_seed,
     enumerate_exact,
     simulate,
