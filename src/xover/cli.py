@@ -403,28 +403,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="combine all sources (and any design files given here)",
     )
     p_con.add_argument("--reps", type=_integer, metavar="K")
-    p_con.add_argument("-o", "--output", metavar="PATH")
 
     p_eval = sub.add_parser("evaluate", help="information metrics for a design file")
     p_eval.add_argument("design", metavar="FILE")
     group = p_eval.add_mutually_exclusive_group()
     group.add_argument("--truncate", type=_integer, metavar="M")
     group.add_argument("--pattern", metavar="FILE")
-    p_eval.add_argument("--format", choices=("json", "csv"), default="json")
-    p_eval.add_argument("-o", "--output", metavar="PATH")
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds for one (t, m)")
     p_bounds.add_argument("--t", type=_integer, required=True)
     p_bounds.add_argument("--m", type=_integer, default=1)
     p_bounds.add_argument("--type-w", dest="type_w", action="store_true")
     p_bounds.add_argument("--class", dest="klass", choices=("A", "B"))
-    p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
-    p_bounds.add_argument("-o", "--output", metavar="PATH")
 
     p_tab = sub.add_parser("tables", help="regenerate the bound tables")
     p_tab.add_argument("--table", type=_table_number, metavar="{1,2,3}", required=True)
-    p_tab.add_argument("--format", choices=("json", "csv"), default="json")
-    p_tab.add_argument("-o", "--output", metavar="PATH")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo dropout simulation")
     p_sim.add_argument("design", metavar="FILE")
@@ -432,8 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--hazards", required=True, metavar="H1,..,HM")
     p_sim.add_argument("--n", type=_integer, default=10000)
     p_sim.add_argument("--seed", type=_integer, default=0)
-    p_sim.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sim.add_argument("-o", "--output", metavar="PATH")
+    # the shared options, last on each subcommand; construct has no --format
+    for name, p in sub.choices.items():
+        if name != "construct":
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("-o", "--output", metavar="PATH")
     return parser
 
 

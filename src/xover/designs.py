@@ -184,7 +184,8 @@ def _completion_rows(design: CrossoverDesign, rows) -> np.ndarray:
     point calls.  A shape other than 2-D and a dtype other than an
     integer one are refused here, every other fault by _check_completion
     in its order.  Rows of integers that numpy stores as object or
-    float64, since one is past int64, are checked by value."""
+    float64, since one is past int64, are checked by value, and rows
+    other than an ndarray are checked for a bool as DropoutPattern is."""
     ks = np.asarray(rows)
     if ks.ndim != 2:
         raise ValueError(
@@ -195,6 +196,9 @@ def _completion_rows(design: CrossoverDesign, rows) -> np.ndarray:
         ints = [type(k) is int or isinstance(k, np.integer) for k in ks.flat]
         if not (ints and all(ints)):
             raise ValueError(f"completion period must be an integer, got {dtype}")
+    elif not isinstance(rows, np.ndarray):
+        for k in np.array(rows, dtype=object).flat:
+            _check_integer("completion period", k)
     _check_completion(ks, design)
     return ks.astype(np.intp, copy=False)
 

@@ -27,6 +27,9 @@ SYM_TOL = 1e-12
 RANK_RTOL = 1e-10
 RANK_FLOOR = 1e-12
 
+# Information-ordering tolerance: A >= B when lam_min(A - B) >= -ORDER_TOL.
+ORDER_TOL = 1e-9
+
 _SCRATCH = threading.local()
 
 
@@ -231,8 +234,8 @@ def schur_complement(m: np.ndarray, k: int) -> np.ndarray:
     return symmetrize(out.reshape(m.shape[:-2] + (k, k)))
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
-    """True iff the smallest eigenvalue of symmetric ``m`` is >= -tol.
+def is_psd(m: np.ndarray, tol: float = ORDER_TOL) -> bool | np.ndarray:
+    """True iff the smallest eigenvalue of symmetric ``m`` is >= -tol (ORDER_TOL).
 
     For a stack of matrices, one verdict per matrix as a boolean array.
     """

@@ -18,10 +18,9 @@ falls below h_{j+1}.  That compare is made on the 53-bit integers x:
 x 2**-53 < h exactly when x < ceil(h 2**53), both sides exact in
 uint64.  The seed must be an integer in 0..2**64-1.  Replicates are
 drawn in vectorized chunks, whose Philox rounds run in place in uint64
-buffers of each thread's scratch (linalg._scratch, _philox_uniforms): 104
-bytes per Philox block of the largest chunk the thread has drawn, 2.0 MiB
-after a full d3plan chunk.  A chunk's completion rows are deduplicated
-on packed integer keys, and its distinct patterns go through
+buffers of each thread's scratch (linalg._scratch; _philox_uniforms gives
+their size).  A chunk's completion rows are grouped on packed integer
+keys, and its distinct patterns go through
 metrics.against_plan in one stack behind the plan and the truncation,
 so results are bit-identical for a fixed seed regardless of chunking or
 evaluation order.  The information ordering plan >= pattern >=
@@ -38,10 +37,9 @@ import numpy as np
 
 from .designs import CrossoverDesign, require_ubrmd
 from .designs import _check_hazard, _check_integer, _short_int, check_tail
-from .linalg import _contrast_part, _scratch, is_psd
+from .linalg import ORDER_TOL, _contrast_part, _scratch, is_psd
 from .metrics import against_plan
 
-ORDER_TOL = 1e-9
 # The most replicates one call draws: n sizes simulate's one float64 array
 # of losses (80 MB at this n) before any is drawn; keep_losses=True adds a
 # tuple of n Python floats, about 32 bytes each (320 MB at this n).
@@ -51,7 +49,7 @@ MAX_N = 10**7
 # uint64 round buffers of _philox_uniforms takes about 256 KiB where 4
 # divides s m, and more where a replicate's last block is part-used:
 # 307 KiB on d3plan (6553 replicates of 3 blocks).  A thread keeps its
-# buffers for its lifetime: 2.0 MiB after a full d3plan chunk.
+# buffers for its lifetime (_philox_uniforms).
 _CHUNK_UNIFORMS = 1 << 16
 
 # Philox4x64-10 multipliers, as a column for the (c0, c2) rows, and Weyl
@@ -213,8 +211,9 @@ def _distinct_completions(
     takes m boolean passes, latest j first, so the earliest j wins.  Digits
     lie in 0..m and take bits = m.bit_length() bits each, so a row packs
     into ceil(s / per) uint64 words of per = min(s, 64 // bits) digits.
-    One word is deduplicated by np.unique on uint64, more words through a
-    void view of the row's words.  Distinct rows come back in key order.
+    One word is grouped by np.unique on uint64, more words through a void
+    view of the row's words.  The keys only group: each distinct row is
+    read back from the digits of its first replicate, in key order.
     """
     n, s, m = x.shape
     cuts = np.ceil(hazards * 2.0**53).astype(np.uint64)
@@ -230,11 +229,8 @@ def _distinct_completions(
     keys = digits.reshape(n, words, per) @ (np.uint64(1) << shifts)
     if words > 1:
         keys = keys.view(np.dtype((np.void, 8 * words)))
-    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    fields = distinct.view(np.uint64).reshape(-1, words, 1) >> shifts
-    fields &= np.uint64((1 << bits) - 1)
-    rows = p - fields.reshape(len(distinct), -1)[:, :s].astype(np.intp)
-    return rows, inverse.ravel()
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return p - digits[first, :s].astype(np.intp), inverse.ravel()
 
 
 def _loewner_certified(
@@ -309,8 +305,8 @@ def simulate(
     (seed, r), under the sampling contract of the module docstring.
     ordering_violations counts replicates where the information matrices
     fail the expected sandwich (plan above implemented above truncated,
-    as positive-semidefinite differences at tolerance 1e-9); a violation
-    would falsify the worst-case analysis, so it is surfaced
+    as positive-semidefinite differences at tolerance ORDER_TOL); a
+    violation would falsify the worst-case analysis, so it is surfaced
     prominently.  Each chunk of _CHUNK_UNIFORMS // (s m) replicates
     deduplicates its completion rows on packed integer keys
     (_distinct_completions), evaluates the distinct ones in one

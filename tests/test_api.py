@@ -91,6 +91,8 @@ COMPLETION_FAULTS = {
         (4, np.float64(3), 4, 4),
         "completion period must be an integer, got float64",
     ),
+    # numpy stores the bool as an integer, as it would store 1
+    "bool": ((4, True, 4, 4), "completion period must be an integer, got bool"),
 }
 COMPLETION_ENTRY_POINTS = {
     "direct_info_patterns": lambda d, row: direct_info_patterns(d, [row]),
@@ -111,8 +113,8 @@ COMPLETION_ENTRY_POINTS = {
         for entry in COMPLETION_ENTRY_POINTS
         for fault in COMPLETION_FAULTS
         # a pattern file holds text, whose rows are integers by construction:
-        # a float token is a parse fault, worded with its line and column
-        if (entry, fault) != ("evaluate --pattern", "float")
+        # a float or bool token is a parse fault, worded with its line and column
+        if entry != "evaluate --pattern" or fault not in ("float", "bool")
     ],
 )
 def test_every_entry_point_words_a_bad_completion_row_alike(

@@ -601,6 +601,91 @@ def test_tables_usage_still_lists_its_choices():
     assert "--table {1,2,3}" in err.getvalue()
 
 
+# Each subcommand's -h text at 80 columns, as argparse (Python 3.11)
+# formats it; a change to any option, its order or its metavar shows here.
+HELP_TEXTS = {
+    "construct": """\
+usage: xover construct [-h] [--williams T] [--pair T] [--extreme T]
+                       [--fixture NAME] [--union [FILE ...]] [--reps K]
+                       [-o PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --williams T
+  --pair T
+  --extreme T
+  --fixture NAME        d1plan, d2plan, d3plan, ex13sq1, ex13sq2
+  --union [FILE ...]    combine all sources (and any design files given here)
+  --reps K
+  -o PATH, --output PATH
+""",
+    "evaluate": """\
+usage: xover evaluate [-h] [--truncate M | --pattern FILE]
+                      [--format {json,csv}] [-o PATH]
+                      FILE
+
+positional arguments:
+  FILE
+
+options:
+  -h, --help            show this help message and exit
+  --truncate M
+  --pattern FILE
+  --format {json,csv}
+  -o PATH, --output PATH
+""",
+    "bounds": """\
+usage: xover bounds [-h] --t T [--m M] [--type-w] [--class {A,B}]
+                    [--format {json,csv}] [-o PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --t T
+  --m M
+  --type-w
+  --class {A,B}
+  --format {json,csv}
+  -o PATH, --output PATH
+""",
+    "tables": """\
+usage: xover tables [-h] --table {1,2,3} [--format {json,csv}] [-o PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --table {1,2,3}
+  --format {json,csv}
+  -o PATH, --output PATH
+""",
+    "simulate": """\
+usage: xover simulate [-h] [--m M] --hazards H1,..,HM [--n N] [--seed SEED]
+                      [--format {json,csv}] [-o PATH]
+                      FILE
+
+positional arguments:
+  FILE
+
+options:
+  -h, --help            show this help message and exit
+  --m M
+  --hazards H1,..,HM
+  --n N
+  --seed SEED
+  --format {json,csv}
+  -o PATH, --output PATH
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP_TEXTS)
+def test_every_subcommand_help_text_is_unchanged(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as info, contextlib.redirect_stdout(out):
+        main([command, "-h"])
+    assert info.value.code == 0
+    assert out.getvalue() == HELP_TEXTS[command]
+
+
 @pytest.mark.parametrize(
     "n, shown",
     [(10**7 + 1, "10000001"), (10**3000, SHORT)],

@@ -745,10 +745,37 @@ def _void_key_rows(u, hazards, p):
     return rows, distinct.view(rows.dtype).reshape(-1, s), inverse.ravel()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("s", [1, 32, 33, 63, 64, 65, 720])
+def _decoded_key_rows(x, hazards, p):
+    """The packed keys' distinct rows, decoded from the keys by shifts and
+    a mask, and each replicate's index among them: the order contract of
+    _distinct_completions, which reads its rows back from the digits."""
+    n, s, m = x.shape
+    cuts = np.ceil(hazards * 2.0**53).astype(np.uint64)
+    bits = m.bit_length()
+    per = min(s, 64 // bits)
+    words = -(-s // per)
+    digits = np.zeros((n, words * per), dtype=np.uint64)
+    for j in range(m - 1, -1, -1):
+        np.copyto(digits[:, :s], m - j, where=x[..., j] < cuts[j])
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(bits)
+    keys = digits.reshape(n, words, per) @ (np.uint64(1) << shifts)
+    if words > 1:
+        keys = keys.view(np.dtype((np.void, 8 * words)))
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    fields = distinct.view(np.uint64).reshape(-1, words, 1) >> shifts
+    fields &= np.uint64((1 << bits) - 1)
+    rows = p - fields.reshape(len(distinct), -1)[:, :s].astype(np.intp)
+    return rows, inverse.ravel()
+
+
+@pytest.mark.parametrize(
+    "s, m",
+    [(s, m) for s in (1, 32, 33, 63, 64, 65, 720) for m in (1, 2, 3, 4)]
+    + [(16, 8), (17, 8)],
+)
 def test_packed_keys_match_void_keys(m, s):
-    # one to four bits a digit put the word edges at 64, 32 and 21 digits
+    # one to four bits a digit put the word edges at 64, 32, 21 and 16
+    # digits
     p = m + 2
     rng = np.random.default_rng(1000 * m + s)
     for n, hazard in ((300, 0.3 / s), (200, 0.5)):
@@ -764,3 +791,6 @@ def test_packed_keys_match_void_keys(m, s):
         assert np.array_equal(ref[ref_inverse], rows)
         assert len(got) == len(ref)
         assert sorted(map(tuple, got)) == sorted(map(tuple, ref))
+        decoded, decoded_inverse = _decoded_key_rows(x, hazards, p)
+        assert np.array_equal(got, decoded)
+        assert np.array_equal(inverse, decoded_inverse)
