@@ -173,6 +173,11 @@ def relabel(design: CrossoverDesign, perm: list[int] | tuple[int, ...]) -> Cross
     """
     p = np.asarray(perm)
     integer = np.issubdtype(p.dtype, np.integer)
+    # numpy stores a list mixing bools and ints as int64, so a list is
+    # scanned for a bool, as designs._completion_rows scans rows
+    if integer and not isinstance(perm, np.ndarray):
+        flat = np.array(perm, dtype=object).flat
+        integer = not any(isinstance(v, (bool, np.bool_)) for v in flat)
     if not integer or sorted(p.tolist()) != list(range(design.t)):
         raise ValueError(f"perm must be a bijection on 0..{design.t - 1}")
     return CrossoverDesign(t=design.t, p=design.p, s=design.s, layout=p[design.layout])

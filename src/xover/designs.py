@@ -276,6 +276,7 @@ def period_slice(design: CrossoverDesign, j: int) -> np.ndarray:
     """The t x s indicator matrix of period j (1-based): entry (h, i) is
     1 iff subject i receives treatment h in period j.
     """
+    j = _check_integer("period", j)
     if not 1 <= j <= design.p:
         raise ValueError(f"period {j} out of range 1..{design.p}")
     m = np.zeros((design.t, design.s), dtype=int)
@@ -291,6 +292,7 @@ def coincidence(design: CrossoverDesign, j: int, k: int) -> np.ndarray:
     which makes all row and column sums g; for j = k the result is g
     times the identity.
     """
+    j, k = (_check_integer("tail index", idx) for idx in (j, k))
     for idx in (j, k):
         if not 0 <= idx <= design.p - 1:
             raise ValueError(f"tail index {idx} out of range 0..{design.p - 1}")

@@ -415,11 +415,16 @@ def residual_info_minimal_m1(design: CrossoverDesign) -> np.ndarray:
 def estimable(c_d: np.ndarray, contrast: np.ndarray) -> bool:
     """Whether a treatment contrast is estimable under information c_d.
 
-    contrast must sum to zero (tolerance 1e-12 relative to its norm).
+    contrast must hold one entry per treatment of c_d and sum to zero
+    (tolerance 1e-12 relative to its norm).
     Estimability means the contrast lies in the row space of c_d, tested
     as a relative residual against the Moore-Penrose projector.
     """
     c = np.asarray(contrast, dtype=float)
+    t = np.shape(c_d)[-1]
+    if c.shape != (t,):
+        shown = c.size if c.ndim == 1 else c.shape
+        raise ValueError(f"contrast length {shown} does not match t={t}")
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         raise ValueError("contrast must be nonzero")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, _completion_rows, _short_int, check_tail
+from .designs import CrossoverDesign, _check_integer, _completion_rows, _short_int
+from .designs import check_tail
 from .info import _d, _direct_info_rows
 from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
@@ -205,19 +206,22 @@ def max_loss(design: CrossoverDesign, m: int) -> MaxLoss:
 _MAX_T_DIGITS = 100
 
 
-def _check_t(t: int) -> None:
+def _check_t(t: int) -> int:
+    """t as a Python int (designs._check_integer), rejecting a t past
+    10**_MAX_T_DIGITS."""
+    t = _check_integer("t", t)
     if t > 10**_MAX_T_DIGITS:
         raise ValueError(f"requires t <= 10**{_MAX_T_DIGITS}, got a larger t")
+    return t
 
 
 def _check_t_m(t: int, m: int) -> None:
-    """Reject (t, m) outside the bounds' domain.  The messages name no
-    digits of t or m, which may be hundreds long, so each stays one
-    short line."""
-    if m < 1:
+    """Reject (t, m) outside the bounds' domain, or other than integers
+    (designs._check_integer).  The messages name no digits of t or m,
+    which may be hundreds long, so each stays one short line."""
+    if _check_integer("m", m) < 1:
         raise ValueError("requires m >= 1, got a smaller m")
-    _check_t(t)
-    if t < 2 * m + 2:
+    if _check_t(t) < 2 * m + 2:
         raise ValueError("requires t >= 2m+2, got a smaller t")
 
 
@@ -257,9 +261,10 @@ def connect_condition(t: int, m: int) -> tuple[float, bool]:
     value guarantees every treatment contrast stays estimable after the
     worst-case m-tail dropout.  Takes t < 2m+2 too.
     """
+    m = _check_integer("m", m)
     if m < 1:
         raise ValueError(f"requires m >= 1, got m={_short_int(m)}")
-    _check_t(t)
+    t = _check_t(t)
     value = (t - 2 * m) * _d(t, m) - t * (m + 1) ** 2
     return float(value), value > 0
 
@@ -274,6 +279,7 @@ def t_star(m: int) -> int:
     f(m-1) = -2(m+1)(2m+1) < 0, so by convexity f < 0 on 0..m-1;
     f(m) = 2m(m+1) > f(m-1), so convexity keeps f increasing past m.
     """
+    m = _check_integer("m", m)
     if m < 1:
         raise ValueError(f"requires m >= 1, got m={_short_int(m)}")
     return 3 * m + 2
@@ -301,6 +307,8 @@ def bounds_report(t: int, m: int) -> BoundsReport:
     """All (t, m) bounds in one bundle; requires t >= 2m+2.  Each is
     computed once, and the single-bound functions above read its field."""
     _check_t_m(t, m)
+    # a numpy integer would overflow in the products of order t**3
+    t, m = int(t), int(m)
     d, scale, psi1 = _d(t, m), t / (t - m), math.cos(2 * math.pi / t)
     theta_l = scale * ((t - 2 * m) - t * (m + 1) ** 2 / d)
     theta_l_star = scale * (
@@ -342,6 +350,7 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
     """
     if klass not in ("A", "B"):
         raise ValueError(f'class must be "A" or "B", got {klass!r}')
+    t = _check_integer("t", t)
     if t < 4:
         raise ValueError(f"requires t >= 4, got t={t}")
     out: list[float] = []
@@ -362,6 +371,7 @@ def _class_ab_losses(
     """(class_ab_ml, el_ab) of (t, klass) from one spectrum: the given
     class_ab_spectrum(t, klass), or one built here.  For t >= 5 every
     theta_r >= (t/(t-1)) ((t-2) - 4t/(t^2-3t-2)) > 0: it is connected."""
+    t = _check_integer("t", t)
     if t < 5:
         raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
     if spectrum is None:
@@ -397,6 +407,7 @@ def extreme_ml(t: int) -> float:
     a = (t^4 - 5t^3 + 6t^2 + t - 2)/(t^3 - 4t^2 + 3t + 2), giving
     ML = 1 - a (t^2-t-1) / ((t-1)^2 (t+1)).
     """
+    t = _check_integer("t", t)
     if t < 4:
         raise ValueError(f"requires t >= 4, got t={t}")
     a = (t**4 - 5 * t**3 + 6 * t**2 + t - 2) / (t**3 - 4 * t**2 + 3 * t + 2)
@@ -409,6 +420,7 @@ def efficiency_lower_bound(min_trace_mp: float, t: int, m: int, g: int) -> float
     EFF >= (t-1)^2 / (g MTr(t, m) trace_mp); valid when the truncated
     design is connected.
     """
+    t, m = _check_integer("t", t), _check_integer("m", m)
     if min_trace_mp <= 0:
         raise ValueError("trace of the Moore-Penrose inverse must be positive")
     return (t - 1) ** 2 / (g * mtr(t, m) * min_trace_mp)

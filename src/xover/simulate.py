@@ -17,16 +17,19 @@ and subject i stops before period p-m+j+1 at the first j whose uniform
 falls below h_{j+1}.  That compare is made on the 53-bit integers x:
 x 2**-53 < h exactly when x < ceil(h 2**53), both sides exact in
 uint64.  The seed must be an integer in 0..2**64-1.  Replicates are
-drawn in vectorized chunks, whose Philox rounds run in place in uint64
-buffers of each thread's scratch (linalg._scratch; _philox_uniforms gives
-their size).  A chunk's completion rows are grouped on packed integer
-keys, and its distinct patterns go through
-metrics.against_plan in one stack behind the plan and the truncation,
-so results are bit-identical for a fixed seed regardless of chunking or
-evaluation order.  The information ordering plan >= pattern >=
-truncation is certified from the spectra that stack already has
-(_loewner_certified); only the differences the certificate leaves open
-take an eigenvalue computation of their own.
+drawn in chunks.  A chunk of at most _REKEYED_MAX replicates re-keys
+one numpy Philox per replicate (_rekeyed_uniforms); a larger chunk runs
+the Philox rounds of all its streams at once, vectorized, in place in
+uint64 buffers of each thread's scratch (linalg._scratch;
+_philox_uniforms gives their size), which serve only such chunks.  The
+stream is counter-based, so both routes give the same words.  A chunk's
+completion rows are grouped on packed integer keys, and its distinct
+patterns go through metrics.against_plan in one stack behind the plan
+and the truncation, so results are bit-identical for a fixed seed
+regardless of chunking or evaluation order.  The information ordering
+plan >= pattern >= truncation is certified from the spectra that stack
+already has (_loewner_certified); only the differences the certificate
+leaves open take an eigenvalue computation of their own.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ MAX_N = 10**7
 # 307 KiB on d3plan (6553 replicates of 3 blocks).  A thread keeps its
 # buffers for its lifetime (_philox_uniforms).
 _CHUNK_UNIFORMS = 1 << 16
+# The most replicates a chunk draws by re-keying numpy's Philox
+# (_rekeyed_uniforms); a larger chunk takes the vectorized rounds of
+# _philox_uniforms.  The rounds cost about 180 numpy calls a chunk
+# whatever its size, and re-keying costs a few microseconds a replicate.
+# Measured, re-keying is faster at every uniform count k up to 32
+# replicates, by a thin margin at 64 replicates of k <= 10, and slower at
+# 128 replicates of k = 10 (README).
+_REKEYED_MAX = 32
 
 # Philox4x64-10 multipliers, as a column for the (c0, c2) rows, and Weyl
 # key increments (Salmon et al., SC'11).
@@ -181,6 +192,34 @@ def _philox_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(n, 4 * blocks)[:, :k] >> 11
 
 
+def _rekeyed_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
+    """_philox_uniforms(seed, rs, k) by numpy's own Philox, one stream at
+    a time: one bit generator is re-keyed to (seed, r) through its state
+    setter, counter zeroed and buffer empty, for each r in rs, and
+    random_raw(k) >> 11 is that stream's row.  Its cost is a few
+    microseconds per stream plus the words, with no fixed cost per call,
+    so it suits a chunk of few replicates.
+    """
+    key = np.array([seed, 0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits = np.random.Philox(key=key)
+    out = np.empty((rs.size, k), dtype=np.uint64)
+    for row, r in zip(out, rs):
+        key[1] = r
+        bits.state = state
+        row[:] = bits.random_raw(k)
+    out >>= 11
+    return out
+
+
 def check_n(n: int) -> int:
     """n as a Python int, rejecting a replicate count outside 1..MAX_N."""
     n = _check_integer("n", n)
@@ -308,10 +347,13 @@ def simulate(
     as positive-semidefinite differences at tolerance ORDER_TOL); a
     violation would falsify the worst-case analysis, so it is surfaced
     prominently.  Each chunk of _CHUNK_UNIFORMS // (s m) replicates
-    deduplicates its completion rows on packed integer keys
-    (_distinct_completions), evaluates the distinct ones in one
-    against_plan stack, and counts each one's verdicts once, weighted by
-    its replicates (a pattern drawn in two chunks is evaluated in both).
+    draws its uniforms by re-keying numpy's Philox when it holds at most
+    _REKEYED_MAX replicates and by the vectorized Philox rounds
+    otherwise, the same words either way, then deduplicates its
+    completion rows on packed integer keys (_distinct_completions),
+    evaluates the distinct ones in one against_plan stack, and counts
+    each one's verdicts once, weighted by its replicates (a pattern drawn
+    in two chunks is evaluated in both).
     keep_losses=True adds the losses as n Python floats, about 32 bytes
     each.  Both halves of the sandwich are certified from that stack's
     spectra by Weyl's inequality (_loewner_certified), and the
@@ -331,7 +373,8 @@ def simulate(
     for start in range(0, n, step):
         stop = min(n, start + step)
         rs = np.arange(start, stop, dtype=np.uint64)
-        x = _philox_uniforms(seed, rs, s * m).reshape(-1, s, m)
+        draw = _rekeyed_uniforms if rs.size <= _REKEYED_MAX else _philox_uniforms
+        x = draw(seed, rs, s * m).reshape(-1, s, m)
         distinct, inverse = _distinct_completions(x, hazards, p)
         c, crit, chunk_losses, chunk_disconnected = against_plan(
             design, np.concatenate([tail, distinct])

@@ -170,6 +170,68 @@ API_FAULTS = {
         lambda: xover.efficiency_lower_bound(0.0, 8, 1, 1),
         "trace of the Moore-Penrose inverse must be positive",
     ),
+    "period-bool": (
+        lambda: xover.period_slice(xover.williams_square(4), True),
+        "period must be an integer, got bool",
+    ),
+    "period-float": (
+        lambda: xover.period_slice(xover.williams_square(4), 1.5),
+        "period must be an integer, got float",
+    ),
+    "tail-index-float": (
+        lambda: xover.coincidence(fixture("d2plan"), 0.5, 1),
+        "tail index must be an integer, got float",
+    ),
+    "tail-index-bool": (
+        lambda: xover.coincidence(fixture("d2plan"), 0, True),
+        "tail index must be an integer, got bool",
+    ),
+    # numpy stores this list as int64
+    "relabel-bool": (
+        lambda: xover.relabel(xover.williams_square(4), [True, False, 2, 3]),
+        "perm must be a bijection on 0..3",
+    ),
+    "bounds-t-float": (
+        lambda: xover.bounds_report(6.5, 1),
+        "t must be an integer, got float",
+    ),
+    "bounds-m-bool": (
+        lambda: xover.bounds_report(8, True),
+        "m must be an integer, got bool",
+    ),
+    "connect-t-float": (
+        lambda: xover.connect_condition(6.5, 1),
+        "t must be an integer, got float",
+    ),
+    "connect-m-float": (
+        lambda: xover.connect_condition(8, 1.0),
+        "m must be an integer, got float",
+    ),
+    "t-star-bool": (lambda: xover.t_star(True), "m must be an integer, got bool"),
+    "class-ab-t-float": (
+        lambda: xover.class_ab_spectrum(5.0, "A"),
+        "t must be an integer, got float",
+    ),
+    "class-ab-ml-t-bool": (
+        lambda: xover.class_ab_ml(True, "B"),
+        "t must be an integer, got bool",
+    ),
+    "extreme-ml-t-float": (
+        lambda: xover.extreme_ml(6.5),
+        "t must be an integer, got float",
+    ),
+    "efficiency-t-float": (
+        lambda: xover.efficiency_lower_bound(1.0, 8.0, 1, 1),
+        "t must be an integer, got float",
+    ),
+    "efficiency-m-bool": (
+        lambda: xover.efficiency_lower_bound(1.0, 8, True, 1),
+        "m must be an integer, got bool",
+    ),
+    "contrast-length": (
+        lambda: xover.estimable(xover.direct_info_complete(fixture("d2plan")), [1, -1]),
+        "contrast length 2 does not match t=4",
+    ),
 }
 
 

@@ -214,6 +214,14 @@ def test_bounds_report_fields_equal_single_bounds():
             assert (b.condition_value, b.condition_satisfied) == connect_condition(t, m)
 
 
+def test_numpy_integer_t_gives_the_python_int_bounds():
+    # products of order t**3 pass int64's range from about t = 2.1e6
+    t = 3_000_000
+    assert bounds_report(np.int64(t), np.int64(1)) == bounds_report(t, 1)
+    assert connect_condition(np.int64(t), 1) == connect_condition(t, 1)
+    assert extreme_ml(np.int64(t)) == extreme_ml(t)
+
+
 def _t_star_by_search(m):
     """The smallest t >= 2m+2 that satisfies connect_condition, by search."""
     t = 2 * m + 2

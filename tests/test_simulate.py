@@ -290,6 +290,48 @@ def test_philox_rounds_allocate_no_round_buffers():
     assert peak < 6 * 16 * blocks
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 31, 32])
+@pytest.mark.parametrize("k", [1, 4, 5, 60, 5040])
+def test_rekeyed_streams_equal_vectorized_and_numpy(seed, n, k):
+    # k = 4 fills a block, 5 starts a second one; 5040 is extreme_design(7)
+    # at m = 1.  The spread rows start with 6553, d3plan's first row of a
+    # second chunk, and 2**63, a replicate index past int64.
+    x = sim_module._rekeyed_uniforms(seed, np.arange(n, dtype=np.uint64), k)
+    assert x.shape == (n, k) and x.dtype == np.uint64
+    np.testing.assert_array_equal(x * 2.0**-53, _numpy_uniforms(seed, n, k))
+    spread = [6553, 2**63, 2**64 - 1] + [3**i for i in range(29)]
+    rs = np.array(spread[:n], dtype=np.uint64)
+    x = sim_module._rekeyed_uniforms(seed, rs, k)
+    np.testing.assert_array_equal(x, sim_module._philox_uniforms(seed, rs, k))
+    for row, r in zip(x * 2.0**-53, rs):
+        key = np.array([seed, r], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key)).random(k)
+        np.testing.assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, route", [(32, "rekeyed"), (33, "vectorized")])
+def test_small_chunks_draw_by_rekeying(n, route, monkeypatch):
+    # williams_pair(5) at m = 1 takes up to 6553 replicates a chunk, so
+    # each call draws one chunk of n
+    taken = []
+
+    def recorded(name, draw):
+        def wrapper(seed, rs, k):
+            taken.append((name, rs.size))
+            return draw(seed, rs, k)
+
+        return wrapper
+
+    routes = {"rekeyed": "_rekeyed_uniforms", "vectorized": "_philox_uniforms"}
+    for name, attr in routes.items():
+        monkeypatch.setattr(sim_module, attr, recorded(name, getattr(sim_module, attr)))
+    d, model = williams_pair(5), DropoutModel(1, (0.3,))
+    result = simulate(d, model, n, seed=2**64 - 1, keep_losses=True)
+    assert taken == [(route, n)]
+    assert result.losses == _oracle_losses(d, model, n, 2**64 - 1)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
