@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .designs import CrossoverDesign, _check_integer, _short_int
+from .designs import CrossoverDesign, _check_integer, _hides_bool, _short_int
 
 # Reference layouts, stored exactly as printed.  d1plan is a 3x6 pair of
 # squares, d2plan the 4x4 Williams square, d3plan a 5x10 pair, and the
@@ -84,6 +84,7 @@ def williams_square(t: int) -> CrossoverDesign:
     Column j is the cyclic shift by j of the zigzag base column; the
     result is uniform-balanced with g = 1.
     """
+    t = _check_integer("t", t)
     if t % 2 != 0 or not 4 <= t <= MAX_WILLIAMS_T:
         raise ValueError(
             f"williams_square requires even t with 4 <= t <= {MAX_WILLIAMS_T}, "
@@ -100,6 +101,7 @@ def williams_pair(t: int) -> CrossoverDesign:
     For odd t a single square cannot balance the precedence counts;
     adjoining the period-reversed square restores balance with g = 2.
     """
+    t = _check_integer("t", t)
     if t % 2 != 1 or not 3 <= t <= MAX_WILLIAMS_T:
         raise ValueError(
             f"williams_pair requires odd t with 3 <= t <= {MAX_WILLIAMS_T}, "
@@ -117,6 +119,7 @@ def extreme_design(t: int) -> CrossoverDesign:
     Columns are in lexicographic order and g = (t-1)!.  Guarded to
     3 <= t <= 8 to keep the column count (t!) within reason.
     """
+    t = _check_integer("t", t)
     if not 3 <= t <= 8:
         raise ValueError(
             f"extreme_design requires 3 <= t <= 8, got t={_short_int(t)}"
@@ -172,12 +175,7 @@ def relabel(design: CrossoverDesign, perm: list[int] | tuple[int, ...]) -> Cross
     0..t-1.  Uniform balance is preserved.
     """
     p = np.asarray(perm)
-    integer = np.issubdtype(p.dtype, np.integer)
-    # numpy stores a list mixing bools and ints as int64, so a list is
-    # scanned for a bool, as designs._completion_rows scans rows
-    if integer and not isinstance(perm, np.ndarray):
-        flat = np.array(perm, dtype=object).flat
-        integer = not any(isinstance(v, (bool, np.bool_)) for v in flat)
+    integer = np.issubdtype(p.dtype, np.integer) and not _hides_bool(perm)
     if not integer or sorted(p.tolist()) != list(range(design.t)):
         raise ValueError(f"perm must be a bijection on 0..{design.t - 1}")
     return CrossoverDesign(t=design.t, p=design.p, s=design.s, layout=p[design.layout])

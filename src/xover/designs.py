@@ -14,7 +14,10 @@ rows).  A design keeps its balance report and its tail-cycle tables,
 each made once.  Designs are read from and written to a versioned text
 format, and dropout patterns are read from one line of completion
 periods.  Every entry point checks completion rows against a design with
-one validator, _completion_rows.
+one validator, _completion_rows.  An integer argument is checked by
+_check_integer, or with a lower bound by _check_at_least, and integers
+given in a list rather than an ndarray are scanned for a bool by
+_hides_bool.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ class CrossoverDesign:
     """A p-period, s-subject crossover design on t treatments.
 
     layout is a p x s matrix of an integer dtype (a float or bool one is
-    refused, not rounded) with entries in {0, ..., t-1}, stored as a
+    refused, not rounded, as is a bool inside a list layout, which numpy
+    would store as an int) with entries in {0, ..., t-1}, stored as a
     read-only int copy; rows are periods, columns are subjects.  t, p
     and s must be Python or numpy integers (not bools) and are stored as
     ints.  g is the replication number s // t when s is a multiple of t,
@@ -56,6 +60,8 @@ class CrossoverDesign:
         layout = np.array(self.layout)  # the one copy of an int layout
         if not np.issubdtype(layout.dtype, np.integer):
             raise ValueError(f"layout entries must be integers, got {layout.dtype}")
+        if _hides_bool(self.layout):
+            raise ValueError("layout entries must be integers, got bool")
         if layout.shape != (self.p, self.s):
             raise ValueError(
                 f"layout shape {layout.shape} does not match p={self.p}, s={self.s}"
@@ -185,7 +191,7 @@ def _completion_rows(design: CrossoverDesign, rows) -> np.ndarray:
     integer one are refused here, every other fault by _check_completion
     in its order.  Rows of integers that numpy stores as object or
     float64, since one is past int64, are checked by value, and rows
-    other than an ndarray are checked for a bool as DropoutPattern is."""
+    other than an ndarray are scanned for a bool by _hides_bool."""
     ks = np.asarray(rows)
     if ks.ndim != 2:
         raise ValueError(
@@ -196,19 +202,22 @@ def _completion_rows(design: CrossoverDesign, rows) -> np.ndarray:
         ints = [type(k) is int or isinstance(k, np.integer) for k in ks.flat]
         if not (ints and all(ints)):
             raise ValueError(f"completion period must be an integer, got {dtype}")
-    elif not isinstance(rows, np.ndarray):
-        for k in np.array(rows, dtype=object).flat:
-            _check_integer("completion period", k)
+    elif _hides_bool(rows):
+        raise ValueError("completion period must be an integer, got bool")
     _check_completion(ks, design)
     return ks.astype(np.intp, copy=False)
 
 
 def _one_row(design: CrossoverDesign, pattern: DropoutPattern | None) -> np.ndarray:
     """The validated (1, s) completion row of a pattern, the complete
-    design's for None."""
+    design's for None.  The pattern's periods are ints already, so they
+    go as an integer array, which is not scanned again, unless one is
+    past int64."""
     if pattern is None:
         return np.full((1, design.s), design.p)
-    return _completion_rows(design, [pattern.completion])
+    row = np.array([pattern.completion])
+    integer = np.issubdtype(row.dtype, np.integer)
+    return _completion_rows(design, row if integer else [pattern.completion])
 
 
 @dataclass(frozen=True)
@@ -349,6 +358,24 @@ def _check_integer(name: str, value: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
     return int(value)
+
+
+def _check_at_least(name: str, value: int, least: int, note: str = "") -> int:
+    """value as a Python int (_check_integer), rejecting one below least:
+    the one place that words a lower bound, note ending the message."""
+    value = _check_integer(name, value)
+    if value < least:
+        shown = _short_int(value)
+        raise ValueError(f"requires {name} >= {least}, got {name}={shown}{note}")
+    return value
+
+
+def _hides_bool(values) -> bool:
+    """Whether values, given other than as an ndarray, hold a bool:
+    numpy stores [True, 1] as int64, so no dtype test sees it.  An
+    ndarray is never scanned; a bool one has a bool dtype."""
+    flat = () if isinstance(values, np.ndarray) else np.array(values, dtype=object).flat
+    return any(isinstance(v, (bool, np.bool_)) for v in flat)
 
 
 def _check_hazard(value: float) -> float:

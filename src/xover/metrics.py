@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, _check_integer, _completion_rows, _short_int
-from .designs import check_tail
+from .designs import CrossoverDesign, check_tail
+from .designs import _check_at_least, _check_integer, _completion_rows, _short_int
 from .info import _d, _direct_info_rows
 from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
@@ -104,7 +104,13 @@ def a_criteria(c_d: np.ndarray, t: int) -> ACriteria:
     treatment contrasts estimable) exactly when all are nonzero, rank t-1;
     the harmonic criterion is then (t-1)/trace_mp, and 0.0 with a
     disconnected flag otherwise.  Rank and trace_mp follow spectral_cut.
+    t must be an integer equal to the order of the matrices.
     """
+    t = _check_integer("t", t)
+    if np.shape(c_d)[-1] != t:
+        raise ValueError(
+            f"matrix order {np.shape(c_d)[-1]} does not match t={_short_int(t)}"
+        )
     # eigvalsh reads one triangle, so the projection is not averaged again
     vals = np.linalg.eigvalsh(_contrast_part(symmetrize(c_d)))
     threshold, keep, inv = spectral_cut(vals)
@@ -215,14 +221,18 @@ def _check_t(t: int) -> int:
     return t
 
 
-def _check_t_m(t: int, m: int) -> None:
-    """Reject (t, m) outside the bounds' domain, or other than integers
-    (designs._check_integer).  The messages name no digits of t or m,
-    which may be hundreds long, so each stays one short line."""
-    if _check_integer("m", m) < 1:
+def _check_t_m(t: int, m: int) -> tuple[int, int]:
+    """(t, m) as Python ints, rejecting them outside the bounds' domain,
+    or other than integers (designs._check_integer).  The messages name
+    no digits of t or m, which may be hundreds long, so each stays one
+    short line."""
+    m = _check_integer("m", m)
+    if m < 1:
         raise ValueError("requires m >= 1, got a smaller m")
-    if _check_t(t) < 2 * m + 2:
+    t = _check_t(t)
+    if t < 2 * m + 2:
         raise ValueError("requires t >= 2m+2, got a smaller t")
+    return t, m
 
 
 def theta_lower(t: int, m: int) -> float:
@@ -261,9 +271,7 @@ def connect_condition(t: int, m: int) -> tuple[float, bool]:
     value guarantees every treatment contrast stays estimable after the
     worst-case m-tail dropout.  Takes t < 2m+2 too.
     """
-    m = _check_integer("m", m)
-    if m < 1:
-        raise ValueError(f"requires m >= 1, got m={_short_int(m)}")
+    m = _check_at_least("m", m, 1)
     t = _check_t(t)
     value = (t - 2 * m) * _d(t, m) - t * (m + 1) ** 2
     return float(value), value > 0
@@ -279,10 +287,7 @@ def t_star(m: int) -> int:
     f(m-1) = -2(m+1)(2m+1) < 0, so by convexity f < 0 on 0..m-1;
     f(m) = 2m(m+1) > f(m-1), so convexity keeps f increasing past m.
     """
-    m = _check_integer("m", m)
-    if m < 1:
-        raise ValueError(f"requires m >= 1, got m={_short_int(m)}")
-    return 3 * m + 2
+    return 3 * _check_at_least("m", m, 1) + 2
 
 
 def mtr(t: int, m: int) -> float:
@@ -306,9 +311,7 @@ def efficiency_bounds(t: int, m: int) -> tuple[float, float]:
 def bounds_report(t: int, m: int) -> BoundsReport:
     """All (t, m) bounds in one bundle; requires t >= 2m+2.  Each is
     computed once, and the single-bound functions above read its field."""
-    _check_t_m(t, m)
-    # a numpy integer would overflow in the products of order t**3
-    t, m = int(t), int(m)
+    t, m = _check_t_m(t, m)
     d, scale, psi1 = _d(t, m), t / (t - m), math.cos(2 * math.pi / t)
     theta_l = scale * ((t - 2 * m) - t * (m + 1) ** 2 / d)
     theta_l_star = scale * (
@@ -350,9 +353,7 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
     """
     if klass not in ("A", "B"):
         raise ValueError(f'class must be "A" or "B", got {klass!r}')
-    t = _check_integer("t", t)
-    if t < 4:
-        raise ValueError(f"requires t >= 4, got t={t}")
+    t = _check_at_least("t", t, 4)
     out: list[float] = []
     for r in range(1, t):
         psi = math.cos(2 * math.pi * min(r, t - r) / t)
@@ -371,9 +372,7 @@ def _class_ab_losses(
     """(class_ab_ml, el_ab) of (t, klass) from one spectrum: the given
     class_ab_spectrum(t, klass), or one built here.  For t >= 5 every
     theta_r >= (t/(t-1)) ((t-2) - 4t/(t^2-3t-2)) > 0: it is connected."""
-    t = _check_integer("t", t)
-    if t < 5:
-        raise ValueError(f"requires t >= 5, got t={t} (truncation disconnected)")
+    t = _check_at_least("t", t, 5, " (truncation disconnected)")
     if spectrum is None:
         spectrum = class_ab_spectrum(t, klass)
     inv = 1.0 / sum(1.0 / v for v in spectrum)
@@ -407,9 +406,7 @@ def extreme_ml(t: int) -> float:
     a = (t^4 - 5t^3 + 6t^2 + t - 2)/(t^3 - 4t^2 + 3t + 2), giving
     ML = 1 - a (t^2-t-1) / ((t-1)^2 (t+1)).
     """
-    t = _check_integer("t", t)
-    if t < 4:
-        raise ValueError(f"requires t >= 4, got t={t}")
+    t = _check_at_least("t", t, 4)
     a = (t**4 - 5 * t**3 + 6 * t**2 + t - 2) / (t**3 - 4 * t**2 + 3 * t + 2)
     return 1.0 - a * (t * t - t - 1) / ((t - 1) ** 2 * (t + 1))
 
@@ -418,9 +415,10 @@ def efficiency_lower_bound(min_trace_mp: float, t: int, m: int, g: int) -> float
     """A-efficiency floor from a measured truncated-design trace.
 
     EFF >= (t-1)^2 / (g MTr(t, m) trace_mp); valid when the truncated
-    design is connected.
+    design is connected.  g, the replication number, is at least 1.
     """
     t, m = _check_integer("t", t), _check_integer("m", m)
+    g = _check_at_least("g", g, 1)
     if min_trace_mp <= 0:
         raise ValueError("trace of the Moore-Penrose inverse must be positive")
     return (t - 1) ** 2 / (g * mtr(t, m) * min_trace_mp)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CrossoverDesign, require_ubrmd
-from .designs import _check_hazard, _check_integer, _short_int, check_tail
+from .designs import CrossoverDesign, check_tail, require_ubrmd
+from .designs import _check_at_least, _check_hazard, _check_integer, _short_int
 from .linalg import ORDER_TOL, _contrast_part, _scratch, is_psd
 from .metrics import against_plan
 
@@ -80,10 +80,8 @@ class DropoutModel:
     hazards: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _check_integer("m", self.m))
+        object.__setattr__(self, "m", _check_at_least("m", self.m, 1))
         object.__setattr__(self, "hazards", tuple(map(_check_hazard, self.hazards)))
-        if self.m < 1:
-            raise ValueError(f"requires m >= 1, got m={_short_int(self.m)}")
         if len(self.hazards) != self.m:
             raise ValueError(
                 f"expected {_short_int(self.m)} hazards, got {len(self.hazards)}"
@@ -222,9 +220,7 @@ def _rekeyed_uniforms(seed: int, rs: np.ndarray, k: int) -> np.ndarray:
 
 def check_n(n: int) -> int:
     """n as a Python int, rejecting a replicate count outside 1..MAX_N."""
-    n = _check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"requires n >= 1, got n={_short_int(n)}")
+    n = _check_at_least("n", n, 1)
     if n > MAX_N:
         raise ValueError(f"requires n <= {MAX_N}, got n={_short_int(n)}")
     return n

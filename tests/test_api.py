@@ -220,6 +220,25 @@ API_FAULTS = {
         lambda: xover.extreme_ml(6.5),
         "t must be an integer, got float",
     ),
+    # str() refuses more than 4300 digits; the message still names t
+    "extreme-ml-t-huge-negative": (
+        lambda: xover.extreme_ml(-(10**5000)),
+        "requires t >= 4, got t=-... (more than 4300 digits)",
+    ),
+    "class-ab-t-huge-negative": (
+        lambda: xover.class_ab_spectrum(-(10**5000), "A"),
+        "requires t >= 4, got t=-... (more than 4300 digits)",
+    ),
+    "class-ab-ml-t-huge-negative": (
+        lambda: xover.class_ab_ml(-(10**5000), "B"),
+        "requires t >= 5, got t=-... (more than 4300 digits)"
+        " (truncation disconnected)",
+    ),
+    "el-ab-t-huge-negative": (
+        lambda: xover.el_ab(-(10**5000), "A"),
+        "requires t >= 5, got t=-... (more than 4300 digits)"
+        " (truncation disconnected)",
+    ),
     "efficiency-t-float": (
         lambda: xover.efficiency_lower_bound(1.0, 8.0, 1, 1),
         "t must be an integer, got float",
@@ -227,6 +246,22 @@ API_FAULTS = {
     "efficiency-m-bool": (
         lambda: xover.efficiency_lower_bound(1.0, 8, True, 1),
         "m must be an integer, got bool",
+    ),
+    "efficiency-g-none": (
+        lambda: xover.efficiency_lower_bound(1.0, 8, 1, None),
+        "g must be an integer, got NoneType",
+    ),
+    "efficiency-g-zero": (
+        lambda: xover.efficiency_lower_bound(1.0, 8, 1, 0),
+        "requires g >= 1, got g=0",
+    ),
+    "a-criterion-order": (
+        lambda: a_criterion(direct_info_pattern(fixture("d3plan")), 6),
+        "matrix order 5 does not match t=6",
+    ),
+    "a-criteria-t-float": (
+        lambda: xover.a_criteria(direct_info_complete(fixture("d3plan"))[None], 5.0),
+        "t must be an integer, got float",
     ),
     "contrast-length": (
         lambda: xover.estimable(xover.direct_info_complete(fixture("d2plan")), [1, -1]),
@@ -241,3 +276,70 @@ def test_api_faults_are_worded_exactly(fault):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# Each public callable that takes an integer t, p, s, m, n, g, j, k,
+# reps or seed, with valid values for its other arguments; None marks a
+# callable whose parameter of that name is a matrix.
+INTEGER_PARAMETERS = ("t", "p", "s", "m", "n", "g", "j", "k", "reps", "seed")
+D2 = fixture("d2plan")
+C2 = direct_info_complete(D2)
+INTEGER_CALLS = {
+    "CrossoverDesign": dict(t=2, p=1, s=2, layout=[[0, 1]]),
+    "DropoutModel": dict(m=1, hazards=(0.1,)),
+    "a_criteria": dict(c_d=C2[None], t=4),
+    "a_criterion": dict(c_d=C2, t=4),
+    "bounds_report": dict(t=8, m=1),
+    "check_type_wm": dict(design=D2, m=1),
+    "class_ab_ml": dict(t=5, klass="A"),
+    "class_ab_spectrum": dict(t=5, klass="A"),
+    "coincidence": dict(design=D2, j=0, k=1),
+    "connect_condition": dict(t=8, m=1),
+    "direct_info_minimal": dict(design=D2, m=1),
+    "efficiency_bounds": dict(t=8, m=1),
+    "efficiency_lower_bound": dict(min_trace_mp=1.0, t=8, m=1, g=1),
+    "eigensym": None,
+    "el_ab": dict(t=5, klass="A"),
+    "enumerate_exact": dict(design=D2, hazard=0.1, m=1),
+    "extreme_design": dict(t=4),
+    "extreme_ml": dict(t=5),
+    "is_psd": None,
+    "max_loss": dict(design=D2, m=1),
+    "minimal_closed_form": dict(design=D2, m=1),
+    "moore_penrose": None,
+    "mtr": dict(t=8, m=1),
+    "period_slice": dict(design=D2, j=1),
+    "replicate": dict(design=D2, reps=2),
+    "simulate": dict(design=D2, model=xover.DropoutModel(1, (0.1,)), n=2, seed=0),
+    "t_star": dict(m=1),
+    "theta_lower": dict(t=8, m=1),
+    "theta_lower_star": dict(t=8, m=1),
+    "truncate": dict(design=D2, m=1),
+    "truncation": dict(design=D2, m=1),
+    "uml": dict(t=8, m=1),
+    "williams_pair": dict(t=5),
+    "williams_square": dict(t=4),
+}
+
+
+def _integer_parameters(name):
+    call = getattr(xover, name)
+    parameters = inspect.signature(call).parameters if callable(call) else {}
+    return [q for q in parameters if q in INTEGER_PARAMETERS]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in xover.__all__ if _integer_parameters(name)]
+)
+def test_every_integer_parameter_refuses_a_bool_and_a_float(name):
+    integers = _integer_parameters(name)
+    assert name in INTEGER_CALLS, f"{name} takes {integers}: give it a table entry"
+    kwargs = INTEGER_CALLS[name]
+    if kwargs is None:
+        return
+    call = getattr(xover, name)
+    call(**kwargs)
+    for q in integers:
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(**{**kwargs, q: bad})

@@ -237,8 +237,15 @@ def test_layout_dimension_mismatch_rejected():
 
 @pytest.mark.parametrize(
     "layout, dtype",
-    [([[0.7, 1.9]], "float64"), ([[False, True]], "bool"), ([["0", "1"]], "<U1")],
-    ids=["float", "bool", "string"],
+    [
+        ([[0.7, 1.9]], "float64"),
+        ([[False, True]], "bool"),
+        ([["0", "1"]], "<U1"),
+        # numpy stores these lists as int64
+        ([[True, 1]], "bool"),
+        ([[0, np.True_]], "bool"),
+    ],
+    ids=["float", "bool", "string", "list-bool", "list-numpy-bool"],
 )
 def test_layout_must_have_an_integer_dtype(layout, dtype):
     # a float layout was truncated to [[0, 1]] and a bool one read as 0/1

@@ -29,6 +29,7 @@ from xover.designs import (
     check_tail,
     check_type_wm,
     classify,
+    incidences,
     parse_pattern,
     require_ubrmd,
     truncate,
@@ -39,6 +40,7 @@ from xover.designs import (
 from xover.info import (
     direct_info_complete,
     direct_info_pattern,
+    joint_info_projection,
     minimal_closed_form,
     residual_info_minimal_m1,
 )
@@ -487,13 +489,33 @@ def test_bounds_report_checks_t_m_once(monkeypatch):
 
     def counting(t, m):
         calls.append((t, m))
-        check(t, m)
+        return check(t, m)
 
     monkeypatch.setattr(metrics, "_check_t_m", counting)
     for t, m in ((5, 1), (10, 2), (16, 2)):
         calls.clear()
         metrics.bounds_report(t, m)
         assert calls == [(t, m)]
+
+
+@pytest.mark.parametrize(
+    "entry", [direct_info_pattern, joint_info_projection, incidences]
+)
+def test_a_built_pattern_is_not_checked_again(monkeypatch, entry):
+    # DropoutPattern checked each period when it was built; the entry
+    # points take its periods as an integer array, not scanned again
+    designs = sys.modules["xover.designs"]
+    d, pattern = fixture("d3plan"), DropoutPattern((5, 4) * 5)
+    calls = []
+    check = designs._check_integer
+
+    def counting(name, value):
+        calls.append(name)
+        return check(name, value)
+
+    monkeypatch.setattr(designs, "_check_integer", counting)
+    entry(d, pattern)
+    assert calls == []
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
