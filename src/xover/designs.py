@@ -10,14 +10,15 @@ by the cycle structure of their tail permutations.  The balance
 report counts subjects, periods and precedences in one bincount pass;
 every other count of treatments goes through one of two bincount
 helpers: _counts (per row of any stack of rows) and _pairs (per pair of
-rows).  A design keeps its balance report and its tail-cycle tables,
-each made once.  Designs are read from and written to a versioned text
-format, and dropout patterns are read from one line of completion
-periods.  Every entry point checks completion rows against a design with
-one validator, _completion_rows.  An integer argument is checked by
-_check_integer, or with a lower bound by _check_at_least, and integers
-given in a list rather than an ndarray are scanned for a bool by
-_hides_bool.
+rows).  A design keeps its balance report and, in one memo (_once),
+every other table it derives: its tail-cycle tables and the engine's
+plan, each made once.  Designs are read from and written to a
+versioned text format, and dropout patterns are read from one line of
+completion periods.  Every entry point checks completion rows against
+a design with one validator, _completion_rows.  An integer argument is
+checked by _check_integer, or with a lower bound by _check_at_least,
+and integers given in a list rather than an ndarray are scanned for a
+bool by _hides_bool.  A real argument is checked by _check_real.
 """
 
 from __future__ import annotations
@@ -150,8 +151,10 @@ class CrossoverDesign:
         return ValidationReport(False, tuple(failures))
 
     @functools.cached_property
-    def _tail_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-        """_tail_cycles's tables by tail length m, each made once per design."""
+    def _derived(self) -> dict:
+        """The tables derived from the layout alone, by key, each made once
+        per design by _once and kept: _tail_cycles's ("tail", m) and the
+        engine's "plan" (info._plan)."""
         return {}
 
 
@@ -378,12 +381,12 @@ def _hides_bool(values) -> bool:
     return any(isinstance(v, (bool, np.bool_)) for v in flat)
 
 
-def _check_hazard(value: float) -> float:
+def _check_real(name: str, value: float) -> float:
     """value as a Python float; a Python or numpy real number passes,
-    anything else (a bool, a string, None, a list) is rejected."""
+    anything else (a bool, a string, None, a list) is rejected by name."""
     real = isinstance(value, (int, float, np.integer, np.floating))
     if isinstance(value, bool) or not real:
-        raise ValueError(f"hazard must be a real number, got {type(value).__name__}")
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
     return float(value)
 
 
@@ -468,9 +471,20 @@ def _is_type_wm(design: CrossoverDesign, m: int) -> bool:
     return single is not None and bool(single.all())
 
 
+def _once(design: CrossoverDesign, key, build, *args):
+    """build(design, *args), made once per design and key and kept in
+    CrossoverDesign._derived: the one memo of what a design derives.
+    Threads that race on a key build equal read-only values and keep one
+    of them, so no lock is needed."""
+    derived = design._derived
+    if key not in derived:
+        derived[key] = build(design, *args)
+    return derived[key]
+
+
 def _tail_cycles(design: CrossoverDesign, m: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The tail table behind every single-cycle verdict: (tail, single),
-    read-only and made once per design and m (CrossoverDesign._tail_tables).
+    read-only and made once per design and m (_once).
 
     tail[j, l] is block l in period p-j, for j = 0..m.  single[j, k, l]
     tells whether block l's map from period p-j to period p-k is a single
@@ -478,10 +492,7 @@ def _tail_cycles(design: CrossoverDesign, m: int) -> tuple[np.ndarray, np.ndarra
     block is not uniform in some tail period, since the maps then are not
     permutations.
     """
-    tables = design._tail_tables
-    if m not in tables:
-        tables[m] = _tail_table(design, m)
-    return tables[m]
+    return _once(design, ("tail", m), _tail_table, m)
 
 
 def _tail_table(design: CrossoverDesign, m: int) -> tuple[np.ndarray, np.ndarray | None]:

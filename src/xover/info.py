@@ -20,10 +20,10 @@ sweeping out subjects and periods:
   C = sum_l (Z_l'D_lZ_l - S_l S_l'/n_l) / (l(l+1)), Z_l the integer
   contrast rows, D_l the subjects observing them and S_l = D_lZ_l
   their sum, exact counts in float64.  The Grams of every contrast
-  over all s subjects are formed once per call, in one stacked GEMM,
-  with their running sums.  The rows are taken in chunks of
-  _chunk_rows consecutive rows.  The contrasts, those sums and a
-  chunk's masked operand live in the calling thread's scratch
+  over all s subjects are formed once per design, in one stacked GEMM,
+  with their running sums, and kept read-only on the design (_plan).
+  The rows are taken in chunks of _chunk_rows consecutive rows.  A
+  chunk's masked operand lives in the calling thread's scratch
   (linalg._scratch), and every result is a fresh array.  Every row
   starts from the running sum at its own lowest completion and adds
   its masked contrasts, each in one 2-D GEMM over the rows of a chunk
@@ -57,6 +57,7 @@ from .designs import (
     CrossoverDesign,
     DropoutPattern,
     _completion_rows,
+    _once,
     _one_row,
     _pairs,
     check_tail,
@@ -154,9 +155,8 @@ def _masked_gram(zl: np.ndarray, seen: np.ndarray, l: int) -> np.ndarray:
 
 
 def _plan(design: CrossoverDesign) -> tuple[np.ndarray, np.ndarray]:
-    """The contrasts z and their running Grams, both views of the
-    calling thread's scratch (linalg._scratch) that its next engine
-    call overwrites.
+    """The contrasts z and their running Grams, fresh read-only arrays,
+    which the engine builds once per design and keeps on it (_once).
 
     z, (p-1, s, 2t), holds the unscaled Helmert contrasts of every
     subject's cell rows over the columns [direct (t) | carryover (t)],
@@ -172,31 +172,31 @@ def _plan(design: CrossoverDesign) -> tuple[np.ndarray, np.ndarray]:
     and each sum is taken in place over its Gram.
     """
     t, p, s = design.t, design.p, design.s
-    z = _scratch("contrasts", (p - 1) * s * 2 * t, float).reshape(p - 1, s * 2 * t)
+    z = np.zeros((p - 1, s, 2 * t))
+    flat = z.reshape(p - 1, s * 2 * t)
     direct = design.layout + 2 * t * np.arange(s)
     carry = direct + t
-    z[:1] = 0.0
     for l in range(1, p):
-        zl = z[l - 1]
+        zl = flat[l - 1]
         if l > 1:
-            zl[:] = z[l - 2]
+            zl[:] = flat[l - 2]
             zl[carry[l - 2]] += l
         zl[direct[l - 1]] += l
         zl[carry[l - 1]] -= l
         zl[direct[l]] -= l
-    z = z.reshape(p - 1, s, 2 * t)
-    running = _scratch("running", p * 4 * t * t, float).reshape(p, 2 * t, 2 * t)
-    running[0] = 0.0
+    running = np.zeros((p, 2 * t, 2 * t))
     grams = np.matmul(np.swapaxes(z, 1, 2), z, out=running[1:])
     _centred_gram(grams, np.ones(s) @ z, s, np.arange(1, p)[:, None, None])
     for l in range(1, p):
         running[l] += running[l - 1]
+    z.flags.writeable = running.flags.writeable = False
     return z, running
 
 
 def _joint_stack(z: np.ndarray, running: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """(B, 2t, 2t) joint information of the completion rows ks from the
-    contrasts z and running Grams of _plan, as a fresh array.
+    contrasts z and running Grams of _plan, built once per design, as a
+    fresh array.
 
     On a prefix of k periods the contrasts l = 1..k-1 of _plan, scaled
     by 1/sqrt(l(l+1)), are orthonormal and sum to zero, so they remove
@@ -247,16 +247,16 @@ def direct_info_patterns(design: CrossoverDesign, completions) -> np.ndarray:
     contrasts (_joint_stack), which sweeps out subjects and periods in
     one formula, and the carryover block is swept out as a stacked
     Schur complement.  The contrasts and the running sums of their
-    centred Grams over all s subjects are built once per call (_plan)
-    in the calling thread's scratch, as is a chunk's masked operand.
-    Every row starts from the running sum at its own lowest completion
-    and adds its masked contrasts; a uniform row, in which every subject
-    completes the same k (the plan, a truncation), adds none.  The rows
-    are evaluated in chunks of _chunk_rows consecutive rows, whose
-    arrays stay within _CHUNK_BYTES (see there for the size), and every
-    row equals its own B = 1 call bit for bit.  The rows are validated
-    by _completion_rows, _direct_info_rows evaluates them, and the
-    result is a fresh array.
+    centred Grams over all s subjects are built once per design (_plan)
+    and kept on it; a chunk's masked operand is built in the calling
+    thread's scratch.  Every row starts from the running sum at its own
+    lowest completion and adds its masked contrasts; a uniform row, in
+    which every subject completes the same k (the plan, a truncation),
+    adds none.  The rows are evaluated in chunks of _chunk_rows
+    consecutive rows, whose arrays stay within _CHUNK_BYTES (see there
+    for the size), and every row equals its own B = 1 call bit for bit.
+    The rows are validated by _completion_rows, _direct_info_rows
+    evaluates them, and the result is a fresh array.
     """
     return _direct_info_rows(design, _completion_rows(design, completions))
 
@@ -268,7 +268,7 @@ def _direct_info_rows(design: CrossoverDesign, ks: np.ndarray) -> np.ndarray:
     out = np.empty((len(ks), t, t))
     if not len(ks):
         return out
-    z, running = _plan(design)
+    z, running = _once(design, "plan", _plan)
     step = _chunk_rows(design)
     for a in range(0, len(ks), step):
         c = slice(a, a + step)
@@ -288,7 +288,8 @@ def joint_info_projection(
     dropping columns (see _joint_stack).  This is the B = 1 call of the
     stage that direct_info_patterns runs on whole batches.
     """
-    return JointInfo(_joint_stack(*_plan(design), _one_row(design, pattern))[0])
+    plan = _once(design, "plan", _plan)
+    return JointInfo(_joint_stack(*plan, _one_row(design, pattern))[0])
 
 
 def joint_info_orthogonal(design: CrossoverDesign) -> JointInfo:

@@ -39,7 +39,9 @@ def _scratch(name: str, size: int, dtype) -> np.ndarray:
     never freed, so that the arrays every call rebuilds reuse its pages
     rather than the heap's top, which glibc trims after a large free and
     faults in again on the next call.  It holds what the last call left;
-    a name always takes one dtype, and no caller returns a view of it."""
+    a name always takes one dtype, and no caller returns a view of it.
+    Only per-call arrays live here; what a design alone determines is
+    built once per design and kept on it (designs._once)."""
     buf = getattr(_SCRATCH, name, None)
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype=dtype)

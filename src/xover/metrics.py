@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, check_tail
-from .designs import _check_at_least, _check_integer, _completion_rows, _short_int
+from .designs import _check_at_least, _check_integer, _check_real, _completion_rows
+from .designs import _short_int
 from .info import _d, _direct_info_rows
 from .linalg import SpectralSummary, _contrast_part, spectral_cut, symmetrize
 
@@ -132,8 +133,9 @@ def a_criteria(c_d: np.ndarray, t: int) -> ACriteria:
 
 def a_criterion(c_d: np.ndarray, t: int) -> ACriterion:
     """A-criterion of one direct-effect information matrix: the B = 1
-    call of a_criteria."""
-    return a_criteria(np.asarray(c_d, dtype=float)[None], t)[0]
+    call of a_criteria, with c_d checked by symmetrize as the caller
+    gave it."""
+    return a_criteria(symmetrize(c_d)[None], t)[0]
 
 
 def loss(plan_trace_mp: float, imp_trace_mp: float | np.ndarray) -> float | np.ndarray:
@@ -144,6 +146,7 @@ def loss(plan_trace_mp: float, imp_trace_mp: float | np.ndarray) -> float | np.n
     design degrades.  Both traces must be positive; imp_trace_mp may be
     an array of implemented traces.
     """
+    plan_trace_mp = _check_real("plan_trace_mp", plan_trace_mp)
     if plan_trace_mp <= 0 or np.any(np.asarray(imp_trace_mp) <= 0):
         raise ValueError("traces must be positive")
     return 1.0 - plan_trace_mp / imp_trace_mp
@@ -419,6 +422,6 @@ def efficiency_lower_bound(min_trace_mp: float, t: int, m: int, g: int) -> float
     """
     t, m = _check_integer("t", t), _check_integer("m", m)
     g = _check_at_least("g", g, 1)
-    if min_trace_mp <= 0:
+    if _check_real("min_trace_mp", min_trace_mp) <= 0:
         raise ValueError("trace of the Moore-Penrose inverse must be positive")
     return (t - 1) ** 2 / (g * mtr(t, m) * min_trace_mp)

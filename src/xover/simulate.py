@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CrossoverDesign, check_tail, require_ubrmd
-from .designs import _check_at_least, _check_hazard, _check_integer, _short_int
+from .designs import _check_at_least, _check_integer, _check_real, _short_int
 from .linalg import ORDER_TOL, _contrast_part, _scratch, is_psd
 from .metrics import against_plan
 
@@ -81,7 +81,8 @@ class DropoutModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_at_least("m", self.m, 1))
-        object.__setattr__(self, "hazards", tuple(map(_check_hazard, self.hazards)))
+        hazards = tuple(_check_real("hazard", h) for h in self.hazards)
+        object.__setattr__(self, "hazards", hazards)
         if len(self.hazards) != self.m:
             raise ValueError(
                 f"expected {_short_int(self.m)} hazards, got {len(self.hazards)}"
@@ -409,7 +410,7 @@ def enumerate_exact(
         raise ValueError(f"exact enumeration requires m=1, got m={_short_int(m)}")
     if design.s > 20:
         raise ValueError(f"requires s <= 20, got s={design.s}")
-    if not 0.0 <= _check_hazard(hazard) <= 1.0:
+    if not 0.0 <= _check_real("hazard", hazard) <= 1.0:
         raise ValueError(f"hazard must lie in [0, 1], got {hazard}")
     check_tail(design, 1)
     s, p = design.s, design.p

@@ -255,6 +255,18 @@ API_FAULTS = {
         lambda: xover.efficiency_lower_bound(1.0, 8, 1, 0),
         "requires g >= 1, got g=0",
     ),
+    "efficiency-trace-none": (
+        lambda: xover.efficiency_lower_bound(None, 8, 1, 1),
+        "min_trace_mp must be a real number, got NoneType",
+    ),
+    "loss-trace-none": (
+        lambda: xover.loss(None, 1.0),
+        "plan_trace_mp must be a real number, got NoneType",
+    ),
+    "a-criterion-shape": (
+        lambda: a_criterion(np.zeros((5, 4)), 4),
+        "expected a square matrix, got shape (5, 4)",
+    ),
     "a-criterion-order": (
         lambda: a_criterion(direct_info_pattern(fixture("d3plan")), 6),
         "matrix order 5 does not match t=6",

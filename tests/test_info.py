@@ -630,7 +630,7 @@ def _arrays(result):
 
 def test_engine_results_share_no_memory_with_the_scratch():
     # every result is a fresh array, never a view of a thread's scratch,
-    # whose next call would overwrite it
+    # whose next call would overwrite it, nor of the design's plan
     d = extreme_design(5)
     rng = np.random.default_rng(20071028)
     ks = rng.integers(d.p - 2, d.p + 1, (30, d.s))
@@ -646,10 +646,11 @@ def test_engine_results_share_no_memory_with_the_scratch():
         result = call()
         buffers = list(vars(linalg_module._SCRATCH).values())
         assert buffers
+        buffers.extend(d._derived["plan"])
         for value in _arrays(result):
             assert not any(np.shares_memory(value, buf) for buf in buffers)
     names = set(vars(linalg_module._SCRATCH))
-    assert {"contrasts", "running", "masked", "philox"} <= names
+    assert names == {"masked", "philox"}
 
 
 def test_second_engine_call_allocates_no_contrasts():

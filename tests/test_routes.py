@@ -30,6 +30,7 @@ from xover.designs import (
     check_type_wm,
     classify,
     incidences,
+    parse_design,
     parse_pattern,
     require_ubrmd,
     truncate,
@@ -44,7 +45,7 @@ from xover.info import (
     minimal_closed_form,
     residual_info_minimal_m1,
 )
-from xover.metrics import a_criterion, implemented_losses, max_loss
+from xover.metrics import a_criterion, against_plan, implemented_losses, max_loss
 from xover.simulate import DropoutModel, enumerate_exact, simulate
 
 COUNT_ROUTE = ("incidences", "joint_info_orthogonal", "direct_info_complete")
@@ -605,8 +606,8 @@ def test_engine_chunk_makes_one_cholesky_and_one_schur_call(monkeypatch):
 
 def test_shared_grams_are_formed_once_per_engine_call(monkeypatch):
     # the centred Grams of every contrast over all subjects, and their
-    # running sums, are formed once per call, however many chunks the
-    # budget makes
+    # running sums, are formed once per design, however many chunks the
+    # budget makes and however many calls read them
     info = sys.modules["xover.info"]
     formed = []
     plan = info._plan
@@ -623,11 +624,73 @@ def test_shared_grams_are_formed_once_per_engine_call(monkeypatch):
     results = []
     for budget in (1, info._CHUNK_BYTES, 1 << 30):
         monkeypatch.setattr(info, "_CHUNK_BYTES", budget)
-        formed.clear()
         results.append(info.direct_info_patterns(d, ks))
-        assert formed == [d.p - 1], budget
+    assert formed == [d.p - 1]
     for got in results[1:]:
         assert np.array_equal(got, results[0])
+
+
+def _result_arrays(result):
+    """Every array a result holds, through tuples and dataclasses."""
+    if hasattr(result, "__dataclass_fields__"):
+        result = [getattr(result, name) for name in result.__dataclass_fields__]
+    if isinstance(result, (tuple, list)):
+        return [a for part in result for a in _result_arrays(part)]
+    return [np.asarray(result)]
+
+
+def test_plan_is_built_once_per_design(monkeypatch):
+    # the contrasts and their running Grams depend on the layout alone:
+    # every engine call on one design object, of any budget or route,
+    # reads the one read-only plan, and no result shares its memory
+    info, sim = sys.modules["xover.info"], sys.modules["xover.simulate"]
+    built = []
+    plan = info._plan
+
+    def counting_plan(design):
+        built.append(plan(design))
+        return built[-1]
+
+    chunks = []
+
+    def counting_chunks(design, rows):
+        chunks.append(len(rows))
+        return against_plan(design, rows)
+
+    monkeypatch.setattr(info, "_plan", counting_plan)
+    monkeypatch.setattr(sim, "against_plan", counting_chunks)
+    d = extreme_design(5)
+    rng = np.random.default_rng(35)
+    ks = rng.integers(d.p - 2, d.p + 1, (12, d.s))
+    results = []
+    for budget in (1, info._CHUNK_BYTES, 1 << 30):
+        monkeypatch.setattr(info, "_CHUNK_BYTES", budget)
+        results.append(info.direct_info_patterns(d, ks))
+    results.append(against_plan(d, ks))
+    results.extend(max_loss(d, m) for m in range(1, d.p - 1))
+    pattern = DropoutPattern(tuple(ks[0]))
+    results.append(direct_info_pattern(d, pattern))
+    results.append(joint_info_projection(d, pattern))
+    # 4 replicates of s uniforms a chunk: three chunks of 12 replicates
+    monkeypatch.setattr(sim, "_CHUNK_UNIFORMS", 4 * d.s)
+    results.append(simulate(d, DropoutModel(1, (0.1,)), 12, seed=3))
+    assert len(chunks) == 3
+    assert len(built) == 1
+    z, running = built[0]
+    for array in (z, running):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            array[-1][:] = 0.0
+    for value in _result_arrays(results):
+        assert not np.shares_memory(value, z)
+        assert not np.shares_memory(value, running)
+    # another object of the same layout builds its own plan
+    copy = parse_design(write_design(d))
+    assert direct_info_pattern(copy, pattern).tobytes() == results[-3].tobytes()
+    assert len(built) == 2
+    assert built[1][0] is not z
+    assert np.array_equal(built[1][0], z) and np.array_equal(built[1][1], running)
 
 
 def test_uniform_rows_take_no_masked_gemm(monkeypatch, tmp_path, capsys):
