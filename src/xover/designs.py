@@ -507,22 +507,14 @@ def _tail_table(design: CrossoverDesign, m: int) -> tuple[np.ndarray, np.ndarray
     periods = np.arange(m + 1)[:, None, None]
     blocks = np.arange(tail.shape[1])[:, None]
     maps = tail[periods, blocks, np.argsort(tail)[:, None]]
-    # a map is a single t-cycle iff the orbit of treatment 0 first returns
-    # to 0 after t steps.  All orbits are walked at once on the flat maps,
-    # map i's treatment a at t i + a, power[x] the flat index of x's image
-    # under the map's n-th power; orbit[k] holds each map's k-th point,
-    # and each round doubles both n and the orbit known
-    start = np.arange(0, maps.size, t)
-    power = (maps.reshape(-1, t) + start[:, None]).ravel()
-    orbit = np.empty((t, len(start)), dtype=np.intp)
-    orbit[0] = start
-    n = 1
-    while n < t:
-        k = min(n, t - n)
-        orbit[n : n + k] = power[orbit[:k]]
-        power = power[power]
-        n *= 2
-    single = (orbit[1:] != start).all(axis=0).reshape(maps.shape[:-1])
+    # a map is a single t-cycle iff the orbit of treatment 0 does not return
+    # to 0 within t-1 steps; all maps walk at once from their 0's flat index
+    start = np.arange(0, maps.size, t).reshape(maps.shape[:-1])
+    flat = (maps + start[..., None]).ravel()
+    at, single = start, np.ones(start.shape, dtype=bool)
+    for _ in range(t - 1):
+        at = flat[at]
+        single &= at != start
     single |= np.eye(m + 1, dtype=bool)[..., None]
     single.setflags(write=False)
     return tail, single

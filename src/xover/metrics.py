@@ -132,10 +132,10 @@ def a_criteria(c_d: np.ndarray, t: int) -> ACriteria:
 
 
 def a_criterion(c_d: np.ndarray, t: int) -> ACriterion:
-    """A-criterion of one direct-effect information matrix: the B = 1
-    call of a_criteria, with c_d checked by symmetrize as the caller
-    gave it."""
-    return a_criteria(symmetrize(c_d)[None], t)[0]
+    """a_criteria's B = 1 call, on c_d checked to be one square matrix."""
+    if np.ndim(c_d) != 2 or np.shape(c_d)[0] != np.shape(c_d)[1]:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(c_d)}")
+    return a_criteria(np.asarray(c_d)[None], t)[0]
 
 
 def loss(plan_trace_mp: float, imp_trace_mp: float | np.ndarray) -> float | np.ndarray:
@@ -143,10 +143,12 @@ def loss(plan_trace_mp: float, imp_trace_mp: float | np.ndarray) -> float | np.n
 
     One minus the ratio of planned to implemented Moore-Penrose traces;
     zero when nothing is lost, approaching one as the implemented
-    design degrades.  Both traces must be positive; imp_trace_mp may be
-    an array of implemented traces.
+    design degrades.  Both traces must be positive reals (_check_real);
+    imp_trace_mp may also be a real array of implemented traces.
     """
     plan_trace_mp = _check_real("plan_trace_mp", plan_trace_mp)
+    if not (isinstance(imp_trace_mp, np.ndarray) and imp_trace_mp.dtype.kind in "iuf"):
+        _check_real("imp_trace_mp", imp_trace_mp)
     if plan_trace_mp <= 0 or np.any(np.asarray(imp_trace_mp) <= 0):
         raise ValueError("traces must be positive")
     return 1.0 - plan_trace_mp / imp_trace_mp
@@ -351,8 +353,8 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
     r = 1..t-1 with psi_r = cos(2 pi r / t).  psi_r is evaluated at
     min(r, t-r), so that theta_r = theta_(t-r) holds exactly:
 
-        A: theta_r = (t/(t-1)) [ t-2 - 2t(1+psi_r) / (t(t-3) - 2 psi_r) ]
-        B: theta_r = (t/(t-1)) [ t-2 - t(1+psi_r)^2 / (t(t-3) - 2 psi_r) ]
+        theta_r = (t/(t-1)) [ t-2 - N_r / (t(t-3) - 2 psi_r) ],
+        N_r = 2t(1+psi_r) for A and t(1+psi_r)^2 for B.
     """
     if klass not in ("A", "B"):
         raise ValueError(f'class must be "A" or "B", got {klass!r}')
@@ -360,12 +362,8 @@ def class_ab_spectrum(t: int, klass: str) -> list[float]:
     out: list[float] = []
     for r in range(1, t):
         psi = math.cos(2 * math.pi * min(r, t - r) / t)
-        denom = t * (t - 3) - 2 * psi
-        if klass == "A":
-            val = (t / (t - 1)) * ((t - 2) - 2 * t * (1 + psi) / denom)
-        else:
-            val = (t / (t - 1)) * ((t - 2) - t * (1 + psi) ** 2 / denom)
-        out.append(val)
+        num = 2 * t * (1 + psi) if klass == "A" else t * (1 + psi) ** 2
+        out.append((t / (t - 1)) * ((t - 2) - num / (t * (t - 3) - 2 * psi)))
     return out
 
 

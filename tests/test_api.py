@@ -263,6 +263,22 @@ API_FAULTS = {
         lambda: xover.loss(None, 1.0),
         "plan_trace_mp must be a real number, got NoneType",
     ),
+    "loss-imp-trace-none": (
+        lambda: xover.loss(1.0, None),
+        "imp_trace_mp must be a real number, got NoneType",
+    ),
+    "loss-imp-trace-list": (
+        lambda: xover.loss(1.0, [0.5, None]),
+        "imp_trace_mp must be a real number, got list",
+    ),
+    "loss-imp-trace-str": (
+        lambda: xover.loss(1.0, "x"),
+        "imp_trace_mp must be a real number, got str",
+    ),
+    "a-criterion-stack": (
+        lambda: a_criterion(np.zeros((2, 4, 4)), 4),
+        "expected a square matrix, got shape (2, 4, 4)",
+    ),
     "a-criterion-shape": (
         lambda: a_criterion(np.zeros((5, 4)), 4),
         "expected a square matrix, got shape (5, 4)",

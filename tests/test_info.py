@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from xover.construct import (
     extreme_design,
     fixture,
+    relabel,
     replicate,
     union,
     williams_pair,
@@ -211,6 +212,29 @@ def test_chunk_budget_leaves_every_bit(design, low, monkeypatch):
     for b, row in enumerate(ks):
         single = direct_info_pattern(design, DropoutPattern(tuple(row)))
         assert np.array_equal(results[0][b], single), b
+
+
+@pytest.mark.parametrize(
+    "design",
+    [extreme_design(6), williams_pair(9), fixture("d3plan")],
+    ids=["extreme6", "pair9", "d3plan"],
+)
+def test_engine_follows_subjects_labels_and_copies(design):
+    # metamorphic oracles on ragged rows at the design's own s: permuting
+    # the subjects leaves every bit, relabelling the treatments permutes
+    # C, and three copies of the design and its rows give 3 C
+    rng = np.random.default_rng(20071020)
+    ks = rng.integers(1, design.p + 1, (8, design.s))
+    c = direct_info_patterns(design, ks)
+    tol = 1e-12 * np.abs(c).max()
+    order = rng.permutation(design.s)
+    moved = CrossoverDesign(design.t, design.p, design.s, design.layout[:, order])
+    assert np.array_equal(direct_info_patterns(moved, ks[:, order]), c)
+    perm = rng.permutation(design.t)
+    renamed = direct_info_patterns(relabel(design, perm.tolist()), ks)
+    np.testing.assert_allclose(renamed[:, perm][:, :, perm], c, rtol=0, atol=tol)
+    tripled = direct_info_patterns(replicate(design, 3), np.tile(ks, 3))
+    np.testing.assert_allclose(tripled, 3 * c, rtol=0, atol=3 * tol)
 
 
 def test_batched_engine_rejects_bad_rows():

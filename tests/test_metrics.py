@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from xover.cli import TABLE3
 from xover.construct import fixture, replicate, union, williams_pair, williams_square
 from xover.designs import CrossoverDesign, truncate
 from xover.info import direct_info_complete, direct_info_patterns
@@ -363,6 +364,14 @@ def test_class_ml_matches_measured_design():
     assert class_ab_ml(6, "A") == pytest.approx(measured, abs=1e-9)
     measured_b = max_loss(williams_pair(5), 1).value
     assert class_ab_ml(5, "B") == pytest.approx(measured_b, abs=1e-9)
+    # every Table 3 row, ML and EL_AB alike, measured by the engine on one
+    # square (class A) or one pair (class B)
+    for t, klass in TABLE3:
+        d = williams_square(t) if klass == "A" else williams_pair(t)
+        measured = max_loss(d, 1)
+        assert measured.value == pytest.approx(class_ab_ml(t, klass), rel=1e-12)
+        el = efficiency_lower_bound(measured.min_trace_mp, t, 1, d.g)
+        assert el == pytest.approx(el_ab(t, klass), rel=1e-12)
 
 
 def test_class_ml_disconnected_at_t4():
